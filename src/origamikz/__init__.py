@@ -42,12 +42,9 @@ from .geometry import (
     SaddleConnection,
     SeparatrixDiagram,
     contains_point,
-    corner_class,
     decompose,
-    horizontal_decomposition,
     lattice_points,
     primitive_directions,
-    saddle_connections,
     separatrix_diagram,
     shear_matrix,
     trace_boundaries,
@@ -57,12 +54,12 @@ from .homology import (
     NonTautBasis,
     basis_from_directions,
     class_pushforward,
+    default_basis,
     express_in_basis,
     find_basis_directions,
     intersection_number,
     nontaut_basis,
     omega_class_loop,
-    pushforward,
     standard_basis,
 )
 from .monodromy import TwistSpec, dehn_twist_action, kz_generators, twist_multiplicities

@@ -14,7 +14,8 @@ second, 9 takes seconds, and 10..12 take minutes and beyond.
 
 from itertools import permutations, product
 
-from .origami import Origami, Perm, canonical_form, is_primitive
+from .errors import OrigamiError
+from .origami import Origami, Perm, _transitive, canonical_form, is_primitive, orbit
 
 
 def _partitions(n, cap=None):
@@ -37,28 +38,6 @@ def _canonical_of_type(ptype):
         images.append(pos)
         pos += length
     return tuple(images)
-
-
-def _cycles_of(images):
-    d = len(images)
-    seen = [False] * d
-    out = []
-    for i in range(d):
-        if seen[i]:
-            continue
-        c = [i]
-        seen[i] = True
-        j = images[i]
-        while j != i:
-            c.append(j)
-            seen[j] = True
-            j = images[j]
-        out.append(tuple(c))
-    return out
-
-
-def _cycle_type(images):
-    return tuple(sorted((len(c) for c in _cycles_of(images)), reverse=True))
 
 
 def _three_cycles(d):
@@ -93,14 +72,14 @@ def _conjugator(h_cycles, w_cycles):
     return tuple(g)
 
 
-def _centralizer(images):
-    """All permutations commuting with ``images``, generated lazily.
+def _centralizer(perm):
+    """All permutations commuting with ``perm``, generated lazily.
 
     Blocks of equal-length cycles may be permuted and each cycle rotated;
     the blocks are filled in recursively so nothing is materialised.
     """
-    d = len(images)
-    cycles = _cycles_of(images)
+    d = perm.degree
+    cycles = perm.cycles(include_fixed=True)
     by_len = {}
     for c in cycles:
         by_len.setdefault(len(c), []).append(c)
@@ -125,22 +104,6 @@ def _centralizer(images):
     yield from emit(0, [None] * d)
 
 
-def _transitive(h, v):
-    d = len(h)
-    seen = [False] * d
-    stack = [0]
-    seen[0] = True
-    n = 1
-    while stack:
-        i = stack.pop()
-        for j in (h[i], v[i]):
-            if not seen[j]:
-                seen[j] = True
-                n += 1
-                stack.append(j)
-    return n == d
-
-
 def h2_origamis(degree, primitive_only=True):
     """All H(2) origamis of a degree up to equivalence, canonical forms.
 
@@ -152,22 +115,22 @@ def h2_origamis(degree, primitive_only=True):
         return []
     found = set()
     for ptype in _partitions(degree):
-        h = _canonical_of_type(ptype)
-        h_cycles = _cycles_of(h)
+        h = Perm._trusted(_canonical_of_type(ptype))
+        h_cycles = h.cycles(include_fixed=True)
         seen_w = set()
         for cyc in _three_cycles(degree):
-            w = _apply_cycle(h, cyc)
+            w = Perm._trusted(_apply_cycle(h.images, cyc))
             if w == h or w in seen_w:
                 continue
-            if _cycle_type(w) != ptype:
+            if w.cycle_type() != ptype:
                 continue
             seen_w.add(w)
-            v0 = _conjugator(h_cycles, _cycles_of(w))
+            v0 = _conjugator(h_cycles, w.cycles(include_fixed=True))
             for z in _centralizer(h):
                 v = tuple(v0[z[i]] for i in range(degree))
-                if not _transitive(h, v):
+                if not _transitive(h.images, v):
                     continue
-                o = Origami(Perm(h), Perm(v))
+                o = Origami._trusted(h, Perm._trusted(v))
                 if primitive_only and not is_primitive(o):
                     continue
                 found.add(canonical_form(o))
@@ -178,15 +141,14 @@ def h2_origamis(degree, primitive_only=True):
 
 def orbit_partition(origamis, cap=10**6):
     """Partition a set of canonical origamis into SL2(Z) orbits."""
-    from .origami import orbit
-
     remaining = set(origamis)
     parts = []
     while remaining:
         seed = min(remaining, key=lambda o: (o.h.images, o.v.images))
         orb = orbit(seed, cap)
         part = orb & remaining
-        assert seed in part
+        if seed not in part:
+            raise OrigamiError("orbit of %r misses its own seed" % (seed,))
         remaining -= part
         parts.append(frozenset(part))
     return parts

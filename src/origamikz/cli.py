@@ -1,8 +1,7 @@
 """Command-line interface.
 
 Subcommands: decompose, homology, monodromy, index, orbit, census,
-verify-paper, conjecture.  Global flags: --format json|text, --cap N,
---seed N (reserved for randomized drivers; recorded in reports).
+verify-paper, conjecture.  Global flags: --format json|text, --cap N.
 
 Exit codes: 0 success, 1 failed checks or pipeline errors, 2 usage,
 3 a cap was exceeded (orbit or coset enumeration).
@@ -13,16 +12,10 @@ import json
 import sys
 
 from .census import h2_origamis, orbit_partition
-from .errors import (
-    BasisUnavailableError,
-    IndexCapExceeded,
-    OrbitCapExceeded,
-    OrigamiError,
-)
+from .errors import IndexCapExceeded, OrbitCapExceeded, OrigamiError
 from .geometry import Direction, decompose, primitive_directions
 from .homology import (
-    basis_from_directions,
-    find_basis_directions,
+    default_basis,
     intersection_number,
     nontaut_basis,
     omega_class_loop,
@@ -47,12 +40,8 @@ def _cap(args, default):
     return args.cap if args.cap is not None else default
 
 
-def _report(command, args, **fields):
-    rep = {"schema_version": SCHEMA_VERSION, "command": command}
-    if getattr(args, "seed", None) is not None:
-        rep["seed"] = args.seed
-    rep.update(fields)
-    return rep
+def _report(command, **fields):
+    return {"schema_version": SCHEMA_VERSION, "command": command, **fields}
 
 
 def _emit(rep, args, text_renderer=None):
@@ -127,7 +116,6 @@ def cmd_decompose(args):
     dec = decompose(o, args.dir)
     rep = _report(
         "decompose",
-        args,
         degree=o.degree,
         direction=list(args.dir.vector),
         cylinders=[
@@ -165,21 +153,12 @@ def cmd_decompose(args):
     return EXIT_OK
 
 
-def _basis_for(o):
-    try:
-        return standard_basis(o)
-    except BasisUnavailableError:
-        d1, d2 = find_basis_directions(o)
-        return basis_from_directions(o, d1, d2)
-
-
 def cmd_homology(args):
     o = _load_origami(args.file)
-    basis = _basis_for(o)
+    basis = default_basis(o)
     nt = nontaut_basis(basis)
     rep = _report(
         "homology",
-        args,
         degree=o.degree,
         basis_directions=[list(d.vector) for d in basis.directions],
         f_values=list(basis.f_values),
@@ -202,11 +181,9 @@ def cmd_homology(args):
 
 def cmd_monodromy(args):
     o = _load_origami(args.file)
-    basis = _basis_for(o)
-    gens = kz_generators(o, args.dirs, basis)
+    gens = kz_generators(o, args.dirs)
     rep = _report(
         "monodromy",
-        args,
         degree=o.degree,
         directions=[list(d.vector) for d in args.dirs],
         matrices=[_mat_entry(m) for m in gens],
@@ -232,7 +209,7 @@ def cmd_monodromy(args):
 
 
 def cmd_index(args):
-    rep = _report("index", args, generators=[_mat_entry(m) for m in args.gens])
+    rep = _report("index", generators=[_mat_entry(m) for m in args.gens])
     cap = _cap(args, COSET_CAP)
     try:
         idx = index_in_sl2(args.gens, cap)
@@ -271,7 +248,6 @@ def cmd_orbit(args):
         return EXIT_CAP
     rep = _report(
         "orbit",
-        args,
         degree=o.degree,
         size=len(orb),
         l_shapes=_l_labels(o.degree, orb),
@@ -309,7 +285,6 @@ def cmd_census(args):
         })
     rep = _report(
         "census",
-        args,
         degree=d,
         count=len(origamis),
         n_orbits=len(parts),
@@ -481,7 +456,7 @@ def cmd_verify_paper(args):
                      "error": str(exc), "ok": False, "checks": []}
                 )
     ok = all(c["ok"] for c in cases)
-    rep = _report("verify-paper", args, n_max=args.n_max, ok=ok, cases=cases)
+    rep = _report("verify-paper", n_max=args.n_max, ok=ok, cases=cases)
 
     def render(rep):
         for case in rep["cases"]:
@@ -536,7 +511,7 @@ def cmd_conjecture(args):
             entry["ok"] = False
             ok = False
         cases.append(entry)
-    rep = _report("conjecture", args, cases=cases)
+    rep = _report("conjecture", cases=cases)
 
     def render(rep):
         for case in rep["cases"]:
@@ -566,8 +541,6 @@ def _build_parser():
     common.add_argument("--cap", type=int, default=None,
                         help="live-coset / orbit cap (defaults: 10000 for "
                         "coset enumeration, 10^6 for orbits)")
-    common.add_argument("--seed", type=int, default=None,
-                        help="seed for randomized drivers (recorded in reports)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decompose", parents=[common],

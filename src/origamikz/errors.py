@@ -38,7 +38,7 @@ class UnimodularityError(OrigamiError):
 
 
 class DegenerateConfigurationError(OrigamiError):
-    """A crossing landed on a cone point even after offset retries."""
+    """Two traced curves cross at a cone point."""
 
 
 class TracingError(OrigamiError):

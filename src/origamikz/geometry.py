@@ -92,7 +92,8 @@ def shear_matrix(direction):
         a -= q
     b = (1 - a * p) // q
     m = Mat2(a, b, -q, p)
-    assert m.det() == 1 and m.apply((p, q)) == (1, 0)
+    if m.det() != 1 or m.apply((p, q)) != (1, 0):
+        raise TracingError("shear %r does not send %r to (1, 0)" % (m, direction))
     return m
 
 
@@ -142,14 +143,18 @@ class _Corners:
         return tuple(c for c in self.cycles if len(c) > 1)
 
 
-def corner_class(o, sq):
-    """The vertex class (corner-perm cycle) of the bottom-left corner of sq."""
-    return _Corners(o).cycle_of[sq]
-
-
 # ---------------------------------------------------------------------------
 # Geodesic tracing
 # ---------------------------------------------------------------------------
+
+def _holonomy(segments):
+    """Total displacement of a traced loop or saddle connection (integral)."""
+    hx = sum((s[2][0] - s[1][0] for s in segments), F0)
+    hy = sum((s[2][1] - s[1][1] for s in segments), F0)
+    if hx.denominator != 1 or hy.denominator != 1:
+        raise TracingError("non-integral holonomy (%s, %s)" % (hx, hy))
+    return (int(hx), int(hy))
+
 
 class GeodesicLoop:
     """A closed constant-direction geodesic avoiding all cone points.
@@ -167,10 +172,7 @@ class GeodesicLoop:
         self.segments = tuple(segments)
 
     def holonomy(self):
-        hx = sum((s[2][0] - s[1][0] for s in self.segments), F0)
-        hy = sum((s[2][1] - s[1][1] for s in self.segments), F0)
-        assert hx.denominator == 1 and hy.denominator == 1
-        return (int(hx), int(hy))
+        return _holonomy(self.segments)
 
     def __repr__(self):
         return "GeodesicLoop(dir=%r, %d segments)" % (
@@ -193,10 +195,7 @@ class SaddleConnection:
         self.upper_of = upper_of  # cylinder index whose upper boundary this is
 
     def holonomy(self):
-        hx = sum((s[2][0] - s[1][0] for s in self.segments), F0)
-        hy = sum((s[2][1] - s[1][1] for s in self.segments), F0)
-        assert hx.denominator == 1 and hy.denominator == 1
-        return (int(hx), int(hy))
+        return _holonomy(self.segments)
 
     def __repr__(self):
         return "SaddleConnection(dir=%r, holonomy=%r)" % (
@@ -382,18 +381,12 @@ def _raw_saddles(o, corners, direction):
         # holonomy must be a positive multiple of the direction vector
         a, b = direction.vector
         mult = hol[1] // b if b else hol[0] // a
-        assert mult > 0 and hol == (mult * a, mult * b)
+        if mult <= 0 or hol != (mult * a, mult * b):
+            raise TracingError(
+                "saddle holonomy %r is not along %r" % (hol, direction)
+            )
         out.append((conn, (cyc, turn), (in_cyc, in_turn)))
     return out
-
-
-def saddle_connections(o, direction):
-    """All saddle connections in a direction, labelled by boundary role.
-
-    ``upper_of`` on each connection is the index (in ``decompose``'s
-    cylinder order) of the cylinder it bounds from above.
-    """
-    return decompose(o, direction).saddle_connections
 
 
 # ---------------------------------------------------------------------------
@@ -499,20 +492,9 @@ def _row_chains(o):
             r = succ[r]
         chains.append(chain)
     for chain in chains:
-        assert len({len(r) for r in chain}) == 1
+        if len({len(r) for r in chain}) != 1:
+            raise TracingError("rows of one cylinder differ in length")
     return chains
-
-
-def _offset_schedule(max_retries=8):
-    yield FHALF
-    for k in range(1, max_retries + 1):
-        yield FHALF + Fraction(1, 2 * k + 1)
-        yield FHALF - Fraction(1, 2 * k + 1)
-
-
-def horizontal_decomposition(o):
-    """Cylinders of the horizontal direction, read off the h-cycles."""
-    return decompose(o, Direction(1, 0))
 
 
 def decompose(o, direction):
@@ -523,6 +505,8 @@ def decompose(o, direction):
     back through the shear as exact geodesics in the original frame.
     Every rational direction on an origami is completely periodic, so
     this never fails.  Cylinders are sorted by (f, smallest square id).
+    ``saddle_connections`` carry ``upper_of``, the index in that order
+    of the cylinder each one bounds from above.
     """
     m = shear_matrix(direction)
     sheared, stages = act_word(o, matrix_to_word(m))
@@ -541,21 +525,14 @@ def decompose(o, direction):
 
     cylinders = []
     for chain, hgt, c in zip(chains, heights, cvals):
-        core = None
-        for offset in _offset_schedule():
-            mid_row = chain[len(chain) // 2]
-            start_sq = min(mid_row)
-            p0 = pull_back_point(stages, (start_sq, F0, offset))
-            try:
-                segs = _trace_closed(o, corners, p0, direction)
-            except TracingError:
-                continue
-            core = GeodesicLoop(o, direction, segs)
-            break
-        if core is None:  # pragma: no cover - mid-height cores never fail
-            raise TracingError("no valid core offset found")
+        # mid-height of the middle row is interior to the cylinder, so the
+        # core never meets a cone point
+        start_sq = min(chain[len(chain) // 2])
+        p0 = pull_back_point(stages, (start_sq, F0, FHALF))
+        core = GeodesicLoop(o, direction, _trace_closed(o, corners, p0, direction))
         f = len(chain[0])
-        assert core.holonomy() == (f * direction.p, f * direction.q)
+        if core.holonomy() != (f * direction.p, f * direction.q):
+            raise TracingError("core holonomy is not f times the direction")
         cylinders.append(Cylinder(chain, f, hgt, core, c))
 
     cylinders.sort(key=lambda cyl: (cyl.f, min(min(r) for r in cyl.rows)))
@@ -576,15 +553,12 @@ def decompose(o, direction):
                 saddles[s].end, upper_of=idx,
             )
 
-    dec = CylinderDecomposition(o, direction, cylinders, saddles)
-    assert sum(c.circumference * c.height_rows for c in dec.cylinders) == o.degree
+    if sum(c.circumference * c.height_rows for c in cylinders) != o.degree:
+        raise TracingError("cylinder areas do not sum to the degree")
     n_sc = sum(len(c) for c in corners.singular_cycles())
-    assert len(dec.saddle_connections) == n_sc
-    if n_sc:
-        assert sorted(
-            i for c in dec.cylinders for i in c.upper_boundary
-        ) == list(range(n_sc))
-    return dec
+    if sorted(i for c in cylinders for i in c.upper_boundary) != list(range(n_sc)):
+        raise TracingError("saddle connections are not each on one upper boundary")
+    return CylinderDecomposition(o, direction, cylinders, saddles)
 
 
 def _saddle_through(o, corners, saddles, point):
@@ -758,6 +732,7 @@ def trace_boundaries(diag):
             vi, t = diag.edge_in[e]
             ell = len(diag.vertices[vi])
             e = out_at[(vi, (t + 1) % ell)]
-        assert e == e0, "boundary walk re-entered a foreign orbit"
+        if e != e0:
+            raise TracingError("boundary walk re-entered a foreign orbit")
         parts.append(frozenset(part))
     return tuple(sorted(parts, key=min))

@@ -21,7 +21,9 @@ from .errors import (
     DegenerateConfigurationError,
     IntegralityError,
     NoBasisFoundError,
+    OrigamiError,
     RankError,
+    TracingError,
 )
 from .geometry import (
     Direction,
@@ -29,14 +31,10 @@ from .geometry import (
     decompose,
     primitive_directions,
 )
+from .origami import singularity_data
 
 F0 = Fraction(0)
 F1 = Fraction(1)
-
-
-def pushforward(loop):
-    """Total holonomy of a closed loop: f * direction for a core curve."""
-    return loop.holonomy()
 
 
 def intersection_number(alpha, beta):
@@ -49,7 +47,8 @@ def intersection_number(alpha, beta):
     produced by this package never touch cone points.
     """
     o = alpha.origami
-    assert beta.origami == o, "loops live on different origamis"
+    if beta.origami != o:
+        raise OrigamiError("loops live on different origamis")
     ua, ub = alpha.direction.vector, beta.direction.vector
     det = ua[0] * ub[1] - ua[1] * ub[0]
     if det == 0:
@@ -154,6 +153,24 @@ def standard_basis(o):
     return basis_from_directions(o, Direction(1, 0), Direction(0, 1))
 
 
+def default_basis(o):
+    """The standard basis, else the first pair from the direction search.
+
+    The 4-curve basis is built for H(2) only; other strata are rejected
+    up front, naming their cone orders.
+    """
+    sing = singularity_data(o)
+    if not sing.is_h2:
+        raise BasisUnavailableError(
+            "the 4-curve basis needs a surface in H(2); this one has cone "
+            "orders %r" % (sing.cone_orders,)
+        )
+    try:
+        return standard_basis(o)
+    except BasisUnavailableError:
+        return basis_from_directions(o, *find_basis_directions(o))
+
+
 def find_basis_directions(o, cap=100):
     """First pair of 2-cylinder directions with a nondegenerate form.
 
@@ -167,7 +184,7 @@ def find_basis_directions(o, cap=100):
         cap -= 1
         try:
             dec = decompose(o, d)
-        except Exception:
+        except TracingError:
             continue
         if len(dec.cylinders) != 2:
             continue
@@ -206,13 +223,6 @@ def omega_class_loop(basis, coeffs, loop):
     """omega(sum coeffs_i basis_i, loop) by bilinearity."""
     vals = basis.omega_against(loop)
     return sum(c * v for c, v in zip(coeffs, vals))
-
-
-def omega_classes(basis, u, w):
-    """omega of two coefficient vectors through the Gram matrix."""
-    return sum(
-        u[i] * basis.gram[i][j] * w[j] for i in range(4) for j in range(4)
-    )
 
 
 class NonTautBasis:

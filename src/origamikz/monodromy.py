@@ -15,15 +15,9 @@ returned with columns the images of X and Y.
 
 from math import gcd, lcm
 
-from .errors import BasisUnavailableError, IntegralityError, UnimodularityError
+from .errors import IntegralityError, UnimodularityError
 from .geometry import decompose
-from .homology import (
-    basis_from_directions,
-    express_in_basis,
-    find_basis_directions,
-    nontaut_basis,
-    standard_basis,
-)
+from .homology import default_basis, express_in_basis, nontaut_basis
 from .sl2 import Mat2
 
 
@@ -112,14 +106,8 @@ def _in_span(w, nt):
 def kz_generators(o, directions, basis=None):
     """Multitwist matrices for several directions, all in one basis.
 
-    The basis defaults to the horizontal/vertical one and falls back to
-    the deterministic direction search when an axis direction does not
-    have two cylinders.
+    The basis defaults to :func:`origamikz.homology.default_basis`.
     """
     if basis is None:
-        try:
-            basis = standard_basis(o)
-        except BasisUnavailableError:
-            d1, d2 = find_basis_directions(o)
-            basis = basis_from_directions(o, d1, d2)
+        basis = default_basis(o)
     return [dehn_twist_action(o, d, basis) for d in directions]

@@ -26,8 +26,12 @@ so that ``act_matrix(M, act_matrix(N, o)) == act_matrix(M*N, o)``.
 from fractions import Fraction
 from math import gcd
 
-from .errors import InvalidShapeError, OrbitCapExceeded
+from .errors import InvalidShapeError, OrbitCapExceeded, OrigamiError
 from .sl2 import matrix_to_word
+
+# Largest degree the text format and Perm.from_cycles accept.  Checked
+# before any O(d) allocation, so a hostile ``d=`` line fails cleanly.
+MAX_DEGREE = 10000
 
 
 class Perm:
@@ -47,21 +51,41 @@ class Perm:
         object.__setattr__(self, "_inv", None)
 
     @classmethod
+    def _trusted(cls, images):
+        """Wrap an image tuple that is a permutation by construction."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "images", images)
+        object.__setattr__(p, "_inv", None)
+        return p
+
+    @classmethod
     def identity(cls, d):
         return cls(range(d))
 
     @classmethod
     def from_cycles(cls, cycles, degree=None):
-        """Build from 1-based cycles, e.g. ``[(1, 2), (3, 5, 4)]``."""
-        top = max((s for c in cycles for s in c), default=0)
+        """Build from 1-based cycles, e.g. ``[(1, 2), (3, 5, 4)]``.
+
+        The degree may not exceed :data:`MAX_DEGREE`.
+        """
+        symbols = [s for c in cycles for s in c]
+        top = max(symbols, default=0)
         d = degree if degree is not None else top
         if top > d:
             raise ValueError("cycle mentions %d but degree is %d" % (top, d))
+        if d > MAX_DEGREE:
+            raise ValueError("degree %d exceeds MAX_DEGREE = %d" % (d, MAX_DEGREE))
+        if min(symbols, default=1) < 1:
+            raise ValueError("squares are numbered from 1")
         images = list(range(d))
+        seen = set()
         for c in cycles:
+            if len(set(c)) != len(c):
+                raise ValueError("symbol repeated within cycle %r" % (c,))
             for s, t in zip(c, c[1:] + c[:1]):
-                if images[s - 1] != s - 1:
+                if s in seen:
                     raise ValueError("symbol %d repeated across cycles" % s)
+                seen.add(s)
                 images[s - 1] = t - 1
         return cls(images)
 
@@ -77,12 +101,14 @@ class Perm:
             inv = [0] * len(self.images)
             for i, j in enumerate(self.images):
                 inv[j] = i
-            object.__setattr__(self, "_inv", Perm(inv))
+            object.__setattr__(self, "_inv", Perm._trusted(tuple(inv)))
         return self._inv
 
     def __mul__(self, other):
         """Composition: (self * other)(x) = self(other(x))."""
-        return Perm(self.images[j] for j in other.images)
+        if len(other.images) != len(self.images):
+            raise ValueError("cannot compose permutations of different degrees")
+        return Perm._trusted(tuple(self.images[j] for j in other.images))
 
     def cycles(self, include_fixed=False):
         """Cycles as 0-based tuples, each starting at its minimum."""
@@ -138,6 +164,14 @@ class Origami:
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "v", v)
 
+    @classmethod
+    def _trusted(cls, h, v):
+        """Wrap a pair known to be transitive of one degree, e.g. an S/T image."""
+        o = object.__new__(cls)
+        object.__setattr__(o, "h", h)
+        object.__setattr__(o, "v", v)
+        return o
+
     @property
     def degree(self):
         return self.h.degree
@@ -150,9 +184,7 @@ class Origami:
         v(h(v^-1(h^-1(i)))); a cycle of length l is a cone point of angle
         2*pi*l.
         """
-        h, v = self.h, self.v
-        hi, vi = h.inverse(), v.inverse()
-        return Perm(v(h(vi(hi(i)))) for i in range(self.degree))
+        return self.v * self.h * self.v.inverse() * self.h.inverse()
 
     def __eq__(self, other):
         return (
@@ -224,7 +256,8 @@ def singularity_data(o):
     """
     orders = [len(c) - 1 for c in o.corner_perm().cycles()]
     total = sum(orders)
-    assert total % 2 == 0
+    if total % 2:
+        raise OrigamiError("cone orders %r have an odd sum" % (orders,))
     return SingularityData(orders, total // 2 + 1)
 
 
@@ -256,12 +289,11 @@ def act_letter(o, gen, exp):
     """Apply a single S/T letter with exponent sign ``exp`` in {1, -1}."""
     h, v = o.h, o.v
     if gen == "T":
-        v2 = v * (h.inverse() if exp > 0 else h)
-        return Origami(h, v2)
+        return Origami._trusted(h, v * (h.inverse() if exp > 0 else h))
     if gen == "S":
         if exp > 0:
-            return Origami(v.inverse(), h)
-        return Origami(v, h.inverse())
+            return Origami._trusted(v.inverse(), h)
+        return Origami._trusted(v, h.inverse())
     raise ValueError("unknown generator %r" % (gen,))
 
 
@@ -369,7 +401,7 @@ def canonical_form(o):
         key = tuple(new_h) + tuple(new_v)
         if best is None or key < best:
             best = key
-    return Origami(Perm(best[:d]), Perm(best[d:]))
+    return Origami._trusted(Perm._trusted(best[:d]), Perm._trusted(best[d:]))
 
 
 _ORBIT_GENS = (("S", 1), ("S", -1), ("T", 1), ("T", -1))
@@ -486,10 +518,7 @@ def _parse_cycles(text, line):
         syms = chunk.replace(",", " ").split()
         if not syms:
             continue
-        cyc = tuple(int(s) for s in syms)
-        if any(s < 1 for s in cyc):
-            raise ValueError("line %r: squares are numbered from 1" % line)
-        cycles.append(cyc)
+        cycles.append(tuple(int(s) for s in syms))
     return cycles
 
 
@@ -498,7 +527,8 @@ def parse_origami(text):
 
     One line ``h=<cycles>`` and one line ``v=<cycles>``, cycles 1-based
     with fixed points omitted; an optional ``d=<int>`` line pins the
-    degree, otherwise the largest symbol mentioned is used.
+    degree, otherwise the largest symbol mentioned is used.  Degrees
+    above :data:`MAX_DEGREE` are rejected.
     """
     d = None
     raw = {}

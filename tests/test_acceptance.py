@@ -27,7 +27,6 @@ from origamikz import (
     nontaut_basis,
     omega_class_loop,
     orbit_partition,
-    saddle_connections,
     separatrix_diagram,
     standard_basis,
     trace_boundaries,
@@ -210,7 +209,7 @@ def test_criterion_6_lattice_points_on_saddles():
             d = Direction(n, n + 1)
             pts = lattice_points(o, d)
             assert len(pts) == o.degree * n * (n + 1)
-            scs = saddle_connections(o, d)
+            scs = decompose(o, d).saddle_connections
             assert len(scs) == 3
             for pt in pts:
                 assert any(contains_point(o, s, pt) for s in scs)

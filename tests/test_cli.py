@@ -3,6 +3,7 @@ import json
 import pytest
 
 from origamikz.cli import main
+from origamikz.origami import MAX_DEGREE
 
 L24 = "d=5\nh=(1 2)\nv=(1 3 4 5)\n"
 
@@ -154,3 +155,27 @@ def test_conjecture_empty_reps(capsys):
     code, rep = run_json(capsys, ["conjecture", "--reps", ""])
     assert code == 0
     assert rep["cases"] == []
+
+
+@pytest.mark.parametrize("text", [
+    "h=(1 1)\nv=(1 2)\n",
+    "h=(1 2 1)\nv=(1 3)\n",
+    "d=%d\nh=(1 2)\nv=(1 3)\n" % (MAX_DEGREE + 1),
+    "h=(1 %d)\nv=(1 3)\n" % (MAX_DEGREE + 1),
+])
+def test_malformed_input_fails_on_one_line(capsys, tmp_path, text):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    assert main(["orbit", str(bad)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_monodromy_rejects_non_h2(capsys, tmp_path):
+    # two simple cone points: stratum H(1,1), cone orders (1, 1)
+    path = tmp_path / "h11.txt"
+    path.write_text("h=(1 2)(3 4)\nv=(1 3)\n")
+    assert main(["monodromy", str(path), "--dirs", "1,0;0,1"]) == 1
+    err = capsys.readouterr().err
+    assert "H(2)" in err and "(1, 1)" in err and "Fraction" not in err
+    assert err.count("\n") == 1

@@ -9,10 +9,8 @@ from origamikz import (
     act_matrix,
     contains_point,
     decompose,
-    horizontal_decomposition,
     lattice_points,
     make_l_origami,
-    saddle_connections,
     separatrix_diagram,
     shear_matrix,
     trace_boundaries,
@@ -49,17 +47,17 @@ def test_direction_normalisation():
 
 
 def test_horizontal_decomposition_l_shapes():
-    hd = horizontal_decomposition(make_l_origami(2, 4))
+    hd = decompose(make_l_origami(2, 4), Direction(1, 0))
     assert sorted((c.circumference, c.height_rows) for c in hd.cylinders) == [
         (1, 3),
         (2, 1),
     ]
-    hd = horizontal_decomposition(make_l_origami(2, 6))
+    hd = decompose(make_l_origami(2, 6), Direction(1, 0))
     assert sorted((c.circumference, c.height_rows) for c in hd.cylinders) == [
         (1, 5),
         (2, 1),
     ]
-    hd = horizontal_decomposition(TORUS)
+    hd = decompose(TORUS, Direction(1, 0))
     assert [(c.circumference, c.height_rows) for c in hd.cylinders] == [(1, 1)]
 
 
@@ -104,18 +102,18 @@ def test_frame_independence():
         d = random_direction(rng, bound=5)
         dec = decompose(o, d)
         sheared = act_matrix(o, shear_matrix(d))
-        hd = horizontal_decomposition(sheared)
+        hd = decompose(sheared, Direction(1, 0))
         assert sorted(dec.f_values()) == sorted(hd.f_values())
 
 
 def test_saddle_connection_count_h2():
     o = make_l_origami(2, 4)
     for d in (Direction(2, 3), Direction(1, 0), Direction(0, 1), Direction(-1, 2)):
-        assert len(saddle_connections(o, d)) == 3
+        assert len(decompose(o, d).saddle_connections) == 3
 
 
 def test_saddle_connections_torus_empty():
-    assert saddle_connections(TORUS, Direction(1, 0)) == ()
+    assert decompose(TORUS, Direction(1, 0)).saddle_connections == ()
 
 
 def test_saddle_holonomy_positive_multiple_of_direction():
@@ -123,7 +121,7 @@ def test_saddle_holonomy_positive_multiple_of_direction():
     for _ in range(15):
         o = random_h2_origami(rng, dmax=8)
         d = random_direction(rng, bound=4)
-        for s in saddle_connections(o, d):
+        for s in decompose(o, d).saddle_connections:
             hx, hy = s.holonomy()
             mult = hy // d.q if d.q else hx // d.p
             assert mult > 0
@@ -189,7 +187,7 @@ def test_lattice_points_lie_on_saddle_connections():
         (make_l_origami(2, 4), Direction(2, 3)),
         (make_l_origami(2, 2), Direction(1, 2)),
     ):
-        scs = saddle_connections(o, d)
+        scs = decompose(o, d).saddle_connections
         for pt in lattice_points(o, d):
             assert any(contains_point(o, s, pt) for s in scs)
 
@@ -233,7 +231,7 @@ def test_saddle_endpoints_are_cone_points():
     singular = set()
     for cyc in corners.singular_cycles():
         singular.update(cyc)
-    for s in saddle_connections(o, Direction(2, 3)):
+    for s in decompose(o, Direction(2, 3)).saddle_connections:
         sq, x, y = s.start
         anchor = sq if (x, y) == (0, 0) else o.h(sq)
         assert anchor in singular

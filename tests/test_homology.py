@@ -11,13 +11,13 @@ from origamikz import (
     Perm,
     class_pushforward,
     decompose,
+    default_basis,
     express_in_basis,
     find_basis_directions,
     intersection_number,
     make_l_origami,
     nontaut_basis,
     omega_class_loop,
-    pushforward,
     standard_basis,
 )
 from util import random_direction, random_h2_origami
@@ -71,6 +71,7 @@ def test_one_cylinder_direction_has_no_standard_basis():
     assert singularity_data(o).is_h2
     with pytest.raises(BasisUnavailableError):
         standard_basis(o)
+    assert default_basis(o).directions == find_basis_directions(o)
 
 
 def test_express_in_basis_diagonal_cores():
@@ -133,7 +134,7 @@ def test_bilinearity_through_gram():
 def test_pushforward_examples():
     o = make_l_origami(2, 4)
     basis = standard_basis(o)
-    assert pushforward(basis.loops[1]) == (2, 0)
+    assert basis.loops[1].holonomy() == (2, 0)
     cores = diagonal_cores(o, Direction(2, 3))
     # oracle: sum the segment displacements by hand
     seg_sum = [Fraction(0), Fraction(0)]
@@ -141,7 +142,7 @@ def test_pushforward_examples():
         seg_sum[0] += x1 - x0
         seg_sum[1] += y1 - y0
     assert (int(seg_sum[0]), int(seg_sum[1])) == (4, 6)
-    assert pushforward(cores[2]) == (4, 6)
+    assert cores[2].holonomy() == (4, 6)
 
 
 def test_pushforward_is_f_times_direction():
@@ -150,7 +151,7 @@ def test_pushforward_is_f_times_direction():
         o = random_h2_origami(rng, dmax=8)
         d = random_direction(rng, 4)
         for cyl in decompose(o, d).cylinders:
-            assert pushforward(cyl.core) == (cyl.f * d.p, cyl.f * d.q)
+            assert cyl.core.holonomy() == (cyl.f * d.p, cyl.f * d.q)
 
 
 def test_nontaut_basis():
@@ -199,6 +200,17 @@ def test_find_basis_directions():
 def test_find_basis_directions_cap():
     with pytest.raises(NoBasisFoundError):
         find_basis_directions(make_l_origami(2, 4), cap=0)
+
+
+def test_find_basis_directions_propagates_bugs(monkeypatch):
+    from origamikz import homology
+
+    def broken(o, d):
+        raise ZeroDivisionError("bug inside decompose")
+
+    monkeypatch.setattr(homology, "decompose", broken)
+    with pytest.raises(ZeroDivisionError):
+        find_basis_directions(make_l_origami(2, 4))
 
 
 def test_class_table_rows_via_combination():

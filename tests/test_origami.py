@@ -19,6 +19,7 @@ from origamikz import (
     same_orbit,
     singularity_data,
 )
+from origamikz.origami import MAX_DEGREE, act_letter
 from util import GENS, random_transitive_pair
 
 TORUS = Origami(Perm.identity(1), Perm.identity(1))
@@ -177,3 +178,39 @@ def test_text_format_rejects_garbage():
     # disconnected surface
     with pytest.raises(ValueError):
         parse_origami("d=4\nh=(1 2)\nv=(3 4)")
+
+
+@pytest.mark.parametrize("cycles,message", [
+    ([(1, 1)], "within"),
+    ([(1, 2, 1)], "within"),
+    ([(1,), (1, 2)], "across"),
+    ([(1, 2), (3, 2)], "across"),
+])
+def test_from_cycles_rejects_repeated_symbols(cycles, message):
+    with pytest.raises(ValueError, match=message):
+        Perm.from_cycles(cycles, degree=3)
+
+
+def test_degree_above_max_rejected():
+    with pytest.raises(ValueError, match="MAX_DEGREE"):
+        parse_origami("d=%d\nh=()\nv=()" % (MAX_DEGREE + 1))
+    with pytest.raises(ValueError, match="MAX_DEGREE"):
+        parse_origami("h=(1 %d)\nv=()" % (MAX_DEGREE + 1))
+    assert Perm.from_cycles([(1, MAX_DEGREE)]).degree == MAX_DEGREE
+
+
+def test_compose_rejects_degree_mismatch():
+    with pytest.raises(ValueError):
+        Perm.identity(2) * Perm.identity(3)
+
+
+def test_unchecked_results_pass_the_checks():
+    # act_letter, canonical_form, inverse and composition skip validation;
+    # the validating constructors must accept everything they return
+    rng = random.Random(5)
+    for _ in range(20):
+        o = random_transitive_pair(rng)
+        outs = [act_letter(o, g, e) for g in "ST" for e in (1, -1)]
+        outs += [canonical_form(o), Origami(o.h * o.v, o.v.inverse())]
+        for r in outs:
+            assert Origami(Perm(r.h.images), Perm(r.v.images)) == r
