@@ -125,9 +125,9 @@ def cmd_decompose(args):
                 "circumference": c.circumference,
                 "height_rows": c.height_rows,
                 "rows": _one_based(c.rows),
-                "upper_boundary": list(c.upper_boundary),
+                "upper_boundary": list(upper),
             }
-            for c in dec.cylinders
+            for c, upper in zip(dec.cylinders, dec.upper_boundaries)
         ],
         saddle_connections=[
             {"holonomy": list(s.holonomy()), "upper_of": s.upper_of}

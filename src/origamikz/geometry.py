@@ -12,10 +12,16 @@ direction is horizontal and reads the cylinders off the h-cycles, while
 :func:`separatrix_diagram` + :func:`trace_boundaries` never shear and
 recover the cylinder boundaries combinatorially.  They validate each
 other in the test suite.
+
+:func:`decompose` builds only the cylinders (rows, f, c and core
+loops), which is all the homology pipeline reads.  The saddle
+connections and the upper boundary of each cylinder are traced on first
+access to :attr:`CylinderDecomposition.saddle_connections` or
+:attr:`CylinderDecomposition.upper_boundaries`.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import TracingError
 from .origami import act_word, pull_back_point
@@ -147,13 +153,31 @@ class _Corners:
 # Geodesic tracing
 # ---------------------------------------------------------------------------
 
-def _holonomy(segments):
+def _integer_segments(segments, direction):
+    """Segments over the lcm ``den`` of their coordinates' denominators.
+
+    Returns ``(den, scaled)`` with one ``(square, X0, Y0, length)`` per
+    segment: ``(X0, Y0)`` is ``den`` times the entry point, and the
+    segment runs ``length / den`` times the direction vector.
+    """
+    a, b = direction.vector
+    den = lcm(*(c.denominator for s in segments for c in s[1] + s[2]))
+    scaled = []
+    for sq, p0, p1 in segments:
+        x0, y0, x1, y1 = (c.numerator * (den // c.denominator) for c in p0 + p1)
+        length = (x1 - x0) // a if a else (y1 - y0) // b
+        if (x1 - x0, y1 - y0) != (length * a, length * b):
+            raise TracingError("segment is not along %r" % (direction,))
+        scaled.append((sq, x0, y0, length))
+    return den, scaled
+
+
+def _holonomy(direction, den, lengths):
     """Total displacement of a traced loop or saddle connection (integral)."""
-    hx = sum((s[2][0] - s[1][0] for s in segments), F0)
-    hy = sum((s[2][1] - s[1][1] for s in segments), F0)
-    if hx.denominator != 1 or hy.denominator != 1:
-        raise TracingError("non-integral holonomy (%s, %s)" % (hx, hy))
-    return (int(hx), int(hy))
+    total = sum(lengths)
+    if total % den:
+        raise TracingError("non-integral holonomy %d/%d along %r" % (total, den, direction))
+    return (total // den * direction.p, total // den * direction.q)
 
 
 class GeodesicLoop:
@@ -164,15 +188,32 @@ class GeodesicLoop:
     segment glues to the entry of the next, cyclically.
     """
 
-    __slots__ = ("origami", "direction", "segments")
+    __slots__ = ("origami", "direction", "segments", "_integral")
 
     def __init__(self, origami, direction, segments):
         self.origami = origami
         self.direction = direction
         self.segments = tuple(segments)
+        self._integral = None
 
     def holonomy(self):
-        return _holonomy(self.segments)
+        den, by_square = self._integer_form()
+        return _holonomy(self.direction, den,
+                         (ln for segs in by_square.values() for _, _, ln in segs))
+
+    def _integer_form(self):
+        """``(den, by_square)`` from :func:`_integer_segments`, computed once.
+
+        ``by_square`` maps a square to the ``(X0, Y0, length)`` of its
+        segments.
+        """
+        if self._integral is None:
+            den, scaled = _integer_segments(self.segments, self.direction)
+            by_square = {}
+            for sq, x0, y0, length in scaled:
+                by_square.setdefault(sq, []).append((x0, y0, length))
+            self._integral = (den, by_square)
+        return self._integral
 
     def __repr__(self):
         return "GeodesicLoop(dir=%r, %d segments)" % (
@@ -186,16 +227,19 @@ class SaddleConnection:
 
     __slots__ = ("origami", "direction", "segments", "start", "end", "upper_of")
 
-    def __init__(self, origami, direction, segments, start, end, upper_of=None):
+    def __init__(self, origami, direction, segments, start, end):
         self.origami = origami
         self.direction = direction
         self.segments = tuple(segments)
         self.start = start    # (square, x, y) with x, y in {0, 1}
         self.end = end        # (square, x, y) exit corner of the last segment
-        self.upper_of = upper_of  # cylinder index whose upper boundary this is
+        # index of the cylinder whose upper boundary this is; set when a
+        # CylinderDecomposition labels its saddle connections
+        self.upper_of = None
 
     def holonomy(self):
-        return _holonomy(self.segments)
+        den, scaled = _integer_segments(self.segments, self.direction)
+        return _holonomy(self.direction, den, (s[3] for s in scaled))
 
     def __repr__(self):
         return "SaddleConnection(dir=%r, holonomy=%r)" % (
@@ -254,15 +298,6 @@ def _step(o, state, a, b):
     return seg, None, (o.h.inverse()(sq), F1, ny)
 
 
-def _canonical_key(o, state):
-    sq, x, y = state
-    if x == F1:
-        sq, x = o.h(sq), F0
-    if y == F1:
-        sq, y = o.v(sq), F0
-    return (sq, x, y)
-
-
 def _max_steps(o, a, b):
     return 8 * o.degree * (abs(a) + abs(b) + 2) + 16
 
@@ -270,46 +305,22 @@ def _max_steps(o, a, b):
 def _trace_closed(o, corners, start, direction):
     """Trace the closed geodesic through ``start``; it must avoid cone points.
 
-    The start point may sit anywhere in a square, so closure is detected
-    by watching each traced segment for the start point and truncating
-    there, not by comparing segment endpoints.
+    One step from the start point, which may sit anywhere in a square,
+    reaches the first edge crossing.  Tracer states at edge crossings are
+    canonical for a fixed direction, so the trace then runs until that
+    exact state recurs; the loop's segments start and end there.
     """
     a, b = direction.vector
-    sq, x, y = start
-    if a < 0 and x == F0:
-        sq, x = o.h.inverse()(sq), F1
-    state = (sq, x, y)
-    start_pt = _canonical_key(o, state)
+    first = state = _step(o, start, a, b)[2]
     segments = []
     for _ in range(_max_steps(o, a, b)):
         seg, corner, state = _step(o, state, a, b)
-        hit = _point_along_segment(o, corners, start_pt, seg)
-        if hit is not None:
-            segments.append((seg[0], seg[1], hit))
-            return segments
-        segments.append(seg)
         if corner is not None and corners.singular(corner[2]):
             raise TracingError("closed trace ran into a cone point")
+        segments.append(seg)
+        if state == first:
+            return segments
     raise TracingError("trace failed to close (step budget exhausted)")
-
-
-def _point_along_segment(o, corners, point, seg):
-    """Coordinates at which ``seg`` passes through a surface point.
-
-    Only parameters in (0, 1] count, so a segment is never matched at
-    its own entry.  Returns the in-square coordinates of the hit, or
-    None.
-    """
-    sq, (x0, y0), (x1, y1) = seg
-    dx, dy = x1 - x0, y1 - y0
-    for ex, ey in _encodings_in_square(o, corners, point, sq):
-        rx, ry = ex - x0, ey - y0
-        if dx * ry - dy * rx != 0:
-            continue
-        t = rx / dx if dx else ry / dy
-        if F0 < t <= F1:
-            return (ex, ey)
-    return None
 
 
 def _trace_to_singularity(o, corners, start, direction):
@@ -404,18 +415,15 @@ class Cylinder:
     the original (unsheared) frame.
     """
 
-    __slots__ = ("rows", "circumference", "height_rows", "f", "c", "core",
-                 "upper_boundary")
+    __slots__ = ("rows", "circumference", "height_rows", "f", "c", "core")
 
-    def __init__(self, rows, circumference, height_rows, core, c=1,
-                 upper_boundary=()):
+    def __init__(self, rows, circumference, height_rows, core, c=1):
         self.rows = tuple(tuple(r) for r in rows)
         self.circumference = circumference
         self.height_rows = height_rows
         self.f = circumference
         self.c = c
         self.core = core
-        self.upper_boundary = tuple(upper_boundary)
 
     def __repr__(self):
         return "Cylinder(f=%d, height=%d, c=%d)" % (
@@ -426,13 +434,33 @@ class Cylinder:
 
 
 class CylinderDecomposition:
-    __slots__ = ("origami", "direction", "cylinders", "saddle_connections")
+    """The cylinders of one direction, sorted by (f, smallest square id).
 
-    def __init__(self, origami, direction, cylinders, saddles):
+    ``saddle_connections`` (each carrying ``upper_of``) and
+    ``upper_boundaries`` (per cylinder, the sorted indices of the saddle
+    connections bounding it from above) are traced together on first
+    access to either.
+    """
+
+    __slots__ = ("origami", "direction", "cylinders", "_labels")
+
+    def __init__(self, origami, direction, cylinders):
         self.origami = origami
         self.direction = direction
         self.cylinders = tuple(cylinders)
-        self.saddle_connections = tuple(saddles)
+        self._labels = None
+
+    @property
+    def saddle_connections(self):
+        if self._labels is None:
+            self._labels = _label_saddles(self)
+        return self._labels[0]
+
+    @property
+    def upper_boundaries(self):
+        if self._labels is None:
+            self._labels = _label_saddles(self)
+        return self._labels[1]
 
     def f_values(self):
         return tuple(c.f for c in self.cylinders)
@@ -505,17 +533,12 @@ def decompose(o, direction):
     back through the shear as exact geodesics in the original frame.
     Every rational direction on an origami is completely periodic, so
     this never fails.  Cylinders are sorted by (f, smallest square id).
-    ``saddle_connections`` carry ``upper_of``, the index in that order
-    of the cylinder each one bounds from above.
+    No saddle connection is traced here; the result traces and labels
+    them on first access (see :class:`CylinderDecomposition`).
     """
-    m = shear_matrix(direction)
-    sheared, stages = act_word(o, matrix_to_word(m))
+    sheared, stages = act_word(o, matrix_to_word(shear_matrix(direction)))
     chains = _row_chains(sheared)
     corners = _Corners(o)
-
-    # saddle connections in the original frame (independent of the shear)
-    raw = _raw_saddles(o, corners, direction)
-    saddles = [r[0] for r in raw]
 
     heights = [len(chain) for chain in chains]
     g = 0
@@ -536,36 +559,36 @@ def decompose(o, direction):
         cylinders.append(Cylinder(chain, f, hgt, core, c))
 
     cylinders.sort(key=lambda cyl: (cyl.f, min(min(r) for r in cyl.rows)))
+    if sum(c.circumference * c.height_rows for c in cylinders) != o.degree:
+        raise TracingError("cylinder areas do not sum to the degree")
+    return CylinderDecomposition(o, direction, cylinders)
 
-    # label each saddle connection with the cylinder it bounds from above:
-    # pull back midpoints of the top edges of each cylinder's top row
-    for idx, cyl in enumerate(cylinders):
+
+def _label_saddles(dec):
+    """Saddle connections of a decomposition and the cylinders' upper boundaries.
+
+    Re-derives the shear from the direction and pulls the midpoints of
+    the top edges of each cylinder's top row back into the original
+    frame; the saddle connection through such a point bounds that
+    cylinder from above.  Returns ``(saddles, upper_boundaries)``.
+    """
+    o, direction = dec.origami, dec.direction
+    sheared, stages = act_word(o, matrix_to_word(shear_matrix(direction)))
+    corners = _Corners(o)
+    saddles = [r[0] for r in _raw_saddles(o, corners, direction)]
+    upper = []
+    for idx, cyl in enumerate(dec.cylinders):
         found = set()
         for sq in cyl.rows[-1]:
             pt = pull_back_point(stages, (sheared.v(sq), FHALF, F0))
-            hit = _saddle_through(o, corners, saddles, pt)
-            if hit is not None:
-                found.add(hit)
-        cyl.upper_boundary = tuple(sorted(found))
+            found.update(i for i, s in enumerate(saddles)
+                         if contains_point(o, s, pt, corners))
+        upper.append(tuple(sorted(found)))
         for s in found:
-            saddles[s] = SaddleConnection(
-                o, direction, saddles[s].segments, saddles[s].start,
-                saddles[s].end, upper_of=idx,
-            )
-
-    if sum(c.circumference * c.height_rows for c in cylinders) != o.degree:
-        raise TracingError("cylinder areas do not sum to the degree")
-    n_sc = sum(len(c) for c in corners.singular_cycles())
-    if sorted(i for c in cylinders for i in c.upper_boundary) != list(range(n_sc)):
+            saddles[s].upper_of = idx
+    if sorted(i for part in upper for i in part) != list(range(len(saddles))):
         raise TracingError("saddle connections are not each on one upper boundary")
-    return CylinderDecomposition(o, direction, cylinders, saddles)
-
-
-def _saddle_through(o, corners, saddles, point):
-    for idx, s in enumerate(saddles):
-        if contains_point(o, s, point, corners):
-            return idx
-    return None
+    return tuple(saddles), tuple(upper)
 
 
 # ---------------------------------------------------------------------------

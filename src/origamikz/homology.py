@@ -10,11 +10,14 @@ enough for every computation in scope; no chain complex is built.
 Sign convention: a transverse crossing of a curve in direction u with a
 curve in direction w counts as the sign of det[u w] (columns u, w).  All
 crossings of two constant-direction loops share that sign, so the
-pairing is the signed count of distinct crossing points.
+pairing is the signed count of distinct crossing points.  The pairing is
+integer arithmetic: each loop's coordinates are scaled once to integers
+over their common denominator, and crossing parameters of a loop pair
+are integers over det[u w].
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import (
     BasisUnavailableError,
@@ -40,54 +43,70 @@ F1 = Fraction(1)
 def intersection_number(alpha, beta):
     """Signed count of crossings of two constant-direction loops.
 
-    Parallel loops return 0.  Crossing points are computed square by
-    square with exact rationals and deduplicated as surface points, so
-    crossings on square edges or at regular vertices are counted once.
-    A crossing at a cone point would be flagged as degenerate, but loops
+    Parallel loops return 0.  Over the common denominator ``m`` of both
+    loops and with ``D = det(u_alpha, u_beta)``, the crossing parameters
+    and points are integers over ``n = m * |D|``.  Crossings are
+    deduplicated as surface points (edge points wrapped to their left or
+    bottom square, a regular vertex to its anchor square), so crossings
+    on square edges or at regular vertices are counted once.  A crossing
+    at a cone point raises :class:`DegenerateConfigurationError`; loops
     produced by this package never touch cone points.
     """
     o = alpha.origami
     if beta.origami != o:
         raise OrigamiError("loops live on different origamis")
-    ua, ub = alpha.direction.vector, beta.direction.vector
-    det = ua[0] * ub[1] - ua[1] * ub[0]
+    a1, b1 = alpha.direction.vector
+    a2, b2 = beta.direction.vector
+    det = a1 * b2 - b1 * a2
     if det == 0:
         return 0
     sign = 1 if det > 0 else -1
-    corners = _Corners(o)
-    by_square = {}
-    for seg in beta.segments:
-        by_square.setdefault(seg[0], []).append(seg)
+    den_a, alpha_segs = alpha._integer_form()
+    den_b, beta_segs = beta._integer_form()
+    m = lcm(den_a, den_b)
+    ka, kb = m // den_a, m // den_b
+    ad = abs(det)
+    n = m * ad
+    # per entry point P over m: sign * det(P, u_beta), sign * det(P, u_alpha)
+    # and the length bound; crossing parameters are differences of these
+    sa, sb = sign * ka, sign * kb
+    beta_by_square = {
+        sq: [(sb * (x * b2 - y * a2), sb * (x * b1 - y * a1), ad * kb * ln)
+             for x, y, ln in segs]
+        for sq, segs in beta_segs.items()
+    }
+    h, v = o.h.images, o.v.images
+    corners = None
     crossings = set()
-    for sq, (ax0, ay0), (ax1, ay1) in alpha.segments:
-        dax, day = ax1 - ax0, ay1 - ay0
-        for _, (bx0, by0), (bx1, by1) in by_square.get(sq, ()):
-            dbx, dby = bx1 - bx0, by1 - by0
-            den = dax * dby - day * dbx
-            rx, ry = bx0 - ax0, by0 - ay0
-            t = (rx * dby - ry * dbx) / den
-            u = (rx * day - ry * dax) / den
-            if not (F0 <= t <= F1 and F0 <= u <= F1):
-                continue
-            x, y = ax0 + t * dax, ay0 + t * day
-            crossings.add(_crossing_key(o, corners, sq, x, y))
+    for sq in alpha_segs.keys() & beta_by_square.keys():
+        cands = beta_by_square[sq]
+        for x, y, ln in alpha_segs[sq]:
+            ta = sa * (x * b2 - y * a2)
+            ua = sa * (x * b1 - y * a1)
+            top_a = ad * ka * ln
+            for tb, ub, top_b in cands:
+                t = tb - ta  # alpha's parameter, over n
+                if not 0 <= t <= top_a:
+                    continue
+                u = ub - ua  # beta's parameter, over n
+                if not 0 <= u <= top_b:
+                    continue
+                cx = ad * ka * x + t * a1
+                cy = ad * ka * y + t * b1
+                csq = sq
+                if cx == n:
+                    csq, cx = h[csq], 0
+                if cy == n:
+                    csq, cy = v[csq], 0
+                if cx == 0 and cy == 0:
+                    if corners is None:
+                        corners = _Corners(o)
+                    if corners.singular(csq):
+                        raise DegenerateConfigurationError(
+                            "curves cross at a cone point (square %d)" % (csq + 1)
+                        )
+                crossings.add((csq, cx, cy))
     return sign * len(crossings)
-
-
-def _crossing_key(o, corners, sq, x, y):
-    """Canonical surface-point key for deduplicating crossings."""
-    if x == F1:
-        sq, x = o.h(sq), F0
-    if y == F1:
-        sq, y = o.v(sq), F0
-    if x == F0 and y == F0:
-        cyc = corners.cycle_of[sq]
-        if len(cyc) > 1:
-            raise DegenerateConfigurationError(
-                "curves cross at a cone point (square %d)" % (sq + 1)
-            )
-        return ("vertex", min(cyc))
-    return (sq, x, y)
 
 
 # ---------------------------------------------------------------------------

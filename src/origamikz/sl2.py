@@ -16,21 +16,36 @@ anything.
 """
 
 from collections import deque
-from dataclasses import dataclass
 
 from .errors import IndexCapExceeded
 
 Word = list  # list of (letter, exponent) pairs
 
 
-@dataclass(frozen=True)
 class Mat2:
-    """Row-major integer 2x2 matrix [[a, b], [c, d]]."""
+    """Row-major integer 2x2 matrix [[a, b], [c, d]]; immutable and hashable."""
 
-    a: int
-    b: int
-    c: int
-    d: int
+    __slots__ = ("a", "b", "c", "d")
+
+    def __init__(self, a, b, c, d):
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "c", c)
+        object.__setattr__(self, "d", d)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Mat2 is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Mat2 is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, Mat2):
+            return NotImplemented
+        return self.rows() == other.rows()
+
+    def __hash__(self):
+        return hash(self.rows())
 
     def det(self):
         return self.a * self.d - self.b * self.c

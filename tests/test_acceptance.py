@@ -199,7 +199,7 @@ def test_criterion_5_cross_algorithm_equivalence():
                 assert (hx, hy) == (f * d.p, f * d.q)
                 fs.append(f)
             assert sorted(fs) == sorted(dec.f_values())
-            assert set(parts) == {frozenset(c.upper_boundary) for c in dec.cylinders}
+            assert set(parts) == set(map(frozenset, dec.upper_boundaries))
 
 
 def test_criterion_6_lattice_points_on_saddles():

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from origamikz import (
     Direction,
     Origami,
@@ -9,12 +11,15 @@ from origamikz import (
     act_matrix,
     contains_point,
     decompose,
+    dehn_twist_action,
     lattice_points,
     make_l_origami,
     separatrix_diagram,
     shear_matrix,
+    standard_basis,
     trace_boundaries,
 )
+from origamikz import geometry
 from origamikz.sl2 import Mat2
 from util import random_direction, random_h2_origami
 
@@ -151,8 +156,8 @@ def test_boundary_tracing_reproduces_reference_partition():
     o = make_l_origami(2, 4)
     dec = decompose(o, Direction(2, 3))
     parts = trace_boundaries(separatrix_diagram(o, Direction(2, 3)))
-    assert set(parts) == {frozenset(c.upper_boundary) for c in dec.cylinders}
-    sizes = {c.f: len(c.upper_boundary) for c in dec.cylinders}
+    assert set(parts) == set(map(frozenset, dec.upper_boundaries))
+    sizes = {c.f: len(ub) for c, ub in zip(dec.cylinders, dec.upper_boundaries)}
     assert sizes == {3: 2, 2: 1}
 
 
@@ -172,7 +177,33 @@ def test_boundary_tracing_matches_decompose_randomised():
         dec = decompose(o, d)
         parts = trace_boundaries(separatrix_diagram(o, d))
         assert len(parts) == len(dec.cylinders)
-        assert set(parts) == {frozenset(c.upper_boundary) for c in dec.cylinders}
+        assert set(parts) == set(map(frozenset, dec.upper_boundaries))
+
+
+def test_decompose_traces_no_saddle_connections(monkeypatch):
+    # the multitwist pipeline reads only cylinders and cores; saddle
+    # connections are traced on first access
+    def boom(*args):
+        raise RuntimeError("saddle connections traced")
+
+    monkeypatch.setattr(geometry, "_raw_saddles", boom)
+    o = make_l_origami(2, 4)
+    dec = decompose(o, Direction(2, 3))
+    assert sorted(dec.f_values()) == [2, 3]
+    basis = standard_basis(o)
+    assert dehn_twist_action(o, Direction(2, 3), basis) == Mat2(2, 1, -1, 0)
+    with pytest.raises(RuntimeError):
+        dec.saddle_connections
+    with pytest.raises(RuntimeError):
+        dec.upper_boundaries
+
+
+def test_saddle_labels_are_computed_once():
+    dec = decompose(make_l_origami(2, 4), Direction(2, 3))
+    saddles = dec.saddle_connections
+    assert dec.saddle_connections is saddles
+    for idx, upper in enumerate(dec.upper_boundaries):
+        assert all(saddles[i].upper_of == idx for i in upper)
 
 
 def test_lattice_point_counts():
@@ -196,9 +227,9 @@ def test_upper_boundary_holonomy_sums():
     o = make_l_origami(2, 6)
     d = Direction(3, 4)
     dec = decompose(o, d)
-    for cyl in dec.cylinders:
-        hx = sum(dec.saddle_connections[i].holonomy()[0] for i in cyl.upper_boundary)
-        hy = sum(dec.saddle_connections[i].holonomy()[1] for i in cyl.upper_boundary)
+    for cyl, upper in zip(dec.cylinders, dec.upper_boundaries):
+        hx = sum(dec.saddle_connections[i].holonomy()[0] for i in upper)
+        hy = sum(dec.saddle_connections[i].holonomy()[1] for i in upper)
         assert (hx, hy) == (cyl.f * d.p, cyl.f * d.q)
 
 
@@ -211,9 +242,17 @@ def test_loop_segments_have_constant_direction():
             assert Fraction(0) <= x0 <= 1 and Fraction(0) <= y1 <= 1
 
 
-def test_core_loops_close_under_gluings():
-    from origamikz.geometry import _canonical_key
+def _canonical_key(o, state):
+    # a surface point with x == 1 or y == 1 wrapped through the gluings
+    sq, x, y = state
+    if x == 1:
+        sq, x = o.h(sq), 0
+    if y == 1:
+        sq, y = o.v(sq), 0
+    return (sq, x, y)
 
+
+def test_core_loops_close_under_gluings():
     o = make_l_origami(2, 4)
     for d in (Direction(2, 3), Direction(-1, 2), Direction(1, 0)):
         for cyl in decompose(o, d).cylinders:

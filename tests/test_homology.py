@@ -5,7 +5,9 @@ import pytest
 
 from origamikz import (
     BasisUnavailableError,
+    DegenerateConfigurationError,
     Direction,
+    GeodesicLoop,
     NoBasisFoundError,
     Origami,
     Perm,
@@ -18,9 +20,14 @@ from origamikz import (
     make_l_origami,
     nontaut_basis,
     omega_class_loop,
+    primitive_directions,
+    shear_matrix,
     standard_basis,
 )
-from util import random_direction, random_h2_origami
+from origamikz.geometry import _Corners, _trace_closed
+from origamikz.origami import act_word, pull_back_point
+from origamikz.sl2 import matrix_to_word
+from util import random_direction, random_h2_origami, reference_intersection_number
 
 A_REFERENCE = (
     (0, 0, 0, 1),
@@ -96,6 +103,67 @@ def test_intersection_examples():
     assert intersection_number(basis.loops[3], cores[2]) == -3
     assert intersection_number(basis.loops[2], basis.loops[3]) == 0
     assert intersection_number(cores[3], cores[3]) == 0
+
+
+def row_boundary_loops(o, direction):
+    """Closed geodesics on the line between the two lowest rows of a cylinder.
+
+    Such a line lies inside its cylinder, so it meets only regular
+    vertices, and it meets at least one; core curves meet none.
+    """
+    _, stages = act_word(o, matrix_to_word(shear_matrix(direction)))
+    corners = _Corners(o)
+    loops = []
+    for cyl in decompose(o, direction).cylinders:
+        if cyl.height_rows > 1:
+            pt = pull_back_point(stages, (cyl.rows[1][0], Fraction(1, 2), Fraction(0)))
+            segs = _trace_closed(o, corners, pt, direction)
+            loops.append(GeodesicLoop(o, direction, segs))
+    return loops
+
+
+def test_intersection_matches_reference_pairing():
+    # the integer pairing against the Fraction one it replaced, on every
+    # pair (parallel pairs and self-pairs included) of cores with
+    # |p| + |q| <= 6 and of loops through regular vertices
+    rng = random.Random(6)
+    parallel = through_vertex = 0
+    for _ in range(2):
+        o = random_h2_origami(rng, dmax=8)
+        loops = []
+        for d in primitive_directions(6):
+            loops.extend(c.core for c in decompose(o, d).cylinders)
+            if abs(d.p) + abs(d.q) <= 4:
+                loops.extend(row_boundary_loops(o, d))
+        through_vertex += sum(
+            any(x in (0, 1) and y in (0, 1) for _, _, (x, y) in loop.segments)
+            for loop in loops
+        )
+        for i, alpha in enumerate(loops):
+            for beta in loops[i:]:
+                parallel += alpha.direction == beta.direction
+                assert intersection_number(alpha, beta) == (
+                    reference_intersection_number(alpha, beta)
+                )
+    assert parallel > 0 and through_vertex > 0
+
+
+def test_intersection_at_cone_point_raises():
+    # on L(2,2) every vertex is the cone point; a horizontal loop along
+    # the bottom edges of squares 1, 2 and a vertical loop along the left
+    # edges of squares 1, 3 cross there
+    o = make_l_origami(2, 2)
+    z, one = Fraction(0), Fraction(1)
+    horizontal = GeodesicLoop(o, Direction(1, 0), [
+        (0, (z, z), (one, z)), (1, (z, z), (one, z)),
+    ])
+    vertical = GeodesicLoop(o, Direction(0, 1), [
+        (0, (z, z), (z, one)), (2, (z, z), (z, one)),
+    ])
+    with pytest.raises(DegenerateConfigurationError):
+        intersection_number(horizontal, vertical)
+    with pytest.raises(DegenerateConfigurationError):
+        reference_intersection_number(horizontal, vertical)
 
 
 def test_intersection_skew_symmetry_random():

@@ -129,3 +129,24 @@ def test_coset_action_is_transitive_permutation():
                     seen.add(img)
                     frontier.append(img)
         assert seen == set(range(k))
+
+
+def test_mat2_value_semantics():
+    m = Mat2(2, 1, -1, 0)
+    assert m == Mat2(2, 1, -1, 0)
+    assert m != Mat2(2, 1, -1, 1)
+    assert m != (2, 1, -1, 0)
+    assert hash(m) == hash(Mat2(2, 1, -1, 0))
+    assert len({m, Mat2(2, 1, -1, 0), Mat2(1, 0, 0, 1)}) == 2
+    assert repr(m) == "Mat2(2, 1, -1, 0)"
+
+
+def test_mat2_is_immutable():
+    m = Mat2(1, 1, 0, 1)
+    with pytest.raises(AttributeError):
+        m.a = 5
+    with pytest.raises(AttributeError):
+        del m.b
+    with pytest.raises(AttributeError):
+        m.extra = 1
+    assert m == Mat2(1, 1, 0, 1)

@@ -1,6 +1,9 @@
 """Static checks on the package source."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "origamikz"
@@ -14,3 +17,18 @@ def test_no_assert_statements():
             if isinstance(node, ast.Assert):
                 found.append("%s:%d" % (path.name, node.lineno))
     assert not found, found
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # every command line pays for the import; these two modules cost a
+    # quarter of it and nothing in the package needs them
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code = (
+        "import sys, origamikz.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,14 +1,23 @@
-"""Shared helpers for the test suite: seeded random surfaces and directions."""
+"""Shared helpers for the test suite: seeded random surfaces and directions,
+and the reference Fraction intersection pairing."""
+
+from fractions import Fraction
 
 from origamikz import (
+    DegenerateConfigurationError,
     Direction,
     Origami,
+    OrigamiError,
     Perm,
     act_generator,
     make_l_origami,
     relabel,
     singularity_data,
 )
+from origamikz.geometry import _Corners
+
+F0 = Fraction(0)
+F1 = Fraction(1)
 
 GENS = ["S", "T", "S^-1", "T^-1"]
 
@@ -64,3 +73,57 @@ def random_direction(rng, bound=7):
             d = Direction(p, q)
             if abs(d.p) <= bound and abs(d.q) <= bound:
                 return d
+
+
+def reference_intersection_number(alpha, beta):
+    """Signed count of crossings of two constant-direction loops.
+
+    The Fraction implementation the integer pairing in
+    :func:`origamikz.homology.intersection_number` replaced, kept as its
+    test oracle.  Parallel loops return 0.  Crossing points are computed
+    square by square with exact rationals and deduplicated as surface
+    points, so crossings on square edges or at regular vertices are
+    counted once.
+    """
+    o = alpha.origami
+    if beta.origami != o:
+        raise OrigamiError("loops live on different origamis")
+    ua, ub = alpha.direction.vector, beta.direction.vector
+    det = ua[0] * ub[1] - ua[1] * ub[0]
+    if det == 0:
+        return 0
+    sign = 1 if det > 0 else -1
+    corners = _Corners(o)
+    by_square = {}
+    for seg in beta.segments:
+        by_square.setdefault(seg[0], []).append(seg)
+    crossings = set()
+    for sq, (ax0, ay0), (ax1, ay1) in alpha.segments:
+        dax, day = ax1 - ax0, ay1 - ay0
+        for _, (bx0, by0), (bx1, by1) in by_square.get(sq, ()):
+            dbx, dby = bx1 - bx0, by1 - by0
+            den = dax * dby - day * dbx
+            rx, ry = bx0 - ax0, by0 - ay0
+            t = (rx * dby - ry * dbx) / den
+            u = (rx * day - ry * dax) / den
+            if not (F0 <= t <= F1 and F0 <= u <= F1):
+                continue
+            x, y = ax0 + t * dax, ay0 + t * day
+            crossings.add(_crossing_key(o, corners, sq, x, y))
+    return sign * len(crossings)
+
+
+def _crossing_key(o, corners, sq, x, y):
+    """Canonical surface-point key for deduplicating crossings."""
+    if x == F1:
+        sq, x = o.h(sq), F0
+    if y == F1:
+        sq, y = o.v(sq), F0
+    if x == F0 and y == F0:
+        cyc = corners.cycle_of[sq]
+        if len(cyc) > 1:
+            raise DegenerateConfigurationError(
+                "curves cross at a cone point (square %d)" % (sq + 1)
+            )
+        return ("vertex", min(cyc))
+    return (sq, x, y)
