@@ -5,11 +5,13 @@ single 3-cycle.  Writing w = v h v^-1, that means w = c h for some
 3-cycle c with w of the same cycle type as h.  The enumeration therefore
 runs over one canonical h per cycle type, all 3-cycles c whose product
 keeps the type, and the full coset v0 Z(h) of conjugators taking h to
-c h; transitive pairs are kept and deduplicated by canonical form.
+c h.  Each transitive pair is reduced to its canonical form, and only a
+form seen for the first time is tested for primitivity.
 
 This is exact for every degree, but the centralizer cosets blow up with
-the number of fixed points of h: degrees up to 8 take well under a
-second, 9 takes seconds, and 10..12 take minutes and beyond.
+the number of fixed points of h: degrees up to 8 take under half a
+second, 9 about three seconds, 10 about half a minute, and 11..12
+minutes and beyond.
 """
 
 from itertools import permutations, product
@@ -113,7 +115,7 @@ def h2_origamis(degree, primitive_only=True):
     """
     if degree < 3:
         return []
-    found = set()
+    found, rejected = set(), set()
     for ptype in _partitions(degree):
         h = Perm._trusted(_canonical_of_type(ptype))
         h_cycles = h.cycles(include_fixed=True)
@@ -130,10 +132,13 @@ def h2_origamis(degree, primitive_only=True):
                 v = tuple(v0[z[i]] for i in range(degree))
                 if not _transitive(h.images, v):
                     continue
-                o = Origami._trusted(h, Perm._trusted(v))
-                if primitive_only and not is_primitive(o):
+                o = canonical_form(Origami._trusted(h, Perm._trusted(v)))
+                if o in found or o in rejected:
                     continue
-                found.add(canonical_form(o))
+                if primitive_only and not is_primitive(o):
+                    rejected.add(o)
+                else:
+                    found.add(o)
     return sorted(
         found, key=lambda o: (o.h.images, o.v.images)
     )

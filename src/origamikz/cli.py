@@ -243,8 +243,9 @@ def cmd_orbit(args):
     cap = _cap(args, ORBIT_CAP)
     try:
         orb = orbit(o, cap)
-    except OrbitCapExceeded:
-        print("orbit exceeds cap of %d" % cap, file=sys.stderr)
+    except OrbitCapExceeded as exc:
+        print("orbit exceeds cap of %d; %d forms reached"
+              % (cap, len(exc.partial)), file=sys.stderr)
         return EXIT_CAP
     rep = _report(
         "orbit",
@@ -264,13 +265,14 @@ def cmd_census(args):
         return EXIT_USAGE
     if d >= 10:
         print("census at degree %d enumerates large centralizer cosets; "
-              "expect minutes" % d, file=sys.stderr)
+              "expect half a minute or more" % d, file=sys.stderr)
     origamis = h2_origamis(d)
     cap = _cap(args, ORBIT_CAP)
     try:
         parts = orbit_partition(origamis, cap)
-    except OrbitCapExceeded:
-        print("an orbit exceeds cap of %d" % cap, file=sys.stderr)
+    except OrbitCapExceeded as exc:
+        print("an orbit exceeds cap of %d; %d forms reached"
+              % (cap, len(exc.partial)), file=sys.stderr)
         return EXIT_CAP
     orbits = []
     for part in sorted(parts, key=len):

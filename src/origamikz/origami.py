@@ -373,18 +373,32 @@ def relabel(o, g):
 
 
 def canonical_form(o):
-    """Canonical relabelling: BFS numbering, minimised over start squares.
+    """Canonical relabelling: BFS numbering, minimised over cone-point starts.
 
     Edges are explored in the fixed order (h, v, h^-1, v^-1); squares are
     renamed by discovery order and the lexicographically smallest
-    (h, v) image pair over all d start squares wins.  Two origamis are
-    translation-equivalent iff their canonical forms are equal.
+    (h, v) image pair wins.  Only squares whose bottom-left corner is a
+    cone point of maximal angle are tried as starts: those on the longest
+    cycles of v h v^-1 h^-1, 3 squares in H(2) and all d on a torus.  That
+    set is invariant under relabelling, so two origamis are
+    translation-equivalent iff their canonical forms are equal; the
+    representative differs from a minimum over all d starts.
     """
     d = o.degree
     h, v = o.h.images, o.v.images
     hi, vi = o.h.inverse().images, o.v.inverse().images
+    corner = [v[h[vi[hi[i]]]] for i in range(d)]
+    cycle_len = [0] * d
+    for i in range(d):
+        if not cycle_len[i]:
+            cyc = [i]
+            while corner[cyc[-1]] != i:
+                cyc.append(corner[cyc[-1]])
+            for j in cyc:
+                cycle_len[j] = len(cyc)
+    longest = max(cycle_len)
     best = None
-    for start in range(d):
+    for start in [i for i in range(d) if cycle_len[i] == longest]:
         label = [-1] * d
         order = [start]
         label[start] = 0
@@ -393,26 +407,24 @@ def canonical_form(o):
                 if label[nxt] < 0:
                     label[nxt] = len(order)
                     order.append(nxt)
-        new_h = [0] * d
-        new_v = [0] * d
-        for i in range(d):
-            new_h[label[i]] = label[h[i]]
-            new_v[label[i]] = label[v[i]]
-        key = tuple(new_h) + tuple(new_v)
+        # the square labelled k is order[k]
+        key = tuple([label[h[i]] for i in order] + [label[v[i]] for i in order])
         if best is None or key < best:
             best = key
     return Origami._trusted(Perm._trusted(best[:d]), Perm._trusted(best[d:]))
 
 
-_ORBIT_GENS = (("S", 1), ("S", -1), ("T", 1), ("T", -1))
+_ORBIT_GENS = (("S", 1), ("T", 1))
 
 
 def orbit(o, cap=10**6):
     """The SL2(Z) orbit of ``o`` as a frozenset of canonical forms.
 
-    BFS under S and T (and their inverses, which changes nothing: S has
-    order 4 and T^-1 = (ST)^5 S).  Raises :class:`OrbitCapExceeded`
-    carrying the partial set if more than ``cap`` forms show up.
+    BFS under S and T only.  On a finite set, the set reachable by S and T
+    is closed under S and T; both act injectively, so they map it onto
+    itself and it is closed under their inverses too.  Raises
+    :class:`OrbitCapExceeded` carrying the partial set if more than
+    ``cap`` forms show up.
     """
     start = canonical_form(o)
     seen = {start}

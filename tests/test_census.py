@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 from origamikz import (
@@ -8,6 +10,7 @@ from origamikz import (
     orbit_partition,
     singularity_data,
 )
+from origamikz.origami import holonomy_lattice_index
 
 
 def test_counts_small_degrees():
@@ -75,6 +78,57 @@ def test_exhaustive_cross_check_degree4():
                 assert is_primitive(o)
                 forms.add(canonical_form(o))
     assert forms == set(h2_origamis(4))
+
+
+def _primitive_count(n):
+    # Eskin-Masur-Schmoll: (3/8)(n-2) n^2 prod_{p | n} (1 - p^-2)
+    if n < 3:
+        return 0
+    num, den = 3 * (n - 2) * n * n, 8
+    for p in range(2, n + 1):
+        if n % p == 0 and all(p % q for q in range(2, p)):
+            num, den = num * (p * p - 1), den * p * p
+    assert num % den == 0
+    return num // den
+
+
+def _sublattice_count(k):
+    # index-k sublattices of Z^2, one per Hermite normal form
+    # [[a, b], [0, k / a]] with 0 <= b < a
+    return sum(1 for a in range(1, k + 1) if k % a == 0 for b in range(a))
+
+
+def test_non_primitive_census_counts():
+    # a degree-d H(2) origami whose period lattice has index k is a
+    # primitive origami of degree d/k over that lattice's torus
+    expected = {}
+    for d in range(3, 9):
+        expected[d] = {
+            k: _sublattice_count(k) * _primitive_count(d // k)
+            for k in range(1, d + 1)
+            if d % k == 0 and _primitive_count(d // k)
+        }
+    assert [sum(expected[d].values()) for d in range(3, 9)] == [3, 9, 27, 45, 90, 135]
+    for d in range(3, 9):
+        census = h2_origamis(d, primitive_only=False)
+        assert len(set(census)) == len(census)
+        assert all(canonical_form(o) == o and singularity_data(o).is_h2 for o in census)
+        assert Counter(holonomy_lattice_index(o) for o in census) == expected[d]
+
+
+def test_primitivity_tested_once_per_form(monkeypatch):
+    import origamikz.census as census_mod
+
+    calls = []
+
+    def counting(o):
+        calls.append(o)
+        return is_primitive(o)
+
+    monkeypatch.setattr(census_mod, "is_primitive", counting)
+    assert len(h2_origamis(6)) == 36
+    # every class of the non-primitive census, each tested once
+    assert len(calls) == len(set(calls)) == 45
 
 
 def test_degree9_two_orbits():

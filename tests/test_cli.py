@@ -73,6 +73,17 @@ def test_index_text_prints_integer(capsys):
     assert out == "1"
 
 
+def test_orbit_cap_reports_reached_count(capsys, l24_file):
+    code = main(["orbit", l24_file, "--cap", "5"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert "cap of 5" in lines[0]
+    assert "5 forms reached" in lines[0]
+
+
 def test_index_cap_exit_code(capsys):
     code = main(["index", "--gens", "1,1,0,1", "--cap", "300"])
     err = capsys.readouterr().err

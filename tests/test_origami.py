@@ -11,6 +11,7 @@ from origamikz import (
     act_generator,
     canonical_form,
     format_origami,
+    h2_origamis,
     is_primitive,
     make_l_origami,
     orbit,
@@ -20,7 +21,13 @@ from origamikz import (
     singularity_data,
 )
 from origamikz.origami import MAX_DEGREE, act_letter
-from util import GENS, random_transitive_pair
+from util import (
+    GENS,
+    random_transitive_pair,
+    reference_canonical_form,
+    reference_orbit,
+    torus_cover,
+)
 
 TORUS = Origami(Perm.identity(1), Perm.identity(1))
 
@@ -107,6 +114,77 @@ def test_canonical_form_specific_relabelling():
     o = make_l_origami(2, 4)
     g = Perm.from_cycles([(1, 5, 2)], degree=5)
     assert canonical_form(relabel(o, g)) == canonical_form(o)
+
+
+def _relabellings(rng, o, count):
+    out = []
+    for _ in range(count):
+        g = list(range(o.degree))
+        rng.shuffle(g)
+        out.append(relabel(o, Perm(g)))
+    return out
+
+
+def _census_up_to_6(rng):
+    return [
+        x
+        for d in range(3, 7)
+        for o in h2_origamis(d, primitive_only=False)
+        for x in [o] + _relabellings(rng, o, 3)
+    ]
+
+
+def _torus_covers(rng):
+    # every index-d sublattice of Z^2 in Hermite normal form, d <= 8
+    covers = [
+        torus_cover(a, b, d // a)
+        for d in range(1, 9)
+        for a in range(1, d + 1)
+        if d % a == 0
+        for b in range(a)
+    ]
+    return [x for o in covers for x in [o] + _relabellings(rng, o, 2)]
+
+
+def _random_in_stratum(cone_orders):
+    def build(rng):
+        out = []
+        while len(out) < 120:
+            o = random_transitive_pair(rng, 4, 8)
+            if singularity_data(o).cone_orders == cone_orders:
+                out += [o, act_letter(o, "T", 1)] + _relabellings(rng, o, 2)
+        return out
+
+    return build
+
+
+@pytest.mark.parametrize("build", [
+    _census_up_to_6,
+    _torus_covers,
+    _random_in_stratum((1, 1)),
+    _random_in_stratum((4,)),
+], ids=["h2-census-d<=6", "torus-covers", "H(1,1)", "H(4)"])
+def test_canonical_form_agrees_with_all_starts_reference(build):
+    # the cone-anchored form and the all-starts form must induce the same
+    # partition: (reference, form) pairs are a bijection between the two
+    surfaces = build(random.Random(11))
+    pairs = {(reference_canonical_form(o), canonical_form(o)) for o in surfaces}
+    assert len(pairs) == len({r for r, _ in pairs}) == len({c for _, c in pairs})
+    assert len(pairs) < len(surfaces)  # relabelled copies did collide
+    for _, c in pairs:
+        assert canonical_form(c) == c
+
+
+@pytest.mark.parametrize("o", [make_l_origami(2, k) for k in range(2, 9)] + [
+    make_l_origami(3, 3),
+    make_l_origami(3, 5),
+    parse_origami("h=(1 2 3 4)(5 6 7)\nv=(1 5)"),  # H(1,1), orbit of 144
+], ids=["L(2,%d)" % k for k in range(2, 9)] + ["L(3,3)", "L(3,5)", "H(1,1)"])
+def test_orbit_matches_four_generator_search(o):
+    ref = reference_orbit(o)
+    orb = orbit(o)
+    assert len(orb) == len(ref)
+    assert orb == frozenset(canonical_form(r) for r in ref)
 
 
 def test_orbit_l22_matches_exhaustive_enumeration():

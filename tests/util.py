@@ -1,5 +1,6 @@
 """Shared helpers for the test suite: seeded random surfaces and directions,
-and the reference Fraction intersection pairing."""
+the reference Fraction intersection pairing, the reference all-starts
+canonical form and a four-generator orbit search."""
 
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from origamikz import (
     singularity_data,
 )
 from origamikz.geometry import _Corners
+from origamikz.origami import act_letter
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -127,3 +129,67 @@ def _crossing_key(o, corners, sq, x, y):
             )
         return ("vertex", min(cyc))
     return (sq, x, y)
+
+
+def reference_canonical_form(o):
+    """Canonical relabelling: BFS numbering, minimised over start squares.
+
+    The all-starts form that :func:`origamikz.canonical_form` replaced,
+    kept as its test oracle.  Edges are explored in the fixed order
+    (h, v, h^-1, v^-1); squares are renamed by discovery order and the
+    lexicographically smallest (h, v) image pair over all d start squares
+    wins.  Two origamis are translation-equivalent iff their canonical
+    forms are equal.
+    """
+    d = o.degree
+    h, v = o.h.images, o.v.images
+    hi, vi = o.h.inverse().images, o.v.inverse().images
+    best = None
+    for start in range(d):
+        label = [-1] * d
+        order = [start]
+        label[start] = 0
+        for cur in order:
+            for nxt in (h[cur], v[cur], hi[cur], vi[cur]):
+                if label[nxt] < 0:
+                    label[nxt] = len(order)
+                    order.append(nxt)
+        new_h = [0] * d
+        new_v = [0] * d
+        for i in range(d):
+            new_h[label[i]] = label[h[i]]
+            new_v[label[i]] = label[v[i]]
+        key = tuple(new_h) + tuple(new_v)
+        if best is None or key < best:
+            best = key
+    return Origami._trusted(Perm._trusted(best[:d]), Perm._trusted(best[d:]))
+
+
+def reference_orbit(o):
+    """SL2(Z) orbit by BFS under S, S^-1, T and T^-1, as reference forms."""
+    start = reference_canonical_form(o)
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for cur in frontier:
+            for gen, exp in (("S", 1), ("S", -1), ("T", 1), ("T", -1)):
+                img = reference_canonical_form(act_letter(cur, gen, exp))
+                if img not in seen:
+                    seen.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    return seen
+
+
+def torus_cover(a, b, c):
+    """The torus cover R^2 / L for the lattice L spanned by (a, 0), (b, c).
+
+    Square (x, y), 0 <= x < a, 0 <= y < c, is square x + a*y; crossing the
+    top of row c - 1 lands in row 0 shifted back by b.  Degree a*c, no
+    cone point.
+    """
+    h = [(x + 1) % a + a * y for y in range(c) for x in range(a)]
+    v = [x + a * (y + 1) if y + 1 < c else (x - b) % a
+         for y in range(c) for x in range(a)]
+    return Origami(Perm(h), Perm(v))
