@@ -62,7 +62,7 @@ from .homology import (
     omega_class_loop,
     standard_basis,
 )
-from .monodromy import TwistSpec, dehn_twist_action, kz_generators, twist_multiplicities
+from .monodromy import dehn_twist_action, kz_generators, twist_multiplicities
 from .sl2 import (
     IDENTITY,
     Mat2,

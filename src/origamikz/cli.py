@@ -14,15 +14,10 @@ import sys
 from .census import h2_origamis, orbit_partition
 from .errors import IndexCapExceeded, OrbitCapExceeded, OrigamiError
 from .geometry import Direction, decompose, primitive_directions
-from .homology import (
-    default_basis,
-    intersection_number,
-    nontaut_basis,
-    omega_class_loop,
-    standard_basis,
-)
+from .homology import HomologyBasis, default_basis, nontaut_basis
 from .monodromy import dehn_twist_action, kz_generators
 from .origami import canonical_form, make_l_origami, orbit, parse_origami
+from .paper import check_family_case
 from .sl2 import Mat2, contains_minus_identity, index_in_sl2
 
 SCHEMA_VERSION = 1
@@ -305,144 +300,6 @@ def cmd_census(args):
     return EXIT_OK
 
 
-# ---------------------------------------------------------------------------
-# verification harness for the two L(2, k) families
-# ---------------------------------------------------------------------------
-
-def _family_case(n, odd):
-    """Closed-form reference data for L(2, 2n) (odd degree) or L(2, 2n+1).
-
-    Tables are keyed by (row, column) labels; rows are the basis curves
-    plus the kernel combinations X, Y; entries are exact integers from
-    the determinant sign rule.
-    """
-    if odd:
-        return {
-            "name": "L(2,%d)" % (2 * n),
-            "lshape": (2, 2 * n),
-            "dirs": (Direction(n, n + 1), Direction(0, 1)),
-            "f_expect": ({2 * n - 1: 1, 2: 1}, {2 * n: 1, 1: 1}),
-            "cols": (("r", 2 * n - 1), ("g", 2)),
-            "cols2": (("Y1", 1), ("Y2", 2 * n)),
-            "table1": {  # against the (n, n+1) cylinders (r, g)
-                "X2": (2 * n - 1, 3),
-                "X1": (n, 1),
-                "X": (-1, 1),
-                "Y1": (-(n - 1), -1),
-                "Y2": (-((2 * n - 2) * n + 1), -(2 * n - 1)),
-                "Y": (-1, 1),
-            },
-            "table2": {  # against the vertical cylinders (Y1, Y2)
-                "X2": (1, 1),
-                "X1": (0, 1),
-                "X": (1, -1),
-                "Y1": (0, 0),
-                "Y2": (0, 0),
-                "Y": (0, 0),
-            },
-            "matrices": (Mat2(2, 1, -1, 0), Mat2(1, 0, -1, 1)),
-            "index": 1,
-        }
-    return {
-        "name": "L(2,%d)" % (2 * n + 1),
-        "lshape": (2, 2 * n + 1),
-        "dirs": (Direction(2 * n + 1, 2 * n + 3), Direction(2 * n + 2, 2 * n + 1)),
-        "f_expect": ({2 * n: 1, 1: 2}, {2 * n + 1: 1, 1: 1}),
-        "cols": (("r", 2 * n), ("g", 1)),
-        "cols2": (("m", 2 * n + 1), ("b", 1)),
-        "table1": {  # against the (2n+1, 2n+3) cylinders (r, g)
-            "X2": (4 * n, 3),
-            "X1": (2 * n + 1, 1),
-            "X": (-2, 1),
-            "Y1": (-(2 * n - 1), -1),
-            "Y2": (-((2 * n - 1) * (2 * n + 1) + 2), -2 * n),
-            "Y": (-2, 1),
-        },
-        "table2": {  # against the (2n+2, 2n+1) cylinders (m, b)
-            "X2": (4 * n + 1, 1),
-            "X1": (2 * n, 1),
-            "X": (1, -1),
-            "Y1": (-(2 * n + 1), -1),
-            "Y2": (-((2 * n + 1) ** 2), -(2 * n + 1)),
-            "Y": (0, 0),
-        },
-        "matrices": (Mat2(3, 2, -2, -1), Mat2(1, 0, -1, 1)),
-        "index": 3,
-    }
-
-
-def _check_family_case(n, odd, cap):
-    """Run the pipeline on one family member and diff against the data."""
-    case = _family_case(n, odd)
-    o = make_l_origami(*case["lshape"])
-    checks = []
-
-    def add(name, expected, got):
-        checks.append(
-            {"check": name, "expected": expected, "got": got,
-             "ok": expected == got}
-        )
-
-    decs = [decompose(o, d) for d in case["dirs"]]
-    for d, dec, expect in zip(case["dirs"], decs, case["f_expect"]):
-        got = {c.f: c.c for c in dec.cylinders}
-        add("f/c in direction (%d,%d)" % d.vector, expect, got)
-
-    basis = standard_basis(o)
-    nt = nontaut_basis(basis)
-    rows = {
-        "X1": basis.loops[0],
-        "X2": basis.loops[1],
-        "Y1": basis.loops[2],
-        "Y2": basis.loops[3],
-    }
-
-    def omega_row(label, loop):
-        if label in rows:
-            return intersection_number(rows[label], loop)
-        coeffs = nt.x if label == "X" else nt.y
-        return omega_class_loop(basis, coeffs, loop)
-
-    def cores_for(dec, cols):
-        by_f = {c.f: c for c in dec.cylinders}
-        return tuple(by_f[f].core for _, f in cols)
-
-    # the second table of the odd family pairs against the vertical basis
-    # curves themselves; everywhere else the columns are cylinder cores
-    first_cols = cores_for(decs[0], case["cols"])
-    second_cols = (
-        (basis.loops[2], basis.loops[3]) if odd
-        else cores_for(decs[1], case["cols2"])
-    )
-    for table, cols, col_loops in (
-        ("table1", case["cols"], first_cols),
-        ("table2", case["cols2"], second_cols),
-    ):
-        for row_label, expected in case[table].items():
-            got = tuple(omega_row(row_label, loop) for loop in col_loops)
-            add("omega(%s, %s/%s) [%s, n=%d]"
-                % (row_label, cols[0][0], cols[1][0], table, n),
-                list(expected), list(got))
-
-    gens = [dehn_twist_action(o, d, basis) for d in case["dirs"]]
-    for d, m, expect in zip(case["dirs"], gens, case["matrices"]):
-        add("twist matrix (%d,%d)" % d.vector, _mat_entry(expect), _mat_entry(m))
-
-    try:
-        idx = index_in_sl2(gens, cap)
-    except IndexCapExceeded:
-        idx = None
-    add("index", case["index"], idx)
-
-    return {
-        "case": case["name"],
-        "n": n,
-        "family": "odd-degree" if odd else "even-degree",
-        "checks": checks,
-        "ok": all(c["ok"] for c in checks),
-    }
-
-
 def cmd_verify_paper(args):
     if args.n_max < 1:
         print("--n-max must be at least 1", file=sys.stderr)
@@ -451,7 +308,7 @@ def cmd_verify_paper(args):
     for n in range(1, args.n_max + 1):
         for odd in (True, False):
             try:
-                cases.append(_check_family_case(n, odd, _cap(args, COSET_CAP)))
+                cases.append(check_family_case(n, odd, _cap(args, COSET_CAP)))
             except OrigamiError as exc:
                 cases.append(
                     {"case": "n=%d %s" % (n, "odd" if odd else "even"),
@@ -490,9 +347,17 @@ def cmd_conjecture(args):
             continue
         try:
             o = make_l_origami(n, m)
-            basis = standard_basis(o)
             dirs = primitive_directions(args.max_dir_sum)
-            gens = [dehn_twist_action(o, d, basis) for d in dirs]
+            # the basis axes are decomposed once and twisted as they are;
+            # every other decomposition is dropped once twisted (holding
+            # all of them raised peak memory by about 40 %)
+            horizontal, vertical = Direction(1, 0), Direction(0, 1)
+            axes = {d: decompose(o, d) for d in (horizontal, vertical)}
+            basis = HomologyBasis(axes[horizontal], axes[vertical])
+            gens = [
+                dehn_twist_action(axes[d] if d in axes else decompose(o, d), basis)
+                for d in dirs
+            ]
             try:
                 idx = index_in_sl2(gens, _cap(args, COSET_CAP))
                 entry["index"] = idx
@@ -601,6 +466,12 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    for flag in ("cap", "max_dir_sum"):
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            print("--%s must be a positive integer, got %d"
+                  % (flag.replace("_", "-"), value), file=sys.stderr)
+            return EXIT_USAGE
     try:
         return args.func(args)
     except (OSError, ValueError, OrigamiError) as exc:

@@ -85,15 +85,14 @@ def primitive_directions(max_sum):
 def shear_matrix(direction):
     """A determinant-1 matrix sending the direction to (1, 0).
 
-    Bottom row (-q, p); top row the extended-gcd pair (a, b) with
-    a*p + b*q = 1, |a| smallest, ties broken by a >= 0.  Deterministic.
+    Bottom row (-q, p); top row (a, b) with a*p + b*q = 1, |a| smallest,
+    ties broken by a >= 0.  Deterministic.
     """
     p, q = direction.p, direction.q
     if q == 0:
         return Mat2(1, 0, 0, 1)
-    # extended gcd for a*p + b*q == 1; general solution a + t*q
-    a, _ = _ext_gcd_pair(p, q)
-    a %= q
+    # every solution is a + t*q for the inverse a of p mod q
+    a = pow(p, -1, q)
     if 2 * a > q:  # a - q is strictly closer to zero; ties keep a >= 0
         a -= q
     b = (1 - a * p) // q
@@ -101,21 +100,6 @@ def shear_matrix(direction):
     if m.det() != 1 or m.apply((p, q)) != (1, 0):
         raise TracingError("shear %r does not send %r to (1, 0)" % (m, direction))
     return m
-
-
-def _ext_gcd_pair(p, q):
-    # returns (a, b) with a*p + b*q == gcd == 1 for coprime inputs
-    old_r, r = p, q
-    old_a, a = 1, 0
-    old_b, b = 0, 1
-    while r:
-        k = old_r // r
-        old_r, r = r, old_r - k * r
-        old_a, a = a, old_a - k * a
-        old_b, b = b, old_b - k * b
-    if old_r < 0:
-        old_a, old_b = -old_a, -old_b
-    return old_a, old_b
 
 
 # ---------------------------------------------------------------------------

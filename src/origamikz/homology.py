@@ -4,8 +4,10 @@ Homology classes are handled geometrically: a class is either a traced
 loop or an integer coefficient vector over the basis (X1, X2, Y1, Y2) of
 horizontal and vertical core curves.  The intersection form is assembled
 as the 4x4 Gram matrix and classes of new loops are recovered by solving
-``A x = (omega(X1, loop), .., omega(Y2, loop))`` exactly, which is
-enough for every computation in scope; no chain complex is built.
+``A x = (omega(X1, loop), .., omega(Y2, loop))`` in integers, which is
+enough for every computation in scope; no chain complex is built.  A is
+skew-symmetric, so det(A) = Pf(A)^2 and A^-1 = adj(A) / Pf(A) in closed
+form.
 
 Sign convention: a transverse crossing of a curve in direction u with a
 curve in direction w counts as the sign of det[u w] (columns u, w).  All
@@ -16,7 +18,6 @@ over their common denominator, and crossing parameters of a loop pair
 are integers over det[u w].
 """
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import (
@@ -35,9 +36,6 @@ from .geometry import (
     primitive_directions,
 )
 from .origami import singularity_data
-
-F0 = Fraction(0)
-F1 = Fraction(1)
 
 
 def intersection_number(alpha, beta):
@@ -114,20 +112,30 @@ def intersection_number(alpha, beta):
 # ---------------------------------------------------------------------------
 
 class HomologyBasis:
-    """Core curves (X1, X2, Y1, Y2) of two 2-cylinder directions.
+    """Core curves (X1, X2, Y1, Y2) of two 2-cylinder decompositions.
 
-    X1, X2 come from the first direction ordered by increasing f (ties
-    by smallest square id), Y1, Y2 from the second.  ``gram`` is the
-    intersection matrix A with A[i][j] = omega(basis_i, basis_j).
+    X1, X2 are the cores of ``dec1`` and Y1, Y2 those of ``dec2``, each
+    pair in the decomposition's order (increasing f, ties by smallest
+    square id).  ``gram`` is the intersection matrix A with
+    A[i][j] = omega(basis_i, basis_j).
     """
 
     __slots__ = ("origami", "directions", "loops", "f_values", "gram")
 
-    def __init__(self, origami, directions, loops, f_values):
-        self.origami = origami
-        self.directions = directions
-        self.loops = tuple(loops)
-        self.f_values = tuple(f_values)
+    def __init__(self, dec1, dec2):
+        if dec1.direction == dec2.direction:
+            raise BasisUnavailableError("basis directions must differ")
+        for dec in (dec1, dec2):
+            if len(dec.cylinders) != 2:
+                raise BasisUnavailableError(
+                    "direction %r has %d cylinders, need exactly 2"
+                    % (dec.direction, len(dec.cylinders))
+                )
+        cylinders = dec1.cylinders + dec2.cylinders
+        self.origami = dec1.origami
+        self.directions = (dec1.direction, dec2.direction)
+        self.loops = tuple(c.core for c in cylinders)
+        self.f_values = tuple(c.f for c in cylinders)
         g = [[0] * 4 for _ in range(4)]
         for i in range(4):
             for j in range(i + 1, 4):
@@ -135,7 +143,7 @@ class HomologyBasis:
                 g[i][j] = val
                 g[j][i] = -val
         self.gram = tuple(tuple(row) for row in g)
-        if _det4(self.gram) == 0:
+        if _pfaffian(self.gram) == 0:
             raise RankError("intersection form is degenerate on this basis")
 
     def omega_against(self, loop):
@@ -148,23 +156,7 @@ class HomologyBasis:
 
 def basis_from_directions(o, dir1, dir2):
     """Build the 4-curve basis from two 2-cylinder directions."""
-    if dir1 == dir2:
-        raise BasisUnavailableError("basis directions must differ")
-    pairs = []
-    for d in (dir1, dir2):
-        dec = decompose(o, d)
-        if len(dec.cylinders) != 2:
-            raise BasisUnavailableError(
-                "direction %r has %d cylinders, need exactly 2"
-                % (d, len(dec.cylinders))
-            )
-        pairs.append(dec)
-    loops, fs = [], []
-    for dec in pairs:
-        for cyl in dec.cylinders:  # decompose sorts by (f, smallest square)
-            loops.append(cyl.core)
-            fs.append(cyl.f)
-    return HomologyBasis(o, (dir1, dir2), loops, fs)
+    return HomologyBasis(decompose(o, dir1), decompose(o, dir2))
 
 
 def standard_basis(o):
@@ -173,7 +165,7 @@ def standard_basis(o):
 
 
 def default_basis(o):
-    """The standard basis, else the first pair from the direction search.
+    """The standard basis, else the first basis of the direction search.
 
     The 4-curve basis is built for H(2) only; other strata are rejected
     up front, naming their cone orders.
@@ -187,7 +179,7 @@ def default_basis(o):
     try:
         return standard_basis(o)
     except BasisUnavailableError:
-        return basis_from_directions(o, *find_basis_directions(o))
+        return _search_basis(o)
 
 
 def find_basis_directions(o, cap=100):
@@ -196,6 +188,12 @@ def find_basis_directions(o, cap=100):
     Directions are tried in the deterministic (|p|+|q|, q, p) order; at
     most ``cap`` of them are examined.
     """
+    return _search_basis(o, cap).directions
+
+
+def _search_basis(o, cap=100):
+    # each direction is decomposed once; candidate pairs reuse the
+    # decompositions already made
     good = []
     for d in primitive_directions(12):
         if cap <= 0:
@@ -209,11 +207,10 @@ def find_basis_directions(o, cap=100):
             continue
         for prior in good:
             try:
-                basis_from_directions(o, prior, d)
-            except (BasisUnavailableError, RankError):
+                return HomologyBasis(prior, dec)
+            except RankError:
                 continue
-            return (prior, d)
-        good.append(d)
+        good.append(dec)
     raise NoBasisFoundError(
         "no pair of 2-cylinder directions with a nondegenerate form found"
     )
@@ -222,20 +219,11 @@ def find_basis_directions(o, cap=100):
 def express_in_basis(loop, basis):
     """Integer coordinates of a loop over (X1, X2, Y1, Y2).
 
-    Solves A x = (omega(X1, loop), .., omega(Y2, loop)) exactly; a
+    Solves A x = (omega(X1, loop), .., omega(Y2, loop)) in integers; a
     fractional solution raises IntegralityError (a finding about the
     basis, not a fallback code path).
     """
-    b = basis.omega_against(loop)
-    x = _solve4(basis.gram, b)
-    out = []
-    for val in x:
-        if val.denominator != 1:
-            raise IntegralityError(
-                "loop has non-integral coordinates %r over the basis" % (x,)
-            )
-        out.append(int(val))
-    return tuple(out)
+    return _solve_gram(basis.gram, basis.omega_against(loop))
 
 
 def omega_class_loop(basis, coeffs, loop):
@@ -281,39 +269,35 @@ def class_pushforward(basis, coeffs):
 
 
 # ---------------------------------------------------------------------------
-# Small exact linear algebra
+# The Gram system of a 4x4 skew-symmetric integer matrix, in closed form
 # ---------------------------------------------------------------------------
 
-def _det4(m):
-    rows = [[Fraction(x) for x in row] for row in m]
-    det = F1
-    for col in range(4):
-        piv = next((r for r in range(col, 4) if rows[r][col]), None)
-        if piv is None:
-            return F0
-        if piv != col:
-            rows[col], rows[piv] = rows[piv], rows[col]
-            det = -det
-        det *= rows[col][col]
-        for r in range(col + 1, 4):
-            factor = rows[r][col] / rows[col][col]
-            for c in range(col, 4):
-                rows[r][c] -= factor * rows[col][c]
-    return det
+def _pfaffian(g):
+    """Pf(g) for a 4x4 skew-symmetric g; det(g) = Pf(g)^2."""
+    return g[0][1] * g[2][3] - g[0][2] * g[1][3] + g[0][3] * g[1][2]
 
 
-def _solve4(m, b):
-    rows = [[Fraction(x) for x in row] + [Fraction(bi)]
-            for row, bi in zip(m, b)]
-    for col in range(4):
-        piv = next((r for r in range(col, 4) if rows[r][col]), None)
-        if piv is None:
-            raise RankError("singular intersection matrix")
-        rows[col], rows[piv] = rows[piv], rows[col]
-        pivval = rows[col][col]
-        rows[col] = [x / pivval for x in rows[col]]
-        for r in range(4):
-            if r != col and rows[r][col]:
-                factor = rows[r][col]
-                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
-    return tuple(rows[r][4] for r in range(4))
+def _solve_gram(g, b):
+    """Integer x with g x = b, as x = adj(g) b / Pf(g).
+
+    Raises RankError when Pf(g) = 0 and IntegralityError when a
+    numerator of adj(g) b is not divisible by Pf(g).
+    """
+    pf = _pfaffian(g)
+    if pf == 0:
+        raise RankError("singular intersection matrix")
+    g01, g02, g03 = g[0][1], g[0][2], g[0][3]
+    g12, g13, g23 = g[1][2], g[1][3], g[2][3]
+    adj = (
+        (0, -g23, g13, -g12),
+        (g23, 0, -g03, g02),
+        (-g13, g03, 0, -g01),
+        (g12, -g02, g01, 0),
+    )
+    nums = tuple(sum(a * bi for a, bi in zip(row, b)) for row in adj)
+    if any(num % pf for num in nums):
+        raise IntegralityError(
+            "loop has non-integral coordinates %r / %d over the basis"
+            % (nums, pf)
+        )
+    return tuple(num // pf for num in nums)

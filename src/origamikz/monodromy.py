@@ -21,26 +21,10 @@ from .homology import default_basis, express_in_basis, nontaut_basis
 from .sl2 import Mat2
 
 
-class TwistSpec:
-    """A cylinder decomposition with its minimal twist multiplicities."""
-
-    __slots__ = ("decomposition", "multiplicities")
-
-    def __init__(self, decomposition, multiplicities):
-        self.decomposition = decomposition
-        self.multiplicities = tuple(multiplicities)
-
-    def __repr__(self):
-        return "TwistSpec(f=%r, c=%r, n=%r)" % (
-            self.decomposition.f_values(),
-            self.decomposition.c_values(),
-            self.multiplicities,
-        )
-
-
 def twist_multiplicities(dec):
-    """Minimal integer twist vector of a decomposition.
+    """Minimal integer twist vector of a decomposition, as a tuple.
 
+    One entry per cylinder, in the decomposition's order:
     n_i = s * c_i / f_i for the least s making every entry integral,
     divided by the overall gcd; for two cylinders this is
     (c_1 f_2, c_2 f_1) / gcd.
@@ -54,26 +38,26 @@ def twist_multiplicities(dec):
     g = 0
     for n in ns:
         g = gcd(g, n)
-    return TwistSpec(dec, [n // g for n in ns])
+    return tuple(n // g for n in ns)
 
 
-def dehn_twist_action(o, direction, basis):
-    """Matrix of the minimal multitwist on the non-tautological part.
+def dehn_twist_action(dec, basis):
+    """Matrix of the minimal multitwist of ``dec`` on the non-tautological part.
 
-    Columns are the images of X and Y.  Entries must come out integral
-    and the determinant must be 1; violations raise instead of degrading
-    to rational output, since they would mean the {X, Y} pair is not a
-    basis of the kernel lattice.
+    ``dec`` is a cylinder decomposition of the basis's origami; it is
+    twisted as given, not decomposed again.  Columns are the images of X
+    and Y.  Entries must come out integral and the determinant must be
+    1; violations raise instead of degrading to rational output, since
+    they would mean the {X, Y} pair is not a basis of the kernel lattice.
     """
-    dec = decompose(o, direction)
-    spec = twist_multiplicities(dec)
+    multiplicities = twist_multiplicities(dec)
     gammas = [express_in_basis(cyl.core, basis) for cyl in dec.cylinders]
     nt = nontaut_basis(basis)
     gram = basis.gram
     cols = []
     for z in (nt.x, nt.y):
         w = list(z)
-        for n_i, gamma in zip(spec.multiplicities, gammas):
+        for n_i, gamma in zip(multiplicities, gammas):
             omega = sum(
                 z[i] * gram[i][j] * gamma[j] for i in range(4) for j in range(4)
             )
@@ -110,4 +94,4 @@ def kz_generators(o, directions, basis=None):
     """
     if basis is None:
         basis = default_basis(o)
-    return [dehn_twist_action(o, d, basis) for d in directions]
+    return [dehn_twist_action(decompose(o, d), basis) for d in directions]

@@ -153,17 +153,19 @@ def test_criterion_3_twist_matrices():
         for n in range(1, 11):
             o = make_l_origami(2, 2 * n)
             basis = standard_basis(o)
-            assert dehn_twist_action(o, Direction(n, n + 1), basis) == Mat2(
-                2, 1, -1, 0
-            )
-            assert dehn_twist_action(o, Direction(0, 1), basis) == Mat2(1, 0, -1, 1)
+            assert dehn_twist_action(
+                decompose(o, Direction(n, n + 1)), basis
+            ) == Mat2(2, 1, -1, 0)
+            assert dehn_twist_action(
+                decompose(o, Direction(0, 1)), basis
+            ) == Mat2(1, 0, -1, 1)
             o = make_l_origami(2, 2 * n + 1)
             basis = standard_basis(o)
             assert dehn_twist_action(
-                o, Direction(2 * n + 1, 2 * n + 3), basis
+                decompose(o, Direction(2 * n + 1, 2 * n + 3)), basis
             ) == Mat2(3, 2, -2, -1)
             assert dehn_twist_action(
-                o, Direction(2 * n + 2, 2 * n + 1), basis
+                decompose(o, Direction(2 * n + 2, 2 * n + 1)), basis
             ) == Mat2(1, 0, -1, 1)
 
 
@@ -272,7 +274,7 @@ def test_criterion_8_property_suites():
                 continue
             d = random_direction(rng, 5)
             try:
-                m = dehn_twist_action(o, d, basis)
+                m = dehn_twist_action(decompose(o, d), basis)
             except IntegralityError:
                 continue
             produced += 1
@@ -319,7 +321,8 @@ def test_criterion_9_conjecture_reported_not_asserted():
             o = make_l_origami(n, m)
             basis = standard_basis(o)
             gens = [
-                dehn_twist_action(o, d, basis) for d in primitive_directions(10)
+                dehn_twist_action(decompose(o, d), basis)
+                for d in primitive_directions(10)
             ]
             try:
                 results[(n, m)] = index_in_sl2(gens, cap=100000)

@@ -1,7 +1,9 @@
 import json
+import sys
 
 import pytest
 
+from origamikz import geometry
 from origamikz.cli import main
 from origamikz.origami import MAX_DEGREE
 
@@ -190,3 +192,86 @@ def test_monodromy_rejects_non_h2(capsys, tmp_path):
     err = capsys.readouterr().err
     assert "H(2)" in err and "(1, 1)" in err and "Fraction" not in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_cap_must_be_positive(capsys, l24_file, value):
+    assert main(["orbit", l24_file, "--cap", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "--cap must be a positive integer, got %s\n" % value
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_max_dir_sum_must_be_positive(capsys, value):
+    assert main(["conjecture", "--max-dir-sum", value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "--max-dir-sum must be a positive integer, got %s\n" % value
+    )
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-paper", "--n-max", "3"],
+    ["conjecture", "--max-dir-sum", "6"],
+], ids=["verify-paper", "conjecture"])
+def test_each_direction_decomposed_once(monkeypatch, capsys, argv):
+    # decompositions are handed down to the basis and the twists, never
+    # recomputed for the same surface and direction
+    real = geometry.decompose
+    calls = []
+
+    def counting(o, d):
+        calls.append((o, d))
+        return real(o, d)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("origamikz") and getattr(module, "decompose", None) is real:
+            monkeypatch.setattr(module, "decompose", counting)
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert calls and len(calls) == len(set(calls))
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (["homology", "L24"], [
+        "basis directions: [[1, 0], [0, 1]] f-values: [1, 2, 1, 4]",
+        "intersection matrix (rows/cols X1, X2, Y1, Y2):",
+        "     0   0   0   1",
+        "     0   0   1   1",
+        "     0  -1   0   0",
+        "    -1  -1   0   0",
+        "non-tautological basis: X = [-2, 1, 0, 0]  Y = [0, 0, -4, 1]",
+    ]),
+    (["monodromy", "L24", "--dirs", "2,3;0,1"], [
+        "direction (2,3): [[2, 1], [-1, 0]]",
+        "direction (0,1): [[1, 0], [-1, 1]]",
+        "index of generated subgroup: 1",
+    ]),
+    (["orbit", "L24"], ["orbit size 18, L-shapes: ['L(2,4)', 'L(4,2)']"]),
+    (["census", "--degree", "5"], [
+        "degree 5: 27 primitive H(2) origamis in 2 orbit(s)",
+        "  orbit of size 9 [B]: L(3,3)",
+        "  orbit of size 18 [A]: L(2,4), L(4,2)",
+    ]),
+    (["conjecture", "--reps", "3,3", "--max-dir-sum", "4"], [
+        "L(3,3): index 12 (conjectured 3)  <-- differs!",
+    ]),
+], ids=["homology", "monodromy", "orbit", "census", "conjecture"])
+def test_text_format(capsys, l24_file, argv, lines):
+    argv = [l24_file if a == "L24" else a for a in argv]
+    assert main(argv + ["--format", "text"]) == 0
+    assert capsys.readouterr().out.splitlines() == lines
+
+
+def test_verify_paper_text(capsys):
+    assert main(["verify-paper", "--n-max", "1", "--format", "text"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if not line.startswith("  ")] == [
+        "L(2,2)  [ok]", "L(2,3)  [ok]", "verify-paper: all checks passed",
+    ]
+    checks = [line for line in out if line.startswith("  ")]
+    assert len(checks) == 34 and all(line.startswith("    ") for line in checks)
+    assert any("twist matrix (3,5)" in line and "got [[3, 2], [-2, -1]]" in line
+               for line in checks)

@@ -14,6 +14,7 @@ from origamikz import (
     dehn_twist_action,
     lattice_points,
     make_l_origami,
+    primitive_directions,
     separatrix_diagram,
     shear_matrix,
     standard_basis,
@@ -38,6 +39,21 @@ def test_shear_matrix_generic():
         m = shear_matrix(d)
         assert m.det() == 1
         assert m.apply(d.vector) == (1, 0)
+
+
+def test_shear_matrix_matches_brute_force():
+    # the unique det-1 matrix with bottom row (-q, p) and the smallest
+    # |a|, ties to a >= 0, searched directly
+    for d in primitive_directions(40):
+        p, q = d.vector
+        if q == 0:
+            assert shear_matrix(d) == Mat2(1, 0, 0, 1)
+            continue
+        a = min(
+            (a for a in range(-q, q + 1) if (1 - a * p) % q == 0),
+            key=lambda a: (abs(a), a < 0),
+        )
+        assert shear_matrix(d) == Mat2(a, (1 - a * p) // q, -q, p)
 
 
 def test_shear_matrix_deterministic():
@@ -191,7 +207,7 @@ def test_decompose_traces_no_saddle_connections(monkeypatch):
     dec = decompose(o, Direction(2, 3))
     assert sorted(dec.f_values()) == [2, 3]
     basis = standard_basis(o)
-    assert dehn_twist_action(o, Direction(2, 3), basis) == Mat2(2, 1, -1, 0)
+    assert dehn_twist_action(decompose(o, Direction(2, 3)), basis) == Mat2(2, 1, -1, 0)
     with pytest.raises(RuntimeError):
         dec.saddle_connections
     with pytest.raises(RuntimeError):

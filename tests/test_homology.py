@@ -8,9 +8,11 @@ from origamikz import (
     DegenerateConfigurationError,
     Direction,
     GeodesicLoop,
+    IntegralityError,
     NoBasisFoundError,
     Origami,
     Perm,
+    RankError,
     class_pushforward,
     decompose,
     default_basis,
@@ -25,9 +27,16 @@ from origamikz import (
     standard_basis,
 )
 from origamikz.geometry import _Corners, _trace_closed
+from origamikz.homology import _pfaffian, _solve_gram
 from origamikz.origami import act_word, pull_back_point
 from origamikz.sl2 import matrix_to_word
-from util import random_direction, random_h2_origami, reference_intersection_number
+from util import (
+    random_direction,
+    random_h2_origami,
+    reference_det4,
+    reference_intersection_number,
+    reference_solve4,
+)
 
 A_REFERENCE = (
     (0, 0, 0, 1),
@@ -298,3 +307,36 @@ def test_basis_from_directions_rejects_equal_directions():
 
     with pytest.raises(BasisUnavailableError):
         basis_from_directions(make_l_origami(2, 4), Direction(1, 0), Direction(2, 0))
+
+
+def test_gram_solve_matches_fraction_elimination():
+    # the closed forms det = Pf^2 and x = adj(A) b / Pf against Fraction
+    # elimination on random skew-symmetric integer matrices: singular
+    # ones raise RankError, fractional solutions IntegralityError
+    rng = random.Random(47)
+    outcomes = {"integral": 0, "singular": 0, "fractional": 0}
+    for _ in range(1000):
+        upper = {(i, j): rng.randint(-3, 3) for i in range(4) for j in range(i + 1, 4)}
+        g = tuple(
+            tuple(0 if i == j else upper[i, j] if i < j else -upper[j, i]
+                  for j in range(4))
+            for i in range(4)
+        )
+        b = tuple(rng.randint(-6, 6) for _ in range(4))
+        assert _pfaffian(g) ** 2 == reference_det4(g)
+        if reference_det4(g) == 0:
+            outcomes["singular"] += 1
+            with pytest.raises(RankError):
+                reference_solve4(g, b)
+            with pytest.raises(RankError):
+                _solve_gram(g, b)
+            continue
+        x = reference_solve4(g, b)
+        if all(v.denominator == 1 for v in x):
+            outcomes["integral"] += 1
+            assert _solve_gram(g, b) == x
+        else:
+            outcomes["fractional"] += 1
+            with pytest.raises(IntegralityError):
+                _solve_gram(g, b)
+    assert min(outcomes.values()) >= 40, outcomes

@@ -32,3 +32,17 @@ def test_cli_import_skips_dataclasses_and_inspect():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_homology_pipeline_does_not_import_fractions():
+    # the Gram system and the pairing are solved in integers
+    for name in ("homology.py", "monodromy.py"):
+        path = SRC / name
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module]
+            else:
+                continue
+            assert "fractions" not in modules, "%s:%d" % (name, node.lineno)

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite: seeded random surfaces and directions,
-the reference Fraction intersection pairing, the reference all-starts
+the reference Fraction intersection pairing, the reference Fraction
+determinant and solver for the Gram system, the reference all-starts
 canonical form and a four-generator orbit search."""
 
 from fractions import Fraction
@@ -10,6 +11,7 @@ from origamikz import (
     Origami,
     OrigamiError,
     Perm,
+    RankError,
     act_generator,
     make_l_origami,
     relabel,
@@ -129,6 +131,51 @@ def _crossing_key(o, corners, sq, x, y):
             )
         return ("vertex", min(cyc))
     return (sq, x, y)
+
+
+def reference_det4(m):
+    """Determinant of a 4x4 integer matrix by Fraction elimination.
+
+    The elimination the closed-form Pfaffian in
+    :mod:`origamikz.homology` replaced, kept as its test oracle.
+    """
+    rows = [[Fraction(x) for x in row] for row in m]
+    det = F1
+    for col in range(4):
+        piv = next((r for r in range(col, 4) if rows[r][col]), None)
+        if piv is None:
+            return F0
+        if piv != col:
+            rows[col], rows[piv] = rows[piv], rows[col]
+            det = -det
+        det *= rows[col][col]
+        for r in range(col + 1, 4):
+            factor = rows[r][col] / rows[col][col]
+            for c in range(col, 4):
+                rows[r][c] -= factor * rows[col][c]
+    return det
+
+
+def reference_solve4(m, b):
+    """Exact solution of m x = b by Fraction Gauss-Jordan elimination.
+
+    The solver the closed-form adjugate in :mod:`origamikz.homology`
+    replaced, kept as its test oracle.
+    """
+    rows = [[Fraction(x) for x in row] + [Fraction(bi)]
+            for row, bi in zip(m, b)]
+    for col in range(4):
+        piv = next((r for r in range(col, 4) if rows[r][col]), None)
+        if piv is None:
+            raise RankError("singular intersection matrix")
+        rows[col], rows[piv] = rows[piv], rows[col]
+        pivval = rows[col][col]
+        rows[col] = [x / pivval for x in rows[col]]
+        for r in range(4):
+            if r != col and rows[r][col]:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return tuple(rows[r][4] for r in range(4))
 
 
 def reference_canonical_form(o):
