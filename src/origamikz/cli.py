@@ -14,8 +14,8 @@ import sys
 from .census import h2_origamis, orbit_partition
 from .errors import IndexCapExceeded, OrbitCapExceeded, OrigamiError
 from .geometry import Direction, decompose, primitive_directions
-from .homology import HomologyBasis, default_basis, nontaut_basis
-from .monodromy import dehn_twist_action, kz_generators
+from .homology import default_basis, nontaut_basis, standard_basis
+from .monodromy import kz_generators
 from .origami import canonical_form, make_l_origami, orbit, parse_origami
 from .paper import check_family_case
 from .sl2 import Mat2, contains_minus_identity, index_in_sl2
@@ -233,15 +233,20 @@ def _l_labels(degree, members):
     return ["L(%d,%d)" % nm for nm in _l_shapes_in(degree, members)]
 
 
+def _orbit_cap_exit(what, cap, exc):
+    print("%s exceeds cap of %d; %d forms reached at BFS depth %d, frontier %d"
+          % (what, cap, len(exc.partial), exc.depth, exc.frontier),
+          file=sys.stderr)
+    return EXIT_CAP
+
+
 def cmd_orbit(args):
     o = _load_origami(args.file)
     cap = _cap(args, ORBIT_CAP)
     try:
         orb = orbit(o, cap)
     except OrbitCapExceeded as exc:
-        print("orbit exceeds cap of %d; %d forms reached"
-              % (cap, len(exc.partial)), file=sys.stderr)
-        return EXIT_CAP
+        return _orbit_cap_exit("orbit", cap, exc)
     rep = _report(
         "orbit",
         degree=o.degree,
@@ -266,9 +271,7 @@ def cmd_census(args):
     try:
         parts = orbit_partition(origamis, cap)
     except OrbitCapExceeded as exc:
-        print("an orbit exceeds cap of %d; %d forms reached"
-              % (cap, len(exc.partial)), file=sys.stderr)
-        return EXIT_CAP
+        return _orbit_cap_exit("an orbit", cap, exc)
     orbits = []
     for part in sorted(parts, key=len):
         shapes = _l_shapes_in(d, part)
@@ -348,16 +351,11 @@ def cmd_conjecture(args):
         try:
             o = make_l_origami(n, m)
             dirs = primitive_directions(args.max_dir_sum)
-            # the basis axes are decomposed once and twisted as they are;
-            # every other decomposition is dropped once twisted (holding
+            # kz_generators twists the basis axes as the basis holds them
+            # and drops every other decomposition once twisted (holding
             # all of them raised peak memory by about 40 %)
-            horizontal, vertical = Direction(1, 0), Direction(0, 1)
-            axes = {d: decompose(o, d) for d in (horizontal, vertical)}
-            basis = HomologyBasis(axes[horizontal], axes[vertical])
-            gens = [
-                dehn_twist_action(axes[d] if d in axes else decompose(o, d), basis)
-                for d in dirs
-            ]
+            basis = standard_basis(o)
+            gens = kz_generators(o, dirs, basis)
             try:
                 idx = index_in_sl2(gens, _cap(args, COSET_CAP))
                 entry["index"] = idx

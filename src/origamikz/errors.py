@@ -10,11 +10,18 @@ class InvalidShapeError(OrigamiError, ValueError):
 
 
 class OrbitCapExceeded(OrigamiError):
-    """Orbit enumeration grew past the cap.  Carries the partial orbit."""
+    """Orbit enumeration grew past the cap.
 
-    def __init__(self, message, partial):
+    Carries the partial orbit, the BFS depth of the form being expanded
+    when the cap was hit, and the frontier: the forms in ``partial`` not
+    yet fully expanded, that one included.
+    """
+
+    def __init__(self, message, partial, depth, frontier):
         super().__init__(message)
         self.partial = frozenset(partial)
+        self.depth = depth
+        self.frontier = frontier
 
 
 class BasisUnavailableError(OrigamiError):

@@ -117,10 +117,13 @@ class HomologyBasis:
     X1, X2 are the cores of ``dec1`` and Y1, Y2 those of ``dec2``, each
     pair in the decomposition's order (increasing f, ties by smallest
     square id).  ``gram`` is the intersection matrix A with
-    A[i][j] = omega(basis_i, basis_j).
+    A[i][j] = omega(basis_i, basis_j).  ``decompositions`` keeps
+    (dec1, dec2), so a twist in either direction need not decompose it
+    again.
     """
 
-    __slots__ = ("origami", "directions", "loops", "f_values", "gram")
+    __slots__ = ("origami", "decompositions", "directions", "loops",
+                 "f_values", "gram")
 
     def __init__(self, dec1, dec2):
         if dec1.direction == dec2.direction:
@@ -133,6 +136,7 @@ class HomologyBasis:
                 )
         cylinders = dec1.cylinders + dec2.cylinders
         self.origami = dec1.origami
+        self.decompositions = (dec1, dec2)
         self.directions = (dec1.direction, dec2.direction)
         self.loops = tuple(c.core for c in cylinders)
         self.f_values = tuple(c.f for c in cylinders)
@@ -176,10 +180,11 @@ def default_basis(o):
             "the 4-curve basis needs a surface in H(2); this one has cone "
             "orders %r" % (sing.cone_orders,)
         )
+    axes = {d: decompose(o, d) for d in (Direction(1, 0), Direction(0, 1))}
     try:
-        return standard_basis(o)
+        return HomologyBasis(*axes.values())
     except BasisUnavailableError:
-        return _search_basis(o)
+        return _search_basis(o, held=axes)
 
 
 def find_basis_directions(o, cap=100):
@@ -191,16 +196,18 @@ def find_basis_directions(o, cap=100):
     return _search_basis(o, cap).directions
 
 
-def _search_basis(o, cap=100):
+def _search_basis(o, cap=100, held=None):
     # each direction is decomposed once; candidate pairs reuse the
-    # decompositions already made
+    # decompositions already made, and those in ``held`` (direction ->
+    # decomposition of ``o``) are not made again
+    held = held or {}
     good = []
     for d in primitive_directions(12):
         if cap <= 0:
             break
         cap -= 1
         try:
-            dec = decompose(o, d)
+            dec = held[d] if d in held else decompose(o, d)
         except TracingError:
             continue
         if len(dec.cylinders) != 2:

@@ -90,8 +90,15 @@ def _in_span(w, nt):
 def kz_generators(o, directions, basis=None):
     """Multitwist matrices for several directions, all in one basis.
 
-    The basis defaults to :func:`origamikz.homology.default_basis`.
+    The basis defaults to :func:`origamikz.homology.default_basis`.  A
+    direction the basis was built from is twisted as the basis holds it,
+    not decomposed again; every other decomposition is dropped once
+    twisted.
     """
     if basis is None:
         basis = default_basis(o)
-    return [dehn_twist_action(decompose(o, d), basis) for d in directions]
+    held = {dec.direction: dec for dec in basis.decompositions}
+    return [
+        dehn_twist_action(held[d] if d in held else decompose(o, d), basis)
+        for d in directions
+    ]

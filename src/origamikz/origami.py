@@ -375,43 +375,54 @@ def relabel(o, g):
 def canonical_form(o):
     """Canonical relabelling: BFS numbering, minimised over cone-point starts.
 
-    Edges are explored in the fixed order (h, v, h^-1, v^-1); squares are
-    renamed by discovery order and the lexicographically smallest
-    (h, v) image pair wins.  Only squares whose bottom-left corner is a
-    cone point of maximal angle are tried as starts: those on the longest
-    cycles of v h v^-1 h^-1, 3 squares in H(2) and all d on a torus.  That
-    set is invariant under relabelling, so two origamis are
-    translation-equivalent iff their canonical forms are equal; the
-    representative differs from a minimum over all d starts.
+    From a start square, squares are renamed in BFS discovery order along
+    the edges h then v, and the lexicographically smallest (h, v) image
+    pair over all starts wins.  For permutations of a finite set the
+    forward orbit under h and v is the orbit of <h, v>, so every square is
+    numbered without h^-1 or v^-1.  The starts are the squares whose
+    top-right corner is a cone point, those with v(h(i)) != h(v(i)): 3 in
+    H(2), all d on a torus.  That set is invariant under relabelling, so
+    two origamis are translation-equivalent iff their canonical forms are
+    equal; the representative differs from a minimum over all d starts.
+
+    Entry k of a start's h-part is final once the BFS has processed the
+    square labelled k, so each start is compared with the best so far as
+    it goes and dropped at its first larger entry.
     """
     d = o.degree
     h, v = o.h.images, o.v.images
-    hi, vi = o.h.inverse().images, o.v.inverse().images
-    corner = [v[h[vi[hi[i]]]] for i in range(d)]
-    cycle_len = [0] * d
-    for i in range(d):
-        if not cycle_len[i]:
-            cyc = [i]
-            while corner[cyc[-1]] != i:
-                cyc.append(corner[cyc[-1]])
-            for j in cyc:
-                cycle_len[j] = len(cyc)
-    longest = max(cycle_len)
+    starts = [i for i in range(d) if v[h[i]] != h[v[i]]] or range(d)
     best = None
-    for start in [i for i in range(d) if cycle_len[i] == longest]:
+    for start in starts:
         label = [-1] * d
-        order = [start]
         label[start] = 0
+        order = [start]
+        key = []
+        tied = best is not None
         for cur in order:
-            for nxt in (h[cur], v[cur], hi[cur], vi[cur]):
-                if label[nxt] < 0:
-                    label[nxt] = len(order)
-                    order.append(nxt)
-        # the square labelled k is order[k]
-        key = tuple([label[h[i]] for i in order] + [label[v[i]] for i in order])
-        if best is None or key < best:
-            best = key
-    return Origami._trusted(Perm._trusted(best[:d]), Perm._trusted(best[d:]))
+            nxt = h[cur]
+            k = label[nxt]
+            if k < 0:
+                k = label[nxt] = len(order)
+                order.append(nxt)
+            nxt = v[cur]
+            if label[nxt] < 0:
+                label[nxt] = len(order)
+                order.append(nxt)
+            if tied:
+                b = best[len(key)]
+                if k > b:
+                    break
+                tied = k == b
+            key.append(k)
+        else:
+            # the square labelled k is order[k]
+            key += [label[v[i]] for i in order]
+            if best is None or key < best:
+                best = key
+    return Origami._trusted(
+        Perm._trusted(tuple(best[:d])), Perm._trusted(tuple(best[d:]))
+    )
 
 
 _ORBIT_GENS = (("S", 1), ("T", 1))
@@ -422,26 +433,43 @@ def orbit(o, cap=10**6):
 
     BFS under S and T only.  On a finite set, the set reachable by S and T
     is closed under S and T; both act injectively, so they map it onto
-    itself and it is closed under their inverses too.  Raises
-    :class:`OrbitCapExceeded` carrying the partial set if more than
-    ``cap`` forms show up.
+    itself and it is closed under their inverses too.
+
+    S^2 = -I acts as (h, v) -> (h^-1, v^-1).  -I is central in SL2(Z), so
+    if it fixes the class of ``o`` (one extra canonical form to check), it
+    fixes every class in the orbit.  Then a form first reached by S from
+    its parent has that parent as its S-image, and the edge is skipped
+    without computing its canonical form: its target is known, so every
+    S/T edge of the orbit graph is still determined.
+
+    Raises :class:`OrbitCapExceeded` if more than ``cap`` forms show up,
+    carrying the partial set, the BFS depth of the form being expanded
+    and the frontier: the forms found but not yet fully expanded,
+    counting that one.
     """
     start = canonical_form(o)
+    skip_s = canonical_form(Origami._trusted(o.h.inverse(), o.v.inverse())) == start
     seen = {start}
-    frontier = [start]
+    # the forms at BFS depth ``depth``, each with whether S reached it
+    frontier = [(start, False)]
+    depth = 0
     while frontier:
         nxt = []
-        for cur in frontier:
+        for pos, (cur, via_s) in enumerate(frontier):
             for gen, exp in _ORBIT_GENS:
+                if via_s and skip_s and gen == "S":
+                    continue
                 img = canonical_form(act_letter(cur, gen, exp))
                 if img not in seen:
                     if len(seen) >= cap:
                         raise OrbitCapExceeded(
-                            "orbit exceeded cap of %d" % cap, seen
+                            "orbit exceeded cap of %d" % cap, seen,
+                            depth, len(frontier) - pos + len(nxt),
                         )
                     seen.add(img)
-                    nxt.append(img)
+                    nxt.append((img, gen == "S"))
         frontier = nxt
+        depth += 1
     return frozenset(seen)
 
 

@@ -86,6 +86,13 @@ def test_orbit_cap_reports_reached_count(capsys, l24_file):
     assert "5 forms reached" in lines[0]
 
 
+def test_orbit_cap_reports_depth_and_frontier(capsys, l24_file):
+    assert main(["orbit", l24_file, "--cap", "5"]) == 3
+    err = capsys.readouterr().err.strip()
+    assert err == ("orbit exceeds cap of 5; 5 forms reached at BFS depth 2, "
+                   "frontier 2")
+
+
 def test_index_cap_exit_code(capsys):
     code = main(["index", "--gens", "1,1,0,1", "--cap", "300"])
     err = capsys.readouterr().err
@@ -215,10 +222,19 @@ def test_max_dir_sum_must_be_positive(capsys, value):
 @pytest.mark.parametrize("argv", [
     ["verify-paper", "--n-max", "3"],
     ["conjecture", "--max-dir-sum", "6"],
-], ids=["verify-paper", "conjecture"])
-def test_each_direction_decomposed_once(monkeypatch, capsys, argv):
+    # (0, 1) is a basis axis and a twist direction
+    ["monodromy", "L24", "--dirs", "2,3;0,1"],
+    # the horizontal axis has one cylinder, so the basis comes from the
+    # direction search, which starts with both axes
+    ["homology", "H1234"],
+], ids=["verify-paper", "conjecture", "monodromy", "homology-search"])
+def test_each_direction_decomposed_once(monkeypatch, capsys, tmp_path,
+                                        l24_file, argv):
     # decompositions are handed down to the basis and the twists, never
     # recomputed for the same surface and direction
+    h1234 = tmp_path / "h1234.txt"
+    h1234.write_text("h=(1 2 3 4)\nv=(1 2)\n")
+    argv = [{"L24": l24_file, "H1234": str(h1234)}.get(a, a) for a in argv]
     real = geometry.decompose
     calls = []
 

@@ -20,6 +20,7 @@ from origamikz import (
     same_orbit,
     singularity_data,
 )
+from origamikz import origami as origami_module
 from origamikz.origami import MAX_DEGREE, act_letter
 from util import (
     GENS,
@@ -158,12 +159,30 @@ def _random_in_stratum(cone_orders):
     return build
 
 
+# degree-7 surfaces on which -I acts nontrivially (S^2 changes the class)
+H13 = "h=(1 5 7 2 3 6)\nv=(1 4 5 2 3 6 7)"  # orbit of 768
+H22 = "h=(1 3 6 7 2 4)\nv=(1 6)(2 5 3 7 4)"  # orbit of 96
+H6 = "h=(1 4 6 5 7 3 2)\nv=(1 4 7 5 3)"  # orbit of 84
+
+
+def _orbit_relabelled(text):
+    # mixed cone angles: the starts are the squares at every cone point,
+    # not only at the largest one
+    def build(rng):
+        ref = reference_orbit(parse_origami(text))
+        return [x for o in ref for x in [o] + _relabellings(rng, o, 2)]
+
+    return build
+
+
 @pytest.mark.parametrize("build", [
     _census_up_to_6,
     _torus_covers,
     _random_in_stratum((1, 1)),
     _random_in_stratum((4,)),
-], ids=["h2-census-d<=6", "torus-covers", "H(1,1)", "H(4)"])
+    _orbit_relabelled(H13),
+    _orbit_relabelled(H22),
+], ids=["h2-census-d<=6", "torus-covers", "H(1,1)", "H(4)", "H(1,3)", "H(2,2)"])
 def test_canonical_form_agrees_with_all_starts_reference(build):
     # the cone-anchored form and the all-starts form must induce the same
     # partition: (reference, form) pairs are a bijection between the two
@@ -185,6 +204,52 @@ def test_orbit_matches_four_generator_search(o):
     orb = orbit(o)
     assert len(orb) == len(ref)
     assert orb == frozenset(canonical_form(r) for r in ref)
+
+
+def _minus_identity(o):
+    return Origami(o.h.inverse(), o.v.inverse())
+
+
+@pytest.mark.parametrize("text", [H6, H22, H13], ids=["H(6)", "H(2,2)", "H(1,3)"])
+def test_orbit_matches_four_generator_search_where_minus_identity_acts(text):
+    # orbit skips S-edges only when -I fixes the seed's class; here it
+    # does not, so every S-edge is followed
+    o = parse_origami(text)
+    assert canonical_form(_minus_identity(o)) != canonical_form(o)
+    ref = reference_orbit(o)
+    orb = orbit(o)
+    assert len(orb) == len(ref)
+    assert orb == frozenset(canonical_form(r) for r in ref)
+
+
+def _counting_canonical_form(monkeypatch):
+    real = origami_module.canonical_form
+    calls = []
+
+    def counting(o):
+        calls.append(o)
+        return real(o)
+
+    monkeypatch.setattr(origami_module, "canonical_form", counting)
+    return calls
+
+
+@pytest.mark.parametrize("k", range(4, 9))
+def test_orbit_skips_s_edges_when_minus_identity_is_trivial(monkeypatch, k):
+    o = make_l_origami(2, k)
+    assert canonical_form(_minus_identity(o)) == canonical_form(o)
+    calls = _counting_canonical_form(monkeypatch)
+    orb = orbit(o)
+    assert len(calls) < 2 * len(orb)
+
+
+def test_orbit_follows_every_edge_when_minus_identity_acts(monkeypatch):
+    # one form for the seed, one for its -I image, two per orbit member
+    o = parse_origami(H6)
+    calls = _counting_canonical_form(monkeypatch)
+    orb = orbit(o)
+    assert len(orb) == 84
+    assert len(calls) == 2 * len(orb) + 2
 
 
 def test_orbit_l22_matches_exhaustive_enumeration():
@@ -220,6 +285,43 @@ def test_orbit_cap():
     with pytest.raises(OrbitCapExceeded) as err:
         orbit(make_l_origami(2, 4), cap=2)
     assert len(err.value.partial) >= 2
+
+
+def _st_distances(o):
+    # S/T distances from the seed's class, by a BFS of its own
+    start = canonical_form(o)
+    dist = {start: 0}
+    level = [start]
+    while level:
+        nxt = []
+        for cur in level:
+            for gen in ("S", "T"):
+                img = canonical_form(act_generator(cur, gen))
+                if img not in dist:
+                    dist[img] = dist[cur] + 1
+                    nxt.append(img)
+        level = nxt
+    return dist
+
+
+def test_orbit_cap_reports_depth_and_frontier():
+    # the BFS has taken in every form up to the depth it was expanding
+    # and none beyond the next one; the frontier is part of the partial
+    # set and counts the form being expanded
+    o = make_l_origami(2, 4)
+    dist = _st_distances(o)
+    assert len(dist) == 18
+    for cap in range(1, 18):
+        with pytest.raises(OrbitCapExceeded) as err:
+            orbit(o, cap=cap)
+        exc = err.value
+        assert len(exc.partial) == cap
+        assert {f for f, n in dist.items() if n <= exc.depth} <= exc.partial
+        assert max(dist[f] for f in exc.partial) <= exc.depth + 1
+        assert 1 <= exc.frontier <= cap
+    with pytest.raises(OrbitCapExceeded) as err:
+        orbit(o, cap=5)
+    assert (err.value.depth, err.value.frontier) == (2, 2)
 
 
 def test_primitivity():
@@ -292,3 +394,10 @@ def test_unchecked_results_pass_the_checks():
         outs += [canonical_form(o), Origami(o.h * o.v, o.v.inverse())]
         for r in outs:
             assert Origami(Perm(r.h.images), Perm(r.v.images)) == r
+
+
+@pytest.mark.slow
+def test_orbit_l2_40_size():
+    # degree n = 41 is prime: the larger Hubert-Lelievre orbit, which holds
+    # the even-sided L-shapes, has (3/16)(n - 1)(n^2 - 1) = 12,600 forms
+    assert len(orbit(make_l_origami(2, 40))) == 12600
