@@ -35,6 +35,68 @@ def test_decompose_json(capsys, l24_file):
         assert s["upper_of"] is not None
 
 
+H1234 = "h=(1 2 3 4)\nv=(1 2)\n"
+
+
+def _cylinder(f, rows, upper):
+    return {"f": f, "c": 1, "circumference": f, "height_rows": 1,
+            "rows": rows, "upper_boundary": upper}
+
+
+def _saddle(holonomy, upper_of):
+    return {"holonomy": holonomy, "upper_of": upper_of}
+
+
+@pytest.mark.parametrize("surface, direction, cylinders, saddles", [
+    (L24, "2,3",
+     [_cylinder(2, [[1, 4]], [2]), _cylinder(3, [[2, 5, 3]], [0, 1])],
+     [_saddle([4, 6], 1), _saddle([2, 3], 1), _saddle([4, 6], 0)]),
+    (L24, "0,1",
+     [_cylinder(1, [[2]], [2]), _cylinder(4, [[1, 3, 4, 5]], [0, 1])],
+     [_saddle([0, 1], 1), _saddle([0, 3], 1), _saddle([0, 1], 0)]),
+    (L24, "-1,2",
+     [_cylinder(2, [[3, 5]], [1]), _cylinder(3, [[1, 4, 2]], [0, 2])],
+     [_saddle([-1, 2], 1), _saddle([-2, 4], 0), _saddle([-2, 4], 1)]),
+    (H1234, "1,0",
+     [_cylinder(4, [[1, 2, 3, 4]], [0, 1, 2])],
+     [_saddle([1, 0], 0), _saddle([1, 0], 0), _saddle([2, 0], 0)]),
+    (H1234, "3,5",
+     [_cylinder(1, [[4]], [2]), _cylinder(3, [[1, 2, 3]], [0, 1])],
+     [_saddle([3, 5], 1), _saddle([6, 10], 1), _saddle([3, 5], 0)]),
+], ids=["l24-2,3", "l24-0,1", "l24--1,2", "h1234-1,0", "h1234-3,5"])
+def test_decompose_report_pinned(capsys, tmp_path, surface, direction,
+                                 cylinders, saddles):
+    path = tmp_path / "surface.txt"
+    path.write_text(surface)
+    code, rep = run_json(capsys, ["decompose", str(path), "--dir=" + direction])
+    assert code == 0
+    assert rep == {
+        "schema_version": 1,
+        "command": "decompose",
+        "degree": 5 if surface == L24 else 4,
+        "direction": [int(x) for x in direction.split(",")],
+        "cylinders": cylinders,
+        "saddle_connections": saddles,
+    }
+
+
+def test_homology_search_report_pinned(capsys, tmp_path):
+    # the horizontal axis has one cylinder, so the basis is searched for
+    path = tmp_path / "h1234.txt"
+    path.write_text(H1234)
+    code, rep = run_json(capsys, ["homology", str(path)])
+    assert code == 0
+    assert rep == {
+        "schema_version": 1,
+        "command": "homology",
+        "degree": 4,
+        "basis_directions": [[0, 1], [-1, 1]],
+        "f_values": [1, 2, 1, 3],
+        "gram": [[0, 0, 0, 1], [0, 0, 1, 1], [0, -1, 0, 0], [-1, -1, 0, 0]],
+        "nontaut": {"X": [-2, 1, 0, 0], "Y": [0, 0, -3, 1]},
+    }
+
+
 def test_decompose_text(capsys, l24_file):
     code = main(["decompose", l24_file, "--dir", "0,1", "--format", "text"])
     out = capsys.readouterr().out
