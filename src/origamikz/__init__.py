@@ -22,7 +22,6 @@ from .origami import (
     Origami,
     Perm,
     SingularityData,
-    act_generator,
     act_matrix,
     canonical_form,
     format_origami,
@@ -31,7 +30,6 @@ from .origami import (
     orbit,
     parse_origami,
     relabel,
-    same_orbit,
     singularity_data,
 )
 from .geometry import (
@@ -56,7 +54,6 @@ from .homology import (
     class_pushforward,
     default_basis,
     express_in_basis,
-    find_basis_directions,
     intersection_number,
     nontaut_basis,
     omega_class_loop,

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: decompose, homology, monodromy, index, orbit, census,
-verify-paper, conjecture.  Global flags: --format json|text, --cap N.
+verify-paper, conjecture.  Global flag: --format json|text; every command
+but decompose and homology also takes --cap N.
 
 Exit codes: 0 success, 1 failed checks or pipeline errors, 2 usage,
 3 a cap was exceeded (orbit or coset enumeration).
@@ -109,6 +110,7 @@ def _one_based(rows):
 def cmd_decompose(args):
     o = _load_origami(args.file)
     dec = decompose(o, args.dir)
+    upper_of = {s: i for i, upper in enumerate(dec.upper_boundaries) for s in upper}
     rep = _report(
         "decompose",
         degree=o.degree,
@@ -117,7 +119,7 @@ def cmd_decompose(args):
             {
                 "f": c.f,
                 "c": c.c,
-                "circumference": c.circumference,
+                "circumference": c.f,
                 "height_rows": c.height_rows,
                 "rows": _one_based(c.rows),
                 "upper_boundary": list(upper),
@@ -125,8 +127,8 @@ def cmd_decompose(args):
             for c, upper in zip(dec.cylinders, dec.upper_boundaries)
         ],
         saddle_connections=[
-            {"holonomy": list(s.holonomy()), "upper_of": s.upper_of}
-            for s in dec.saddle_connections
+            {"holonomy": list(s.holonomy()), "upper_of": upper_of[i]}
+            for i, s in enumerate(dec.saddle_connections)
         ],
     )
 
@@ -229,10 +231,6 @@ def _l_shapes_in(degree, members):
     return shapes
 
 
-def _l_labels(degree, members):
-    return ["L(%d,%d)" % nm for nm in _l_shapes_in(degree, members)]
-
-
 def _orbit_cap_exit(what, cap, exc):
     print("%s exceeds cap of %d; %d forms reached at BFS depth %d, frontier %d"
           % (what, cap, len(exc.partial), exc.depth, exc.frontier),
@@ -251,7 +249,7 @@ def cmd_orbit(args):
         "orbit",
         degree=o.degree,
         size=len(orb),
-        l_shapes=_l_labels(o.degree, orb),
+        l_shapes=["L(%d,%d)" % nm for nm in _l_shapes_in(o.degree, orb)],
     )
     _emit(rep, args, lambda rep: print(
         "orbit size %d, L-shapes: %s" % (rep["size"], rep["l_shapes"])))
@@ -403,7 +401,9 @@ def _build_parser():
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json")
-    common.add_argument("--cap", type=int, default=None,
+    # the commands that enumerate orbits or cosets also take a cap
+    capped = argparse.ArgumentParser(add_help=False, parents=[common])
+    capped.add_argument("--cap", type=int, default=None,
                         help="live-coset / orbit cap (defaults: 10000 for "
                         "coset enumeration, 10^6 for orbits)")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -419,34 +419,34 @@ def _build_parser():
     p.add_argument("file")
     p.set_defaults(func=cmd_homology)
 
-    p = sub.add_parser("monodromy", parents=[common],
+    p = sub.add_parser("monodromy", parents=[capped],
                        help="multitwist matrices and the index they generate")
     p.add_argument("file")
     p.add_argument("--dirs", type=_parse_dirs, required=True)
     p.set_defaults(func=cmd_monodromy)
 
-    p = sub.add_parser("index", parents=[common],
+    p = sub.add_parser("index", parents=[capped],
                        help="index of a matrix-generated subgroup of SL2(Z)")
     p.add_argument("--gens", type=_parse_gens, required=True)
     p.set_defaults(func=cmd_index)
 
-    p = sub.add_parser("orbit", parents=[common],
+    p = sub.add_parser("orbit", parents=[capped],
                        help="SL2(Z) orbit of an origami")
     p.add_argument("file")
     p.set_defaults(func=cmd_orbit)
 
-    p = sub.add_parser("census", parents=[common],
+    p = sub.add_parser("census", parents=[capped],
                        help="all primitive H(2) origamis of one degree")
     p.add_argument("--degree", type=int, required=True)
     p.set_defaults(func=cmd_census)
 
-    p = sub.add_parser("verify-paper", parents=[common],
+    p = sub.add_parser("verify-paper", parents=[capped],
                        help="check the L(2,k) families against their "
                        "closed-form cylinder, table, matrix and index values")
     p.add_argument("--n-max", type=int, default=5)
     p.set_defaults(func=cmd_verify_paper)
 
-    p = sub.add_parser("conjecture", parents=[common],
+    p = sub.add_parser("conjecture", parents=[capped],
                        help="report monodromy indices for odd-odd L-shapes "
                        "(exploratory; the expected value 3 is unproven)")
     p.add_argument("--reps", type=_parse_pairs, default=[(3, 3), (3, 5), (5, 5)])

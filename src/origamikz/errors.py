@@ -29,7 +29,7 @@ class BasisUnavailableError(OrigamiError):
 
 
 class NoBasisFoundError(OrigamiError):
-    """Direction search exhausted its cap without finding a basis."""
+    """Direction search exhausted its directions without finding a basis."""
 
 
 class RankError(OrigamiError):

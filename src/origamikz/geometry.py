@@ -137,67 +137,52 @@ class _Corners:
 # Geodesic tracing
 # ---------------------------------------------------------------------------
 
-def _integer_segments(segments, direction):
-    """Segments over the lcm ``den`` of their coordinates' denominators.
-
-    Returns ``(den, scaled)`` with one ``(square, X0, Y0, length)`` per
-    segment: ``(X0, Y0)`` is ``den`` times the entry point, and the
-    segment runs ``length / den`` times the direction vector.
-    """
-    a, b = direction.vector
-    den = lcm(*(c.denominator for s in segments for c in s[1] + s[2]))
-    scaled = []
-    for sq, p0, p1 in segments:
-        x0, y0, x1, y1 = (c.numerator * (den // c.denominator) for c in p0 + p1)
-        length = (x1 - x0) // a if a else (y1 - y0) // b
-        if (x1 - x0, y1 - y0) != (length * a, length * b):
-            raise TracingError("segment is not along %r" % (direction,))
-        scaled.append((sq, x0, y0, length))
-    return den, scaled
-
-
-def _holonomy(direction, den, lengths):
-    """Total displacement of a traced loop or saddle connection (integral)."""
-    total = sum(lengths)
-    if total % den:
-        raise TracingError("non-integral holonomy %d/%d along %r" % (total, den, direction))
-    return (total // den * direction.p, total // den * direction.q)
-
-
-class GeodesicLoop:
-    """A closed constant-direction geodesic avoiding all cone points.
+class _Curve:
+    """A traced constant-direction curve with its integer form.
 
     ``segments`` is a tuple of ``(square, (x0, y0), (x1, y1))`` entries
-    with exact coordinates in the closed unit square; the exit of each
-    segment glues to the entry of the next, cyclically.
+    with exact coordinates in the closed unit square.  ``integer_form``
+    is ``(den, by_square)``, built once at construction: ``den`` is the
+    lcm of the coordinates' denominators and ``by_square`` maps a square
+    to the ``(X0, Y0, length)`` of its segments, where ``(X0, Y0)`` is
+    ``den`` times the entry point and the segment runs ``length / den``
+    times the direction vector.
     """
 
-    __slots__ = ("origami", "direction", "segments", "_integral")
+    __slots__ = ("origami", "direction", "segments", "integer_form")
 
     def __init__(self, origami, direction, segments):
         self.origami = origami
         self.direction = direction
         self.segments = tuple(segments)
-        self._integral = None
+        a, b = direction.vector
+        den = lcm(*(c.denominator for s in self.segments for c in s[1] + s[2]))
+        by_square = {}
+        for sq, p0, p1 in self.segments:
+            x0, y0, x1, y1 = (c.numerator * (den // c.denominator) for c in p0 + p1)
+            length = (x1 - x0) // a if a else (y1 - y0) // b
+            if (x1 - x0, y1 - y0) != (length * a, length * b):
+                raise TracingError("segment is not along %r" % (direction,))
+            by_square.setdefault(sq, []).append((x0, y0, length))
+        self.integer_form = (den, by_square)
 
     def holonomy(self):
-        den, by_square = self._integer_form()
-        return _holonomy(self.direction, den,
-                         (ln for segs in by_square.values() for _, _, ln in segs))
+        """Total displacement of the curve (integral)."""
+        den, by_square = self.integer_form
+        total = sum(ln for segs in by_square.values() for _, _, ln in segs)
+        if total % den:
+            raise TracingError("non-integral holonomy %d/%d along %r"
+                               % (total, den, self.direction))
+        return (total // den * self.direction.p, total // den * self.direction.q)
 
-    def _integer_form(self):
-        """``(den, by_square)`` from :func:`_integer_segments`, computed once.
 
-        ``by_square`` maps a square to the ``(X0, Y0, length)`` of its
-        segments.
-        """
-        if self._integral is None:
-            den, scaled = _integer_segments(self.segments, self.direction)
-            by_square = {}
-            for sq, x0, y0, length in scaled:
-                by_square.setdefault(sq, []).append((x0, y0, length))
-            self._integral = (den, by_square)
-        return self._integral
+class GeodesicLoop(_Curve):
+    """A closed constant-direction geodesic avoiding all cone points.
+
+    The exit of each segment glues to the entry of the next, cyclically.
+    """
+
+    __slots__ = ()
 
     def __repr__(self):
         return "GeodesicLoop(dir=%r, %d segments)" % (
@@ -206,24 +191,15 @@ class GeodesicLoop:
         )
 
 
-class SaddleConnection:
+class SaddleConnection(_Curve):
     """A geodesic segment between cone points with none in its interior."""
 
-    __slots__ = ("origami", "direction", "segments", "start", "end", "upper_of")
+    __slots__ = ("start", "end")
 
     def __init__(self, origami, direction, segments, start, end):
-        self.origami = origami
-        self.direction = direction
-        self.segments = tuple(segments)
+        super().__init__(origami, direction, segments)
         self.start = start    # (square, x, y) with x, y in {0, 1}
         self.end = end        # (square, x, y) exit corner of the last segment
-        # index of the cylinder whose upper boundary this is; set when a
-        # CylinderDecomposition labels its saddle connections
-        self.upper_of = None
-
-    def holonomy(self):
-        den, scaled = _integer_segments(self.segments, self.direction)
-        return _holonomy(self.direction, den, (s[3] for s in scaled))
 
     def __repr__(self):
         return "SaddleConnection(dir=%r, holonomy=%r)" % (
@@ -392,20 +368,19 @@ class Cylinder:
     """A maximal band of closed geodesics in one direction.
 
     ``rows`` lists the square ids of the sheared frame, bottom row first;
-    ``circumference`` (== the combinatorial length ``f``) is the number
-    of squares per row and ``height_rows`` the number of rows.  ``c`` is
-    the combinatorial height: row heights divided by their gcd across
-    the decomposition.  ``core`` is the mid-height closed geodesic, in
-    the original (unsheared) frame.
+    ``f`` (the circumference) is the number of squares per row and
+    ``height_rows`` the number of rows.  ``c`` is the combinatorial
+    height: row heights divided by their gcd across the decomposition.
+    ``core`` is the mid-height closed geodesic, in the original
+    (unsheared) frame.
     """
 
-    __slots__ = ("rows", "circumference", "height_rows", "f", "c", "core")
+    __slots__ = ("rows", "height_rows", "f", "c", "core")
 
-    def __init__(self, rows, circumference, height_rows, core, c=1):
+    def __init__(self, rows, f, height_rows, core, c=1):
         self.rows = tuple(tuple(r) for r in rows)
-        self.circumference = circumference
         self.height_rows = height_rows
-        self.f = circumference
+        self.f = f
         self.c = c
         self.core = core
 
@@ -420,10 +395,9 @@ class Cylinder:
 class CylinderDecomposition:
     """The cylinders of one direction, sorted by (f, smallest square id).
 
-    ``saddle_connections`` (each carrying ``upper_of``) and
-    ``upper_boundaries`` (per cylinder, the sorted indices of the saddle
-    connections bounding it from above) are traced together on first
-    access to either.
+    ``saddle_connections`` and ``upper_boundaries`` (per cylinder, the
+    sorted indices of the saddle connections bounding it from above) are
+    traced together on first access to either.
     """
 
     __slots__ = ("origami", "direction", "cylinders", "_labels")
@@ -482,23 +456,14 @@ def _row_chains(o):
     merged_targets = {s for s in succ if s is not None}
     chains = []
     visited = set()
-    for start in range(len(rows)):
-        if start in merged_targets or start in visited:
-            continue
-        chain = []
-        r = start
-        while r is not None and r not in visited:
-            visited.add(r)
-            chain.append(rows[r])
-            r = succ[r]
-        chains.append(chain)
-    # purely cyclic leftovers (torus-like bands without singular lines)
-    for start in range(len(rows)):
+    # bottom rows (no row merges into them) first; what is left are purely
+    # cyclic bands without singular lines, walked from their first row
+    for start in sorted(range(len(rows)), key=merged_targets.__contains__):
         if start in visited:
             continue
         chain = []
         r = start
-        while r not in visited:
+        while r is not None and r not in visited:
             visited.add(r)
             chain.append(rows[r])
             r = succ[r]
@@ -543,7 +508,7 @@ def decompose(o, direction):
         cylinders.append(Cylinder(chain, f, hgt, core, c))
 
     cylinders.sort(key=lambda cyl: (cyl.f, min(min(r) for r in cyl.rows)))
-    if sum(c.circumference * c.height_rows for c in cylinders) != o.degree:
+    if sum(c.f * c.height_rows for c in cylinders) != o.degree:
         raise TracingError("cylinder areas do not sum to the degree")
     return CylinderDecomposition(o, direction, cylinders)
 
@@ -561,15 +526,13 @@ def _label_saddles(dec):
     corners = _Corners(o)
     saddles = [r[0] for r in _raw_saddles(o, corners, direction)]
     upper = []
-    for idx, cyl in enumerate(dec.cylinders):
+    for cyl in dec.cylinders:
         found = set()
         for sq in cyl.rows[-1]:
             pt = pull_back_point(stages, (sheared.v(sq), FHALF, F0))
             found.update(i for i, s in enumerate(saddles)
                          if contains_point(o, s, pt, corners))
         upper.append(tuple(sorted(found)))
-        for s in found:
-            saddles[s].upper_of = idx
     if sorted(i for part in upper for i in part) != list(range(len(saddles))):
         raise TracingError("saddle connections are not each on one upper boundary")
     return tuple(saddles), tuple(upper)

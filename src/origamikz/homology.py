@@ -59,8 +59,8 @@ def intersection_number(alpha, beta):
     if det == 0:
         return 0
     sign = 1 if det > 0 else -1
-    den_a, alpha_segs = alpha._integer_form()
-    den_b, beta_segs = beta._integer_form()
+    den_a, alpha_segs = alpha.integer_form
+    den_b, beta_segs = beta.integer_form
     m = lcm(den_a, den_b)
     ka, kb = m // den_a, m // den_b
     ad = abs(det)
@@ -184,28 +184,19 @@ def default_basis(o):
     try:
         return HomologyBasis(*axes.values())
     except BasisUnavailableError:
-        return _search_basis(o, held=axes)
+        return _search_basis(o, axes)
 
 
-def find_basis_directions(o, cap=100):
+def _search_basis(o, held):
     """First pair of 2-cylinder directions with a nondegenerate form.
 
-    Directions are tried in the deterministic (|p|+|q|, q, p) order; at
-    most ``cap`` of them are examined.
+    Directions are tried in the deterministic (|p|+|q|, q, p) order up to
+    |p|+|q| = 12.  Each is decomposed once; candidate pairs reuse the
+    decompositions already made, and those in ``held`` (direction ->
+    decomposition of ``o``) are not made again.
     """
-    return _search_basis(o, cap).directions
-
-
-def _search_basis(o, cap=100, held=None):
-    # each direction is decomposed once; candidate pairs reuse the
-    # decompositions already made, and those in ``held`` (direction ->
-    # decomposition of ``o``) are not made again
-    held = held or {}
     good = []
     for d in primitive_directions(12):
-        if cap <= 0:
-            break
-        cap -= 1
         try:
             dec = held[d] if d in held else decompose(o, d)
         except TracingError:

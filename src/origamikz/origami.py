@@ -282,9 +282,6 @@ def make_l_origami(n, m):
 # SL2(Z) action
 # ---------------------------------------------------------------------------
 
-_GENERATOR_NAMES = {"S": ("S", 1), "T": ("T", 1), "S^-1": ("S", -1), "T^-1": ("T", -1)}
-
-
 def act_letter(o, gen, exp):
     """Apply a single S/T letter with exponent sign ``exp`` in {1, -1}."""
     h, v = o.h, o.v
@@ -295,15 +292,6 @@ def act_letter(o, gen, exp):
             return Origami._trusted(v.inverse(), h)
         return Origami._trusted(v, h.inverse())
     raise ValueError("unknown generator %r" % (gen,))
-
-
-def act_generator(o, g):
-    """Act by one of "S", "T", "S^-1", "T^-1" on an origami."""
-    try:
-        gen, exp = _GENERATOR_NAMES[g]
-    except KeyError:
-        raise ValueError("generator must be one of %s" % sorted(_GENERATOR_NAMES))
-    return act_letter(o, gen, exp)
 
 
 def transport_letter(o, gen, exp, point):
@@ -471,10 +459,6 @@ def orbit(o, cap=10**6):
         frontier = nxt
         depth += 1
     return frozenset(seen)
-
-
-def same_orbit(o1, o2, cap=10**6):
-    return canonical_form(o2) in orbit(o1, cap)
 
 
 def holonomy_lattice_index(o):

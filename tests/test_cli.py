@@ -271,6 +271,16 @@ def test_cap_must_be_positive(capsys, l24_file, value):
     assert captured.err == "--cap must be a positive integer, got %s\n" % value
 
 
+@pytest.mark.parametrize("argv", [
+    ["decompose", "L24", "--dir", "1,0"],
+    ["homology", "L24"],
+], ids=["decompose", "homology"])
+def test_cap_is_rejected_where_nothing_is_enumerated(capsys, l24_file, argv):
+    argv = [l24_file if a == "L24" else a for a in argv]
+    assert main(argv + ["--cap", "5"]) == 2
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("value", ["0", "-2"])
 def test_max_dir_sum_must_be_positive(capsys, value):
     assert main(["conjecture", "--max-dir-sum", value]) == 2

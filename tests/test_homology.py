@@ -17,7 +17,6 @@ from origamikz import (
     decompose,
     default_basis,
     express_in_basis,
-    find_basis_directions,
     intersection_number,
     make_l_origami,
     nontaut_basis,
@@ -27,7 +26,7 @@ from origamikz import (
     standard_basis,
 )
 from origamikz.geometry import _Corners, _trace_closed
-from origamikz.homology import _pfaffian, _solve_gram
+from origamikz.homology import _pfaffian, _search_basis, _solve_gram
 from origamikz.origami import act_word, pull_back_point
 from origamikz.sl2 import matrix_to_word
 from util import (
@@ -87,7 +86,7 @@ def test_one_cylinder_direction_has_no_standard_basis():
     assert singularity_data(o).is_h2
     with pytest.raises(BasisUnavailableError):
         standard_basis(o)
-    assert default_basis(o).directions == find_basis_directions(o)
+    assert [d.vector for d in default_basis(o).directions] == [(0, 1), (-1, 1)]
 
 
 def test_express_in_basis_diagonal_cores():
@@ -262,24 +261,33 @@ def test_nontaut_kills_pushforward():
         assert class_pushforward(basis, nt.y) == (0, 0)
 
 
-def test_find_basis_directions():
-    assert tuple(d.vector for d in find_basis_directions(make_l_origami(2, 4))) == (
-        (1, 0),
-        (0, 1),
-    )
+def test_basis_search_starts_with_the_axes():
+    # the search from scratch, with no axis decomposition held
+    basis = _search_basis(make_l_origami(2, 4), {})
+    assert tuple(d.vector for d in basis.directions) == ((1, 0), (0, 1))
     # oracle for L(3,3): both axis decompositions really have 2 cylinders
     o = make_l_origami(3, 3)
     assert len(decompose(o, Direction(1, 0)).cylinders) == 2
     assert len(decompose(o, Direction(0, 1)).cylinders) == 2
-    assert tuple(d.vector for d in find_basis_directions(o)) == ((1, 0), (0, 1))
+    assert tuple(d.vector for d in _search_basis(o, {}).directions) == ((1, 0), (0, 1))
 
 
-def test_find_basis_directions_cap():
+def test_basis_search_exhausted(monkeypatch):
+    # the horizontal axis has one cylinder, and the vertical one is the
+    # only 2-cylinder direction left in the search
+    from origamikz import homology
+
+    o = Origami(
+        Perm.from_cycles([(1, 2, 3, 4)], degree=4),
+        Perm.from_cycles([(1, 2)], degree=4),
+    )
+    monkeypatch.setattr(homology, "primitive_directions",
+                        lambda max_sum: [Direction(1, 0), Direction(0, 1)])
     with pytest.raises(NoBasisFoundError):
-        find_basis_directions(make_l_origami(2, 4), cap=0)
+        default_basis(o)
 
 
-def test_find_basis_directions_propagates_bugs(monkeypatch):
+def test_basis_search_propagates_bugs(monkeypatch):
     from origamikz import homology
 
     def broken(o, d):
@@ -287,7 +295,7 @@ def test_find_basis_directions_propagates_bugs(monkeypatch):
 
     monkeypatch.setattr(homology, "decompose", broken)
     with pytest.raises(ZeroDivisionError):
-        find_basis_directions(make_l_origami(2, 4))
+        _search_basis(make_l_origami(2, 4), {})
 
 
 def test_class_table_rows_via_combination():

@@ -8,7 +8,6 @@ from origamikz import (
     OrbitCapExceeded,
     Origami,
     Perm,
-    act_generator,
     canonical_form,
     format_origami,
     h2_origamis,
@@ -17,7 +16,6 @@ from origamikz import (
     orbit,
     parse_origami,
     relabel,
-    same_orbit,
     singularity_data,
 )
 from origamikz import origami as origami_module
@@ -83,11 +81,11 @@ def test_singularity_sum_rule_on_random_pairs():
 
 def test_action_inverses():
     o = make_l_origami(2, 4)
-    assert act_generator(act_generator(o, "T"), "T^-1") == o
-    assert act_generator(act_generator(o, "S"), "S^-1") == o
+    assert act_letter(act_letter(o, "T", 1), "T", -1) == o
+    assert act_letter(act_letter(o, "S", 1), "S", -1) == o
     x = o
     for _ in range(4):
-        x = act_generator(x, "S")
+        x = act_letter(x, "S", 1)
     assert x == o
 
 
@@ -95,7 +93,7 @@ def test_action_preserves_stratum():
     rng = random.Random(21)
     o = make_l_origami(3, 4)
     for _ in range(20):
-        o = act_generator(o, rng.choice(GENS))
+        o = act_letter(o, *rng.choice(GENS))
         assert singularity_data(o).is_h2
         assert o.degree == 6
 
@@ -272,13 +270,14 @@ def test_orbit_closed_under_generators():
     orb = orbit(make_l_origami(2, 4))
     for member in orb:
         for g in GENS:
-            assert canonical_form(act_generator(member, g)) in orb
+            assert canonical_form(act_letter(member, *g)) in orb
 
 
 def test_orbit_membership_and_separation():
     o24 = make_l_origami(2, 4)
-    assert same_orbit(o24, act_generator(o24, "T"))
-    assert not same_orbit(o24, make_l_origami(3, 3))
+    orb = orbit(o24)
+    assert canonical_form(act_letter(o24, "T", 1)) in orb
+    assert canonical_form(make_l_origami(3, 3)) not in orb
 
 
 def test_orbit_cap():
@@ -296,7 +295,7 @@ def _st_distances(o):
         nxt = []
         for cur in level:
             for gen in ("S", "T"):
-                img = canonical_form(act_generator(cur, gen))
+                img = canonical_form(act_letter(cur, gen, 1))
                 if img not in dist:
                     dist[img] = dist[cur] + 1
                     nxt.append(img)

@@ -12,7 +12,6 @@ from origamikz import (
     OrigamiError,
     Perm,
     RankError,
-    act_generator,
     make_l_origami,
     relabel,
     singularity_data,
@@ -23,7 +22,7 @@ from origamikz.origami import act_letter
 F0 = Fraction(0)
 F1 = Fraction(1)
 
-GENS = ["S", "T", "S^-1", "T^-1"]
+GENS = [("S", 1), ("T", 1), ("S", -1), ("T", -1)]
 
 
 def random_h2_origami(rng, dmin=4, dmax=12):
@@ -49,7 +48,7 @@ def random_h2_origami(rng, dmin=4, dmax=12):
     m = rng.randrange(max(2, dmin + 1 - n), min(7, dmax + 1 - n) + 1)
     o = make_l_origami(n, m)
     for _ in range(rng.randrange(1, 7)):
-        o = act_generator(o, rng.choice(GENS))
+        o = act_letter(o, *rng.choice(GENS))
     g = list(range(o.degree))
     rng.shuffle(g)
     return relabel(o, Perm(g))
