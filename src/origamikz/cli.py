@@ -19,12 +19,16 @@ from .homology import default_basis, nontaut_basis, standard_basis
 from .monodromy import kz_generators
 from .origami import canonical_form, make_l_origami, orbit, parse_origami
 from .paper import check_family_case
-from .sl2 import Mat2, contains_minus_identity, index_in_sl2
+from .sl2 import Mat2, _index_and_minus_identity, index_in_sl2
 
 SCHEMA_VERSION = 1
 
 COSET_CAP = 10000
 ORBIT_CAP = 10**6
+# conjecture builds about 0.6 * S^2 directions up front and its time grows
+# like S^3 (S = 34 takes about 5 s on the default representatives, on
+# 2 vCPUs with Python 3.11)
+MAX_DIR_SUM = 50
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -187,9 +191,8 @@ def cmd_monodromy(args):
     )
     code = EXIT_OK
     try:
-        cap = _cap(args, COSET_CAP)
-        rep["index"] = index_in_sl2(gens, cap)
-        rep["contains_minus_identity"] = contains_minus_identity(gens, cap)
+        rep["index"], rep["contains_minus_identity"] = (
+            _index_and_minus_identity(gens, _cap(args, COSET_CAP)))
     except IndexCapExceeded:
         rep["index"] = None
         rep["status"] = "index-exceeds-cap"
@@ -209,12 +212,13 @@ def cmd_index(args):
     rep = _report("index", generators=[_mat_entry(m) for m in args.gens])
     cap = _cap(args, COSET_CAP)
     try:
-        idx = index_in_sl2(args.gens, cap)
-    except IndexCapExceeded:
-        print("index exceeds cap of %d live cosets" % cap, file=sys.stderr)
+        rep["index"], rep["contains_minus_identity"] = (
+            _index_and_minus_identity(args.gens, cap))
+    except IndexCapExceeded as exc:
+        print("index exceeds cap of %d live cosets; %d cosets defined, "
+              "%d coincidences" % (cap, exc.defined, exc.coincidences),
+              file=sys.stderr)
         return EXIT_CAP
-    rep["index"] = idx
-    rep["contains_minus_identity"] = contains_minus_identity(args.gens, cap)
     _emit(rep, args, lambda rep: print(rep["index"]))
     return EXIT_OK
 
@@ -470,6 +474,10 @@ def main(argv=None):
             print("--%s must be a positive integer, got %d"
                   % (flag.replace("_", "-"), value), file=sys.stderr)
             return EXIT_USAGE
+    if getattr(args, "max_dir_sum", 0) > MAX_DIR_SUM:
+        print("--max-dir-sum must be at most %d, got %d"
+              % (MAX_DIR_SUM, args.max_dir_sum), file=sys.stderr)
+        return EXIT_USAGE
     try:
         return args.func(args)
     except (OSError, ValueError, OrigamiError) as exc:

@@ -56,5 +56,13 @@ class IndexCapExceeded(OrigamiError):
     """Coset enumeration exceeded the live-coset cap.
 
     The subgroup index may be finite but large, or infinite; the
-    enumeration cannot tell the two apart.
+    enumeration cannot tell the two apart.  Carries how far it got: the
+    cosets defined (coset 0 included) and the coincidences processed,
+    each of which merged one coset away, so the live cosets number
+    ``defined - coincidences``, which is the cap.
     """
+
+    def __init__(self, message, defined, coincidences):
+        super().__init__(message)
+        self.defined = defined
+        self.coincidences = coincidences

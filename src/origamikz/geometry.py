@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import TracingError
-from .origami import act_word, pull_back_point
+from .origami import MAX_TRACE_LENGTH, act_word, pull_back_point
 from .sl2 import Mat2, matrix_to_word
 
 F0 = Fraction(0)
@@ -258,6 +258,18 @@ def _step(o, state, a, b):
     return seg, None, (o.h.inverse()(sq), F1, ny)
 
 
+def _check_trace_length(o, direction):
+    """Raise ValueError if ``direction`` is too long to trace on ``o``."""
+    p, q = direction.vector
+    length = o.degree * (abs(p) + abs(q))
+    if length > MAX_TRACE_LENGTH:
+        raise ValueError(
+            "direction (%d,%d) is too long to trace on a degree-%d origami: "
+            "d*(|p|+|q|) = %d exceeds MAX_TRACE_LENGTH = %d"
+            % (p, q, o.degree, length, MAX_TRACE_LENGTH)
+        )
+
+
 def _max_steps(o, a, b):
     return 8 * o.degree * (abs(a) + abs(b) + 2) + 16
 
@@ -485,6 +497,7 @@ def decompose(o, direction):
     No saddle connection is traced here; the result traces and labels
     them on first access (see :class:`CylinderDecomposition`).
     """
+    _check_trace_length(o, direction)
     sheared, stages = act_word(o, matrix_to_word(shear_matrix(direction)))
     chains = _row_chains(sheared)
     corners = _Corners(o)
@@ -670,6 +683,7 @@ def separatrix_diagram(o, direction):
     2*pi*t plus its position inside [0, 2*pi), and outgoing ends always
     precede incoming ones within a turn for canonical directions.
     """
+    _check_trace_length(o, direction)
     corners = _Corners(o)
     raw = _raw_saddles(o, corners, direction)
     vertices = corners.singular_cycles()

@@ -178,7 +178,8 @@ class _CosetTable:
     def define(self, alpha, x):
         if self.n_live >= self.cap:
             raise IndexCapExceeded(
-                "coset enumeration exceeded %d live cosets" % self.cap
+                "coset enumeration exceeded %d live cosets" % self.cap,
+                len(self.tab), len(self.tab) - self.n_live,
             )
         beta = len(self.tab)
         self.tab.append([None, None, None, None])
@@ -284,24 +285,28 @@ def coset_action(gens, cap=10000):
     return act_a, act_b
 
 
+def _index_and_minus_identity(gens, cap):
+    """The index of <gens> and whether -I lies in it, from one enumeration.
+
+    -I = S^2 = a^2; it is in the subgroup iff a^2 stabilises coset 0 of
+    the closed table.
+    """
+    for g in gens:
+        if g.det() != 1:
+            raise ValueError("all generators must have determinant 1")
+    act_a, _ = coset_action(gens, cap)
+    return len(act_a), act_a[act_a[0]] == 0
+
+
 def index_in_sl2(gens, cap=10000):
     """Exact index in SL2(Z) of the subgroup generated by ``gens``.
 
     Raises :class:`IndexCapExceeded` when the enumeration needs more than
     ``cap`` live cosets (the index is then finite-but-large or infinite).
     """
-    for g in gens:
-        if g.det() != 1:
-            raise ValueError("all generators must have determinant 1")
-    act_a, _ = coset_action(gens, cap)
-    return len(act_a)
+    return _index_and_minus_identity(gens, cap)[0]
 
 
 def contains_minus_identity(gens, cap=10000):
-    """Whether -I lies in the subgroup generated by ``gens``.
-
-    -I = S^2 = a^2; it is in the subgroup iff a^2 stabilises coset 0 of
-    the closed table.
-    """
-    act_a, _ = coset_action(gens, cap)
-    return act_a[act_a[0]] == 0
+    """Whether -I lies in the subgroup generated by ``gens``."""
+    return _index_and_minus_identity(gens, cap)[1]

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from origamikz import geometry
+from origamikz import cli, geometry, sl2
 from origamikz.cli import main
 from origamikz.origami import MAX_DEGREE
 
@@ -160,6 +160,44 @@ def test_index_cap_exit_code(capsys):
     err = capsys.readouterr().err
     assert code == 3
     assert "cap" in err
+    assert err == ("index exceeds cap of 300 live cosets; 364 cosets defined, "
+                   "64 coincidences\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["monodromy", "L24", "--dirs", "2,3;0,1"],
+    ["index", "--gens", "3,2,-2,-1;1,0,-1,1"],
+], ids=["monodromy", "index"])
+def test_one_coset_enumeration_per_command(monkeypatch, capsys, l24_file, argv):
+    # the index and the -I membership are read off one coset table
+    real = sl2._enumerate
+    calls = []
+
+    def counting(words, cap):
+        calls.append(words)
+        return real(words, cap)
+
+    monkeypatch.setattr(sl2, "_enumerate", counting)
+    argv = [l24_file if a == "L24" else a for a in argv]
+    code, rep = run_json(capsys, argv)
+    assert code == 0
+    assert rep["contains_minus_identity"] is True
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "L24", "--dir", "100000,1"],
+    ["monodromy", "L24", "--dirs", "2,3;100000,1"],
+], ids=["decompose", "monodromy"])
+def test_direction_too_long_to_trace_fails_on_one_line(capsys, l24_file, argv):
+    argv = [l24_file if a == "L24" else a for a in argv]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: direction (100000,1) is too long to trace on a degree-5 "
+        "origami: d*(|p|+|q|) = 500005 exceeds MAX_TRACE_LENGTH = 120000\n"
+    )
 
 
 def test_orbit_command(capsys, l24_file):
@@ -269,6 +307,16 @@ def test_cap_must_be_positive(capsys, l24_file, value):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "--cap must be a positive integer, got %s\n" % value
+
+
+def test_max_dir_sum_is_bounded(monkeypatch, capsys):
+    assert main(["conjecture", "--max-dir-sum", "51"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "--max-dir-sum must be at most 50, got 51\n"
+    monkeypatch.setattr(cli, "MAX_DIR_SUM", 4)
+    assert main(["conjecture", "--reps", "3,3", "--max-dir-sum", "4"]) == 0
+    assert main(["conjecture", "--reps", "3,3", "--max-dir-sum", "5"]) == 2
 
 
 @pytest.mark.parametrize("argv", [

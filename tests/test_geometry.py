@@ -221,6 +221,17 @@ def test_saddle_labels_are_computed_once():
     assert dec.upper_boundaries is dec.upper_boundaries
 
 
+def test_directions_too_long_to_trace_are_rejected(monkeypatch):
+    # degree 5: d * (|p| + |q|) is 10 in direction (1, 1), 15 in (2, 1)
+    o = make_l_origami(2, 4)
+    monkeypatch.setattr(geometry, "MAX_TRACE_LENGTH", 10)
+    assert decompose(o, Direction(1, 1)).f_values()
+    assert separatrix_diagram(o, Direction(-1, 1)).n_edges == 3
+    for route in (decompose, separatrix_diagram):
+        with pytest.raises(ValueError, match="= 15 exceeds MAX_TRACE_LENGTH = 10"):
+            route(o, Direction(2, 1))
+
+
 def test_lattice_point_counts():
     assert len(lattice_points(make_l_origami(2, 4), Direction(2, 3))) == 30
     assert len(lattice_points(make_l_origami(2, 2), Direction(1, 2))) == 6

@@ -85,8 +85,11 @@ def test_index_level_two_congruence_subgroup():
 
 
 def test_parabolic_subgroup_exceeds_cap():
-    with pytest.raises(IndexCapExceeded):
+    with pytest.raises(IndexCapExceeded) as err:
         index_in_sl2([T], cap=2000)
+    # the live cosets at the cap are those defined less those merged away
+    assert err.value.defined - err.value.coincidences == 2000
+    assert err.value.coincidences > 0
 
 
 def test_empty_generators_exceed_cap():
