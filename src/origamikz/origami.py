@@ -275,13 +275,16 @@ def make_l_origami(n, m):
 
     Squares 1..n form the bottom row (h-cycle (1 .. n)); squares
     n+1..n+m-1 stack above square 1 (v-cycle (1, n+1, .., n+m-1)).
-    Degree n + m - 1, stratum H(2).
+    Degree n + m - 1, stratum H(2), at most :data:`MAX_DEGREE` (checked
+    before the cycles are built).
     """
     if n < 2 or m < 2:
         raise InvalidShapeError(
             "L(%d, %d) is not an L-shape; need n, m >= 2" % (n, m)
         )
     d = n + m - 1
+    if d > MAX_DEGREE:
+        raise ValueError("degree %d exceeds MAX_DEGREE = %d" % (d, MAX_DEGREE))
     h = Perm.from_cycles([tuple(range(1, n + 1))], degree=d)
     v = Perm.from_cycles([(1,) + tuple(range(n + 1, n + m))], degree=d)
     return Origami(h, v)

@@ -378,6 +378,16 @@ def test_degree_above_max_rejected():
     assert Perm.from_cycles([(1, MAX_DEGREE)]).degree == MAX_DEGREE
 
 
+def test_l_origami_degree_checked_before_cycles_are_built(monkeypatch):
+    # conjecture --reps passes n and m straight from the command line
+    def unreachable(cycles, degree=None):
+        raise AssertionError("cycles built for degree %d" % degree)
+
+    monkeypatch.setattr(Perm, "from_cycles", unreachable)
+    with pytest.raises(ValueError, match="degree 10002 exceeds MAX_DEGREE"):
+        make_l_origami(MAX_DEGREE, 3)
+
+
 def test_compose_rejects_degree_mismatch():
     with pytest.raises(ValueError):
         Perm.identity(2) * Perm.identity(3)
