@@ -63,7 +63,17 @@ def _saddle(holonomy, upper_of):
     (H1234, "3,5",
      [_cylinder(1, [[4]], [2]), _cylinder(3, [[1, 2, 3]], [0, 1])],
      [_saddle([3, 5], 1), _saddle([6, 10], 1), _saddle([3, 5], 0)]),
-], ids=["l24-2,3", "l24-0,1", "l24--1,2", "h1234-1,0", "h1234-3,5"])
+    (L24, "2000,1",
+     [_cylinder(1, [[2]], [2]), _cylinder(4, [[1, 3, 4, 5]], [0, 1])],
+     [_saddle([2000, 1], 1), _saddle([6000, 3], 1), _saddle([2000, 1], 0)]),
+    (L24, "-7,30",
+     [_cylinder(2, [[2, 5]], [0]), _cylinder(3, [[1, 3, 4]], [1, 2])],
+     [_saddle([-14, 60], 0), _saddle([-14, 60], 1), _saddle([-7, 30], 1)]),
+    (H1234, "13,21",
+     [_cylinder(1, [[1]], [2]), _cylinder(3, [[2, 3, 4]], [0, 1])],
+     [_saddle([13, 21], 1), _saddle([26, 42], 1), _saddle([13, 21], 0)]),
+], ids=["l24-2,3", "l24-0,1", "l24--1,2", "h1234-1,0", "h1234-3,5",
+        "l24-2000,1", "l24--7,30", "h1234-13,21"])
 def test_decompose_report_pinned(capsys, tmp_path, surface, direction,
                                  cylinders, saddles):
     path = tmp_path / "surface.txt"
