@@ -17,7 +17,8 @@ minutes and beyond.
 from itertools import permutations, product
 
 from .errors import OrigamiError
-from .origami import Origami, Perm, _transitive, canonical_form, is_primitive, orbit
+from .origami import (ORBIT_CAP, Origami, Perm, _transitive, canonical_form,
+                      is_primitive, orbit)
 
 
 def _partitions(n, cap=None):
@@ -144,7 +145,7 @@ def h2_origamis(degree, primitive_only=True):
     )
 
 
-def orbit_partition(origamis, cap=10**6):
+def orbit_partition(origamis, cap=ORBIT_CAP):
     """Partition a set of canonical origamis into SL2(Z) orbits."""
     remaining = set(origamis)
     parts = []

@@ -17,14 +17,13 @@ from .errors import IndexCapExceeded, OrbitCapExceeded, OrigamiError
 from .geometry import Direction, decompose, primitive_directions
 from .homology import default_basis, nontaut_basis, standard_basis
 from .monodromy import kz_generators
-from .origami import canonical_form, make_l_origami, orbit, parse_origami
-from .paper import check_family_case
-from .sl2 import Mat2, _index_and_minus_identity, index_in_sl2
+from .origami import (MAX_TRACE_LENGTH, ORBIT_CAP, canonical_form, make_l_origami,
+                      orbit, parse_origami)
+from .paper import check_family_case, family_trace_length
+from .sl2 import COSET_CAP, Mat2, _index_and_minus_identity, index_in_sl2
 
 SCHEMA_VERSION = 1
 
-COSET_CAP = 10000
-ORBIT_CAP = 10**6
 # conjecture builds about 0.6 * S^2 directions up front and its time grows
 # like S^3 (S = 34 takes about 5 s on the default representatives, on
 # 2 vCPUs with Python 3.11)
@@ -36,21 +35,15 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 
-def _cap(args, default):
-    return args.cap if args.cap is not None else default
-
-
 def _report(command, **fields):
     return {"schema_version": SCHEMA_VERSION, "command": command, **fields}
 
 
-def _emit(rep, args, text_renderer=None):
+def _emit(rep, args, text_renderer):
     if args.format == "json":
         print(json.dumps(rep, indent=2, sort_keys=False))
-    elif text_renderer is not None:
-        text_renderer(rep)
     else:
-        print(json.dumps(rep, indent=2))
+        text_renderer(rep)
 
 
 # ---------------------------------------------------------------------------
@@ -192,7 +185,7 @@ def cmd_monodromy(args):
     code = EXIT_OK
     try:
         rep["index"], rep["contains_minus_identity"] = (
-            _index_and_minus_identity(gens, _cap(args, COSET_CAP)))
+            _index_and_minus_identity(gens, args.cap))
     except IndexCapExceeded:
         rep["index"] = None
         rep["status"] = "index-exceeds-cap"
@@ -210,7 +203,7 @@ def cmd_monodromy(args):
 
 def cmd_index(args):
     rep = _report("index", generators=[_mat_entry(m) for m in args.gens])
-    cap = _cap(args, COSET_CAP)
+    cap = args.cap
     try:
         rep["index"], rep["contains_minus_identity"] = (
             _index_and_minus_identity(args.gens, cap))
@@ -244,7 +237,7 @@ def _orbit_cap_exit(what, cap, exc):
 
 def cmd_orbit(args):
     o = _load_origami(args.file)
-    cap = _cap(args, ORBIT_CAP)
+    cap = args.cap
     try:
         orb = orbit(o, cap)
     except OrbitCapExceeded as exc:
@@ -269,7 +262,7 @@ def cmd_census(args):
         print("census at degree %d enumerates large centralizer cosets; "
               "expect half a minute or more" % d, file=sys.stderr)
     origamis = h2_origamis(d)
-    cap = _cap(args, ORBIT_CAP)
+    cap = args.cap
     try:
         parts = orbit_partition(origamis, cap)
     except OrbitCapExceeded as exc:
@@ -309,11 +302,16 @@ def cmd_verify_paper(args):
     if args.n_max < 1:
         print("--n-max must be at least 1", file=sys.stderr)
         return EXIT_USAGE
+    length = family_trace_length(args.n_max)
+    if length > MAX_TRACE_LENGTH:
+        print("--n-max %d needs d*(|p|+|q|) = %d, above MAX_TRACE_LENGTH = %d"
+              % (args.n_max, length, MAX_TRACE_LENGTH), file=sys.stderr)
+        return EXIT_USAGE
     cases = []
     for n in range(1, args.n_max + 1):
         for odd in (True, False):
             try:
-                cases.append(check_family_case(n, odd, _cap(args, COSET_CAP)))
+                cases.append(check_family_case(n, odd, args.cap))
             except OrigamiError as exc:
                 cases.append(
                     {"case": "n=%d %s" % (n, "odd" if odd else "even"),
@@ -359,7 +357,7 @@ def cmd_conjecture(args):
             basis = standard_basis(o)
             gens = kz_generators(o, dirs, basis)
             try:
-                idx = index_in_sl2(gens, _cap(args, COSET_CAP))
+                idx = index_in_sl2(gens, args.cap)
                 entry["index"] = idx
             except IndexCapExceeded:
                 entry["index"] = None
@@ -405,11 +403,13 @@ def _build_parser():
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"), default="json")
-    # the commands that enumerate orbits or cosets also take a cap
-    capped = argparse.ArgumentParser(add_help=False, parents=[common])
-    capped.add_argument("--cap", type=int, default=None,
-                        help="live-coset / orbit cap (defaults: 10000 for "
-                        "coset enumeration, 10^6 for orbits)")
+    # the commands that enumerate cosets or orbits also take a cap
+    cosets, orbits = (argparse.ArgumentParser(add_help=False, parents=[common])
+                      for _ in range(2))
+    cosets.add_argument("--cap", type=int, default=COSET_CAP,
+                        help="live-coset cap (default %(default)d)")
+    orbits.add_argument("--cap", type=int, default=ORBIT_CAP,
+                        help="orbit-size cap (default %(default)d)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decompose", parents=[common],
@@ -423,34 +423,34 @@ def _build_parser():
     p.add_argument("file")
     p.set_defaults(func=cmd_homology)
 
-    p = sub.add_parser("monodromy", parents=[capped],
+    p = sub.add_parser("monodromy", parents=[cosets],
                        help="multitwist matrices and the index they generate")
     p.add_argument("file")
     p.add_argument("--dirs", type=_parse_dirs, required=True)
     p.set_defaults(func=cmd_monodromy)
 
-    p = sub.add_parser("index", parents=[capped],
+    p = sub.add_parser("index", parents=[cosets],
                        help="index of a matrix-generated subgroup of SL2(Z)")
     p.add_argument("--gens", type=_parse_gens, required=True)
     p.set_defaults(func=cmd_index)
 
-    p = sub.add_parser("orbit", parents=[capped],
+    p = sub.add_parser("orbit", parents=[orbits],
                        help="SL2(Z) orbit of an origami")
     p.add_argument("file")
     p.set_defaults(func=cmd_orbit)
 
-    p = sub.add_parser("census", parents=[capped],
+    p = sub.add_parser("census", parents=[orbits],
                        help="all primitive H(2) origamis of one degree")
     p.add_argument("--degree", type=int, required=True)
     p.set_defaults(func=cmd_census)
 
-    p = sub.add_parser("verify-paper", parents=[capped],
+    p = sub.add_parser("verify-paper", parents=[cosets],
                        help="check the L(2,k) families against their "
                        "closed-form cylinder, table, matrix and index values")
     p.add_argument("--n-max", type=int, default=5)
     p.set_defaults(func=cmd_verify_paper)
 
-    p = sub.add_parser("conjecture", parents=[capped],
+    p = sub.add_parser("conjecture", parents=[cosets],
                        help="report monodromy indices for odd-odd L-shapes "
                        "(exploratory; the expected value 3 is unproven)")
     p.add_argument("--reps", type=_parse_pairs, default=[(3, 3), (3, 5), (5, 5)])

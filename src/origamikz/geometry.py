@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import TracingError
-from .origami import MAX_TRACE_LENGTH, act_word, pull_back_point
+from .origami import MAX_TRACE_LENGTH, act_word, pull_back_point, push_forward_point
 from .sl2 import Mat2, matrix_to_word
 
 F0 = Fraction(0)
@@ -212,9 +212,9 @@ def _step(o, state, a, b):
     """One square crossing along (a, b).
 
     Returns ``(segment, corner, next_state)`` where ``corner`` is None
-    for a plain edge crossing and ``(exit_square, (cx, cy), class_anchor)``
-    when the exit hits a grid vertex; ``next_state`` assumes the vertex
-    is regular and is only valid then.
+    for a plain edge crossing and ``(exit_square, (cx, cy), anchor)``
+    when the exit hits a grid vertex, ``anchor`` anchoring the corner
+    sector it arrives in; ``next_state`` assumes the vertex is regular.
     """
     sq, x, y = state
     h, v = o.h.images, o.v.images
@@ -235,16 +235,16 @@ def _step(o, state, a, b):
     seg = (sq, (x, y), (nx, ny))
     corner = nx in (F0, F1) and ny in (F0, F1)
     if corner:
-        if nx == F1 and ny == F1:          # direction (+, +)
+        if nx == F1 and ny == F1:          # direction (+, +): top-right sector
             anchor = h[v[sq]]
             nxt = (anchor, F0, F0)
-        elif nx == F0 and ny == F1:        # direction (-, +) or (0, 1)
-            anchor = v[sq]
+        elif nx == F0 and ny == F1:        # direction (-, +) or (0, 1): top-left
+            anchor = h[v[o.h.inverse()(sq)]]
             if a == 0:
                 nxt = (v[sq], F0, F0)
             else:
                 nxt = (o.h.inverse()(v[sq]), F1, F0)
-        elif nx == F1 and ny == F0:        # direction (1, 0)
+        elif nx == F1 and ny == F0:        # direction (1, 0): bottom-right
             anchor = h[sq]
             nxt = (h[sq], F0, F0)
         else:  # pragma: no cover - canonical directions never exit at (0, 0)
@@ -298,7 +298,7 @@ def _trace_closed(o, corners, start, direction):
 def _trace_to_singularity(o, corners, start, direction):
     """Trace a separatrix until it hits a cone point.
 
-    Returns ``(segments, (exit_square, (cx, cy)))``.
+    Returns ``(segments, corner)`` with the exit ``corner`` of :func:`_step`.
     """
     a, b = direction.vector
     state = start
@@ -307,7 +307,7 @@ def _trace_to_singularity(o, corners, start, direction):
         seg, corner, state = _step(o, state, a, b)
         segments.append(seg)
         if corner is not None and corners.singular(corner[2]):
-            return segments, (corner[0], corner[1])
+            return segments, corner
     raise TracingError("separatrix failed to terminate (no cone point hit)")
 
 
@@ -329,20 +329,6 @@ def _separatrix_starts(o, corners, direction):
                 yield cyc, turn, (j, F0, F0)
 
 
-def _in_end_anchor(o, exit_sq, corner_pos):
-    """Sector anchor of an incoming edge-end from the tracer's exit corner."""
-    sq = exit_sq
-    cx, cy = corner_pos
-    h, v = o.h, o.v
-    if cx == F1 and cy == F1:    # arrived moving (+, +): top-right sector
-        return h(v(sq))
-    if cx == F0 and cy == F1:    # arrived moving (-, +) or (0, 1): top-left
-        return h(v(o.h.inverse()(sq)))
-    if cx == F1 and cy == F0:    # arrived moving (1, 0): bottom-right
-        return h(sq)
-    raise TracingError("impossible incoming corner")  # pragma: no cover
-
-
 def _raw_saddles(o, corners, direction):
     """Trace all saddle connections; also return their end data.
 
@@ -351,15 +337,11 @@ def _raw_saddles(o, corners, direction):
     """
     out = []
     for cyc, turn, start in _separatrix_starts(o, corners, direction):
-        segments, (exit_sq, corner_pos) = _trace_to_singularity(
+        segments, (exit_sq, (cx, cy), anchor) = _trace_to_singularity(
             o, corners, start, direction
         )
-        anchor = _in_end_anchor(o, exit_sq, corner_pos)
-        in_cyc = corners.cycle_of[anchor]
-        in_turn = corners.pos_in[anchor]
-        conn = SaddleConnection(
-            o, direction, segments, start, (exit_sq,) + tuple(corner_pos)
-        )
+        conn = SaddleConnection(o, direction, segments, start, (exit_sq, cx, cy))
+        in_end = (corners.cycle_of[anchor], corners.pos_in[anchor])
         hol = conn.holonomy()
         # holonomy must be a positive multiple of the direction vector
         a, b = direction.vector
@@ -368,7 +350,7 @@ def _raw_saddles(o, corners, direction):
             raise TracingError(
                 "saddle holonomy %r is not along %r" % (hol, direction)
             )
-        out.append((conn, (cyc, turn), (in_cyc, in_turn)))
+        out.append((conn, (cyc, turn), in_end))
     return out
 
 
@@ -529,26 +511,31 @@ def decompose(o, direction):
 def _label_saddles(dec):
     """Saddle connections of a decomposition and the cylinders' upper boundaries.
 
-    Re-derives the shear from the direction and pulls the midpoints of
-    the top edges of each cylinder's top row back into the original
-    frame; the saddle connection through such a point bounds that
-    cylinder from above.  Returns ``(saddles, upper_boundaries)``.
+    Re-derives the shear from the direction and pushes the midpoint of
+    each saddle connection's first segment into the sheared frame, where
+    the connection is horizontal: the point lies on the bottom edge of
+    a square s, and the connection bounds from above the cylinder whose
+    top row holds v^-1(s).  Returns ``(saddles, upper_boundaries)``.
     """
     o, direction = dec.origami, dec.direction
     sheared, stages = act_word(o, matrix_to_word(shear_matrix(direction)))
-    corners = _Corners(o)
-    saddles = [r[0] for r in _raw_saddles(o, corners, direction)]
-    upper = []
-    for cyl in dec.cylinders:
-        found = set()
-        for sq in cyl.rows[-1]:
-            pt = pull_back_point(stages, (sheared.v(sq), FHALF, F0))
-            found.update(i for i, s in enumerate(saddles)
-                         if contains_point(o, s, pt, corners))
-        upper.append(tuple(sorted(found)))
-    if sorted(i for part in upper for i in part) != list(range(len(saddles))):
-        raise TracingError("saddle connections are not each on one upper boundary")
-    return tuple(saddles), tuple(upper)
+    top_row_of = {sq: k for k, cyl in enumerate(dec.cylinders) for sq in cyl.rows[-1]}
+    saddles = tuple(r[0] for r in _raw_saddles(o, _Corners(o), direction))
+    upper = [[] for _ in dec.cylinders]
+    for i, s in enumerate(saddles):
+        sq, (x0, y0), (x1, y1) = s.segments[0]
+        top_sq, _, y = push_forward_point(o, stages, (sq, (x0 + x1) / 2, (y0 + y1) / 2))
+        k = top_row_of.get(sheared.v.inverse()(top_sq))
+        if y != F0 or k is None:
+            raise TracingError("saddle connection %d is on no upper boundary" % i)
+        upper[k].append(i)
+    # each saddle is on one upper boundary by construction; with cone
+    # points, each boundary must also have its cylinder's length
+    for cyl, part in zip(dec.cylinders, upper):
+        hol = tuple(map(sum, zip(*(saddles[i].holonomy() for i in part))))
+        if saddles and hol != (cyl.f * direction.p, cyl.f * direction.q):
+            raise TracingError("upper boundary holonomy is not f times the direction")
+    return saddles, tuple(map(tuple, upper))
 
 
 # ---------------------------------------------------------------------------
@@ -580,10 +567,9 @@ def _encodings_in_square(o, corners, point, sq):
     return out
 
 
-def contains_point(o, curve, point, corners=None):
+def contains_point(o, curve, point):
     """Whether a traced curve passes through a surface point (exactly)."""
-    if corners is None:
-        corners = _Corners(o)
+    corners = _Corners(o)
     for seg in curve.segments:
         sq, (x0, y0), (x1, y1) = seg
         for ex, ey in _encodings_in_square(o, corners, point, sq):

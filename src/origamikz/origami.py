@@ -42,6 +42,9 @@ MAX_DEGREE = 10000
 # (|p| + |q| <= 12) passes at every degree up to MAX_DEGREE.
 MAX_TRACE_LENGTH = 12 * MAX_DEGREE
 
+# Default cap on the canonical forms an SL2(Z) orbit may reach.
+ORBIT_CAP = 10**6
+
 
 class Perm:
     """A permutation of {0, .., d-1}, stored by its image tuple."""
@@ -360,6 +363,14 @@ def pull_back_point(stages, point):
     return point
 
 
+def push_forward_point(o, stages, point):
+    """Apply a stage list (from :func:`act_word` on ``o``) to a surface point."""
+    for gen, exp, after in stages:
+        point = transport_letter(o, gen, exp, point)
+        o = after
+    return point
+
+
 # ---------------------------------------------------------------------------
 # Canonical forms, orbits, primitivity
 # ---------------------------------------------------------------------------
@@ -428,7 +439,7 @@ def canonical_form(o):
 _ORBIT_GENS = (("S", 1), ("T", 1))
 
 
-def orbit(o, cap=10**6):
+def orbit(o, cap=ORBIT_CAP):
     """The SL2(Z) orbit of ``o`` as a frozenset of canonical forms.
 
     BFS under S and T only.  On a finite set, the set reachable by S and T
@@ -476,53 +487,33 @@ def orbit(o, cap=10**6):
 def holonomy_lattice_index(o):
     """Index in Z^2 of the lattice of absolute periods.
 
-    Spanning tree over the square-adjacency graph; every non-tree h- or
-    v-edge closes a cycle whose holonomy goes into the lattice.  Returns
-    0 if the lattice has rank < 2 (cannot happen for a valid origami).
+    Squares get positions along a BFS over the h- and v-edges; the edge
+    i -> j with unit step e has period pos(i) + e - pos(j), which is zero
+    on the BFS tree.  The periods span the lattice, so its index is the
+    gcd of their 2x2 minors: 0 if they have rank < 2 (cannot happen for a
+    valid origami).
     """
-    d = o.degree
     h, v = o.h.images, o.v.images
-    pos = [None] * d
-    pos[0] = (0, 0)
+    pos = {0: (0, 0)}
     order = [0]
-    tree = set()
     for cur in order:
-        for img, dx, dy in ((h[cur], 1, 0), (v[cur], 0, 1)):
-            if pos[img] is None:
-                pos[img] = (pos[cur][0] + dx, pos[cur][1] + dy)
-                order.append(img)
-                tree.add((cur, img, dx, dy))
-    vecs = []
-    for i in range(d):
-        for img, dx, dy in ((h[i], 1, 0), (v[i], 0, 1)):
-            if (i, img, dx, dy) not in tree:
-                vecs.append(
-                    (pos[i][0] + dx - pos[img][0], pos[i][1] + dy - pos[img][1])
-                )
-    return _lattice_index(vecs)
-
-
-def _lattice_index(vecs):
-    # Row-reduce the integer vectors to a two-row Hermite-style basis.
-    e1 = e2 = None
-    for w in vecs:
-        if w == (0, 0):
-            continue
-        if e1 is None:
-            e1 = w
-            continue
-        # gcd on first coordinates
-        a, b = e1, w
-        while b[0]:
-            q = a[0] // b[0]
-            a, b = b, (a[0] - q * b[0], a[1] - q * b[1])
-        e1 = a
-        w = b  # now w[0] == 0
-        if w[1]:
-            e2 = w if e2 is None else (0, gcd(e2[1], w[1]))
-    if e1 is None or e1[0] == 0 or e2 is None:
-        return 0
-    return abs(e1[0] * e2[1])
+        x, y = pos[cur]
+        for j, dx, dy in ((h[cur], 1, 0), (v[cur], 0, 1)):
+            if j not in pos:
+                pos[j] = (x + dx, y + dy)
+                order.append(j)
+    # distinct periods only: the minors are quadratic in their number, which
+    # stays small (176 on a random degree-10,000 origami)
+    periods = list({
+        (x + dx - pos[j][0], y + dy - pos[j][1])
+        for i, (x, y) in pos.items()
+        for j, dx, dy in ((h[i], 1, 0), (v[i], 0, 1))
+    })
+    g = 0
+    for k, (a, b) in enumerate(periods):
+        for c, d in periods[:k]:
+            g = gcd(g, a * d - b * c)
+    return g
 
 
 def is_primitive(o):

@@ -82,6 +82,13 @@ def family_case(n, odd):
     }
 
 
+def family_trace_length(n):
+    """The largest d * (|p| + |q|) the two cases of ``n`` trace; grows with n."""
+    return max((sum(case["lshape"]) - 1) * (abs(d.p) + abs(d.q))
+               for case in (family_case(n, True), family_case(n, False))
+               for d in case["dirs"])
+
+
 def check_family_case(n, odd, cap):
     """Run the pipeline on one family member and diff against the data.
 
@@ -110,12 +117,7 @@ def check_family_case(n, odd, cap):
 
     basis = HomologyBasis(decs[horizontal], decs[vertical])
     nt = nontaut_basis(basis)
-    rows = {
-        "X1": basis.loops[0],
-        "X2": basis.loops[1],
-        "Y1": basis.loops[2],
-        "Y2": basis.loops[3],
-    }
+    rows = dict(zip(("X1", "X2", "Y1", "Y2"), basis.loops))
 
     def omega_row(label, loop):
         if label in rows:
@@ -123,23 +125,15 @@ def check_family_case(n, odd, cap):
         coeffs = nt.x if label == "X" else nt.y
         return omega_class_loop(basis, coeffs, loop)
 
-    def cores_for(dec, cols):
-        by_f = {c.f: c for c in dec.cylinders}
-        return tuple(by_f[f].core for _, f in cols)
-
-    # the second table of the odd family pairs against the vertical basis
-    # curves themselves; everywhere else the columns are cylinder cores
-    first_cols = cores_for(twist_decs[0], case["cols"])
-    second_cols = (
-        (basis.loops[2], basis.loops[3]) if odd
-        else cores_for(twist_decs[1], case["cols2"])
-    )
-    for table, cols, col_loops in (
-        ("table1", case["cols"], first_cols),
-        ("table2", case["cols2"], second_cols),
+    # the columns are cylinder cores; in the odd family the second twist
+    # direction is vertical, so they are the basis curves Y1, Y2 themselves
+    for table, cols, dec in (
+        ("table1", case["cols"], twist_decs[0]),
+        ("table2", case["cols2"], twist_decs[1]),
     ):
+        by_f = {c.f: c for c in dec.cylinders}
         for row_label, expected in case[table].items():
-            got = tuple(omega_row(row_label, loop) for loop in col_loops)
+            got = tuple(omega_row(row_label, by_f[f].core) for _, f in cols)
             add("omega(%s, %s/%s) [%s, n=%d]"
                 % (row_label, cols[0][0], cols[1][0], table, n),
                 list(expected), list(got))

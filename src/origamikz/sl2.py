@@ -19,6 +19,9 @@ from collections import deque
 
 from .errors import IndexCapExceeded
 
+# Default cap on the live cosets of an enumeration.
+COSET_CAP = 10000
+
 Word = list  # list of (letter, exponent) pairs
 
 
@@ -270,7 +273,7 @@ def _enumerate(subgroup_words, cap):
             return t
 
 
-def coset_action(gens, cap=10000):
+def coset_action(gens, cap=COSET_CAP):
     """Permutation action of (a, b) on the cosets of <gens> in SL2(Z).
 
     Returns a pair of image lists (one per letter a, b) over cosets
@@ -298,7 +301,7 @@ def _index_and_minus_identity(gens, cap):
     return len(act_a), act_a[act_a[0]] == 0
 
 
-def index_in_sl2(gens, cap=10000):
+def index_in_sl2(gens, cap=COSET_CAP):
     """Exact index in SL2(Z) of the subgroup generated by ``gens``.
 
     Raises :class:`IndexCapExceeded` when the enumeration needs more than
@@ -307,6 +310,6 @@ def index_in_sl2(gens, cap=10000):
     return _index_and_minus_identity(gens, cap)[0]
 
 
-def contains_minus_identity(gens, cap=10000):
+def contains_minus_identity(gens, cap=COSET_CAP):
     """Whether -I lies in the subgroup generated by ``gens``."""
     return _index_and_minus_identity(gens, cap)[1]

@@ -3,9 +3,9 @@ import sys
 
 import pytest
 
-from origamikz import cli, geometry, sl2
+from origamikz import cli, geometry, paper, sl2
 from origamikz.cli import main
-from origamikz.origami import MAX_DEGREE
+from origamikz.origami import MAX_DEGREE, MAX_TRACE_LENGTH
 
 L24 = "d=5\nh=(1 2)\nv=(1 3 4 5)\n"
 
@@ -244,6 +244,22 @@ def test_verify_paper_command(capsys):
 
 def test_verify_paper_usage(capsys):
     assert main(["verify-paper", "--n-max", "0"]) == 2
+
+
+def test_n_max_is_bounded_by_the_trace_length(monkeypatch, capsys):
+    # the largest direction of case N is (2N+1, 2N+3) on the degree-(2N+2)
+    # L(2, 2N+1): d*(|p|+|q|) = 8(N+1)^2, 72 at N = 2 and 128 at N = 3
+    assert paper.family_trace_length(121) <= MAX_TRACE_LENGTH
+    assert main(["verify-paper", "--n-max", "122"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("--n-max 122 needs d*(|p|+|q|) = 121032, "
+                            "above MAX_TRACE_LENGTH = 120000\n")
+    # the bound is exact: the largest accepted N passes every decomposition
+    monkeypatch.setattr(cli, "MAX_TRACE_LENGTH", 72)
+    monkeypatch.setattr(geometry, "MAX_TRACE_LENGTH", 72)
+    assert main(["verify-paper", "--n-max", "2"]) == 0
+    assert main(["verify-paper", "--n-max", "3"]) == 2
 
 
 def test_conjecture_command(capsys):

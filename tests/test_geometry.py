@@ -21,8 +21,9 @@ from origamikz import (
     trace_boundaries,
 )
 from origamikz import geometry
+from origamikz import origami as origami_module
 from origamikz.sl2 import Mat2
-from util import random_direction, random_h2_origami
+from util import random_direction, random_h2_origami, random_transitive_pair
 
 TORUS = Origami(Perm.identity(1), Perm.identity(1))
 
@@ -187,13 +188,26 @@ def test_boundary_tracing_single_loop_diagram():
 
 def test_boundary_tracing_matches_decompose_randomised():
     rng = random.Random(19)
-    for _ in range(40):
-        o = random_h2_origami(rng, dmax=9)
-        d = random_direction(rng, bound=5)
+    draws = [(random_h2_origami(rng, dmax=9), random_direction(rng, bound=5))
+             for _ in range(40)]
+    # any stratum, and longer directions
+    draws += [(random_transitive_pair(rng), random_direction(rng, bound=40))
+              for _ in range(40)]
+    for o, d in draws:
         dec = decompose(o, d)
         parts = trace_boundaries(separatrix_diagram(o, d))
+        saddles = dec.saddle_connections
+        if not saddles:
+            # a torus cover: no cone point, so no cylinder has a boundary
+            assert parts == () and set(dec.upper_boundaries) == {()}
+            continue
         assert len(parts) == len(dec.cylinders)
         assert set(parts) == set(map(frozenset, dec.upper_boundaries))
+        # the top of a cylinder of circumference f has holonomy f * (p, q)
+        for cyl, upper in zip(dec.cylinders, dec.upper_boundaries):
+            hol = [saddles[i].holonomy() for i in upper]
+            assert (sum(x for x, _ in hol), sum(y for _, y in hol)) == (
+                cyl.f * d.p, cyl.f * d.q)
 
 
 def test_decompose_traces_no_saddle_connections(monkeypatch):
@@ -212,6 +226,24 @@ def test_decompose_traces_no_saddle_connections(monkeypatch):
         dec.saddle_connections
     with pytest.raises(RuntimeError):
         dec.upper_boundaries
+
+
+def test_saddle_labels_push_one_point_per_saddle(monkeypatch):
+    # labels are read in the shear frame: no containment scan and no
+    # pull-back, one pushed point per saddle connection
+    dec = decompose(make_l_origami(2, 4), Direction(-7, 30))
+    calls = {"push_forward_point": 0, "contains_point": 0, "pull_back_point": 0}
+    for name in calls:
+        real = getattr(geometry, name)
+
+        def counting(*args, name=name, real=real):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(geometry, name, counting)
+        monkeypatch.setattr(origami_module, name, counting, raising=False)
+    assert len(dec.upper_boundaries) == 2
+    assert calls == {"push_forward_point": 3, "contains_point": 0, "pull_back_point": 0}
 
 
 def test_saddle_labels_are_computed_once():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -16,12 +17,16 @@ from origamikz import (
     orbit,
     parse_origami,
     relabel,
+    shear_matrix,
     singularity_data,
 )
 from origamikz import origami as origami_module
-from origamikz.origami import MAX_DEGREE, act_letter
+from origamikz.origami import (MAX_DEGREE, act_letter, act_word, pull_back_point,
+                               push_forward_point)
+from origamikz.sl2 import matrix_to_word
 from util import (
     GENS,
+    random_direction,
     random_transitive_pair,
     reference_canonical_form,
     reference_orbit,
@@ -87,6 +92,20 @@ def test_action_inverses():
     for _ in range(4):
         x = act_letter(x, "S", 1)
     assert x == o
+
+
+def test_pull_back_inverts_push_forward():
+    # shear words of random directions, on points inside squares, on
+    # their edges and at their corners
+    rng = random.Random(23)
+    for _ in range(30):
+        o = random_transitive_pair(rng, dmax=8)
+        d = random_direction(rng, bound=9)
+        _, stages = act_word(o, matrix_to_word(shear_matrix(d)))
+        for _ in range(6):
+            pt = (rng.randrange(o.degree), Fraction(rng.randrange(4), 4),
+                  Fraction(rng.randrange(3), 3))
+            assert pull_back_point(stages, push_forward_point(o, stages, pt)) == pt
 
 
 def test_action_preserves_stratum():
