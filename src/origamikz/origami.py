@@ -36,7 +36,7 @@ MAX_DEGREE = 10000
 # Largest d * (|p| + |q|) for which a degree-d origami is decomposed or
 # traced in direction (p, q): the shear keeps one origami per unit of
 # shear exponent and the traced curves cross that many squares in all,
-# so time and memory grow with it (at 10^5, about 5.6 s and 110 MB on
+# so time and memory grow with it (at 10^5, about 6.4 s and 110 MB on
 # 2 vCPUs with Python 3.11).
 # Checked before the shear; every direction of the basis search
 # (|p| + |q| <= 12) passes at every degree up to MAX_DEGREE.

@@ -21,7 +21,6 @@ from origamikz import (
     trace_boundaries,
 )
 from origamikz import geometry
-from origamikz import origami as origami_module
 from origamikz.sl2 import Mat2
 from util import random_direction, random_h2_origami, random_transitive_pair
 
@@ -241,7 +240,6 @@ def test_saddle_labels_push_one_point_per_saddle(monkeypatch):
             return real(*args)
 
         monkeypatch.setattr(geometry, name, counting)
-        monkeypatch.setattr(origami_module, name, counting, raising=False)
     assert len(dec.upper_boundaries) == 2
     assert calls == {"push_forward_point": 3, "contains_point": 0, "pull_back_point": 0}
 
