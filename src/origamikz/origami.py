@@ -24,6 +24,7 @@ so that ``act_matrix(M, act_matrix(N, o)) == act_matrix(M*N, o)``.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd
 
 from .errors import InvalidShapeError, OrbitCapExceeded, OrigamiError
@@ -504,15 +505,14 @@ def holonomy_lattice_index(o):
                 order.append(j)
     # distinct periods only: the minors are quadratic in their number, which
     # stays small (176 on a random degree-10,000 origami)
-    periods = list({
+    periods = {
         (x + dx - pos[j][0], y + dy - pos[j][1])
         for i, (x, y) in pos.items()
         for j, dx, dy in ((h[i], 1, 0), (v[i], 0, 1))
-    })
+    }
     g = 0
-    for k, (a, b) in enumerate(periods):
-        for c, d in periods[:k]:
-            g = gcd(g, a * d - b * c)
+    for (a, b), (c, d) in combinations(periods, 2):
+        g = gcd(g, a * d - b * c)
     return g
 
 
