@@ -44,8 +44,8 @@ class Direction:
         p, q = p // g, q // g
         if q < 0 or (q == 0 and p < 0):
             p, q = -p, -q
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        self.p = p
+        self.q = q
 
     @property
     def vector(self):

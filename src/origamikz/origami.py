@@ -60,15 +60,15 @@ class Perm:
             if not isinstance(i, int) or i < 0 or i >= d or seen[i]:
                 raise ValueError("not a permutation of 0..%d: %r" % (d - 1, images))
             seen[i] = True
-        object.__setattr__(self, "images", images)
-        object.__setattr__(self, "_inv", None)
+        self.images = images
+        self._inv = None
 
     @classmethod
     def _trusted(cls, images):
         """Wrap an image tuple that is a permutation by construction."""
         p = object.__new__(cls)
-        object.__setattr__(p, "images", images)
-        object.__setattr__(p, "_inv", None)
+        p.images = images
+        p._inv = None
         return p
 
     @classmethod
@@ -111,10 +111,7 @@ class Perm:
 
     def inverse(self):
         if self._inv is None:
-            inv = [0] * len(self.images)
-            for i, j in enumerate(self.images):
-                inv[j] = i
-            object.__setattr__(self, "_inv", Perm._trusted(tuple(inv)))
+            self._inv = Perm._trusted(tuple(_inverse(self.images)))
         return self._inv
 
     def __mul__(self, other):
@@ -174,15 +171,15 @@ class Origami:
             raise ValueError("h and v must have the same degree")
         if not _transitive(h.images, v.images):
             raise ValueError("the pair (h, v) does not act transitively")
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "v", v)
+        self.h = h
+        self.v = v
 
     @classmethod
     def _trusted(cls, h, v):
         """Wrap a pair known to be transitive of one degree, e.g. an S/T image."""
         o = object.__new__(cls)
-        object.__setattr__(o, "h", h)
-        object.__setattr__(o, "v", v)
+        o.h = h
+        o.v = v
         return o
 
     @property
@@ -396,13 +393,22 @@ def canonical_form(o):
     H(2), all d on a torus.  That set is invariant under relabelling, so
     two origamis are translation-equivalent iff their canonical forms are
     equal; the representative differs from a minimum over all d starts.
+    """
+    return _pair_origami(_canonical_pair(o.h.images, o.v.images))
+
+
+def _pair_origami(pair):
+    return Origami._trusted(Perm._trusted(pair[0]), Perm._trusted(pair[1]))
+
+
+def _canonical_pair(h, v):
+    """The image tuples of :func:`canonical_form` of the pair (h, v).
 
     Entry k of a start's h-part is final once the BFS has processed the
     square labelled k, so each start is compared with the best so far as
     it goes and dropped at its first larger entry.
     """
-    d = o.degree
-    h, v = o.h.images, o.v.images
+    d = len(h)
     starts = [i for i in range(d) if v[h[i]] != h[v[i]]] or range(d)
     best = None
     for start in starts:
@@ -432,12 +438,41 @@ def canonical_form(o):
             key += [label[v[i]] for i in order]
             if best is None or key < best:
                 best = key
-    return Origami._trusted(
-        Perm._trusted(tuple(best[:d])), Perm._trusted(tuple(best[d:]))
-    )
+    return tuple(best[:d]), tuple(best[d:])
 
 
-_ORBIT_GENS = (("S", 1), ("T", 1))
+def _inverse(images):
+    inv = [0] * len(images)
+    for i, j in enumerate(images):
+        inv[j] = i
+    return inv
+
+
+def _s_pair(h, v):
+    """S on image sequences: (h, v) -> (v^-1, h)."""
+    return _inverse(v), h
+
+
+def _u_pair(h, v):
+    """U = S T on image sequences: (h, v) -> (h v^-1, h)."""
+    return [h[j] for j in _inverse(v)], h
+
+
+def _close_cycle(table, step, order, x):
+    """Enter the cycle of class ``x`` under ``step`` into ``table``.
+
+    ``order`` is a multiple of every cycle length, so all edges but the
+    last are computed and the last one goes back to ``x``; a shorter
+    cycle, a fixed point included, closes when it comes back.
+    """
+    cur = x
+    for _ in range(order - 1):
+        img = _canonical_pair(*step(*cur))
+        table[cur] = img
+        if img == x:
+            return
+        cur = img
+    table[cur] = x
 
 
 def orbit(o, cap=ORBIT_CAP):
@@ -447,42 +482,59 @@ def orbit(o, cap=ORBIT_CAP):
     is closed under S and T; both act injectively, so they map it onto
     itself and it is closed under their inverses too.
 
+    The edges come from two tables filled a cycle at a time, S and
+    U = S T, read as T = S^-1 U, so T has no canonical form of its own.
     S^2 = -I acts as (h, v) -> (h^-1, v^-1).  -I is central in SL2(Z), so
     if it fixes the class of ``o`` (one extra canonical form to check), it
-    fixes every class in the orbit.  Then a form first reached by S from
-    its parent has that parent as its S-image, and the edge is skipped
-    without computing its canonical form: its target is known, so every
-    S/T edge of the orbit graph is still determined.
+    fixes every class in the orbit: on the classes, S has order 2 and
+    U order 3, as in PSL2(Z) = Z/2 * Z/3, and S^-1 = S.  Otherwise the
+    orders are 4 and 6 and S^-1 = S^3.  A cycle of length l costs
+    min(l, order - 1) canonical forms, so an orbit of n classes costs
+    7n/6 + 2 forms if no class is fixed by S or U, and 3n/4 + 5n/6 + 2
+    if -I acts and no class is fixed by U^2.  Forms are kept as pairs of
+    image tuples; origamis are built only for the result.
 
     Raises :class:`OrbitCapExceeded` if more than ``cap`` forms show up,
     carrying the partial set, the BFS depth of the form being expanded
     and the frontier: the forms found but not yet fully expanded,
     counting that one.
     """
-    start = canonical_form(o)
-    skip_s = canonical_form(Origami._trusted(o.h.inverse(), o.v.inverse())) == start
+    h, v = o.h.images, o.v.images
+    start = _canonical_pair(h, v)
+    if _canonical_pair(_inverse(h), _inverse(v)) == start:
+        s_order, u_order = 2, 3
+    else:
+        s_order, u_order = 4, 6
+    s_map, u_map = {}, {}
     seen = {start}
-    # the forms at BFS depth ``depth``, each with whether S reached it
-    frontier = [(start, False)]
+    frontier = [start]
     depth = 0
     while frontier:
         nxt = []
-        for pos, (cur, via_s) in enumerate(frontier):
-            for gen, exp in _ORBIT_GENS:
-                if via_s and skip_s and gen == "S":
-                    continue
-                img = canonical_form(act_letter(cur, gen, exp))
+        for pos, cur in enumerate(frontier):
+            if cur not in s_map:
+                _close_cycle(s_map, _s_pair, s_order, cur)
+            if cur not in u_map:
+                _close_cycle(u_map, _u_pair, u_order, cur)
+            # U(cur) is read once: T(cur) = S^-1(U(cur))
+            t_img = u_map.pop(cur)
+            if t_img not in s_map:
+                _close_cycle(s_map, _s_pair, s_order, t_img)
+            for _ in range(s_order - 1):
+                t_img = s_map[t_img]
+            for img in (s_map[cur], t_img):
                 if img not in seen:
                     if len(seen) >= cap:
                         raise OrbitCapExceeded(
-                            "orbit exceeded cap of %d" % cap, seen,
+                            "orbit exceeded cap of %d" % cap,
+                            map(_pair_origami, seen),
                             depth, len(frontier) - pos + len(nxt),
                         )
                     seen.add(img)
-                    nxt.append((img, gen == "S"))
+                    nxt.append(img)
         frontier = nxt
         depth += 1
-    return frozenset(seen)
+    return frozenset(map(_pair_origami, seen))
 
 
 def holonomy_lattice_index(o):

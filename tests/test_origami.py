@@ -239,34 +239,59 @@ def test_orbit_matches_four_generator_search_where_minus_identity_acts(text):
     assert orb == frozenset(canonical_form(r) for r in ref)
 
 
-def _counting_canonical_form(monkeypatch):
-    real = origami_module.canonical_form
+def _counting_canonical_pair(monkeypatch):
+    real = origami_module._canonical_pair
     calls = []
 
-    def counting(o):
-        calls.append(o)
-        return real(o)
+    def counting(h, v):
+        calls.append((h, v))
+        return real(h, v)
 
-    monkeypatch.setattr(origami_module, "canonical_form", counting)
+    monkeypatch.setattr(origami_module, "_canonical_pair", counting)
     return calls
+
+
+def _fixed_classes(orb, word):
+    # the classes of the orbit that the word (rightmost letter first) fixes
+    return sum(canonical_form(act_word(x, word)[0]) == x for x in orb)
 
 
 @pytest.mark.parametrize("k", range(4, 9))
 def test_orbit_skips_s_edges_when_minus_identity_is_trivial(monkeypatch, k):
+    # S has order 2 and U = ST order 3 on the classes; a cycle costs one
+    # form per edge but the last, a fixed point one form, and the seed and
+    # its -I image one each: 7n/6 + 2, plus 1/2 per S-fixed class and 1/3
+    # per U-fixed class
     o = make_l_origami(2, k)
     assert canonical_form(_minus_identity(o)) == canonical_form(o)
-    calls = _counting_canonical_form(monkeypatch)
+    calls = _counting_canonical_pair(monkeypatch)
     orb = orbit(o)
-    assert len(calls) < 2 * len(orb)
+    n, forms = len(orb), len(calls)
+    fixed_s = _fixed_classes(orb, [("S", 1)])
+    fixed_u = _fixed_classes(orb, [("S", 1), ("T", 1)])
+    assert 6 * forms == 7 * n + 12 + 3 * fixed_s + 2 * fixed_u
 
 
 def test_orbit_follows_every_edge_when_minus_identity_acts(monkeypatch):
-    # one form for the seed, one for its -I image, two per orbit member
+    # -I moves every class, so S has order 4 and U order 6 on them (no
+    # shorter cycles here): 3n/4 + 5n/6 forms, plus the seed and its -I
+    # image
     o = parse_origami(H6)
-    calls = _counting_canonical_form(monkeypatch)
+    calls = _counting_canonical_pair(monkeypatch)
     orb = orbit(o)
     assert len(orb) == 84
-    assert len(calls) == 2 * len(orb) + 2
+    assert len(calls) == 3 * 84 // 4 + 5 * 84 // 6 + 2 == 135
+
+
+def test_orbit_canonical_forms_of_the_bench_orbits(monkeypatch):
+    # the two orbits of the `orbit` benchmark workload have no class
+    # fixed by S or U: 7n/6 + 2 forms each, 4,834 in all
+    calls = _counting_canonical_pair(monkeypatch)
+    sizes = []
+    for k in (20, 21):
+        del calls[:]
+        sizes.append((len(orbit(make_l_origami(2, k))), len(calls)))
+    assert sizes == [(1440, 1682), (2700, 3152)]
 
 
 def test_orbit_l22_matches_exhaustive_enumeration():
@@ -306,9 +331,11 @@ def test_orbit_cap():
 
 
 def _st_distances(o):
-    # S/T distances from the seed's class, by a BFS of its own
+    # S/T distances from the seed's class, by a BFS of its own, in the
+    # order the forms are found, and the form each one is found from
     start = canonical_form(o)
     dist = {start: 0}
+    parent = {}
     level = [start]
     while level:
         nxt = []
@@ -317,9 +344,27 @@ def _st_distances(o):
                 img = canonical_form(act_letter(cur, gen, 1))
                 if img not in dist:
                     dist[img] = dist[cur] + 1
+                    parent[img] = cur
                     nxt.append(img)
         level = nxt
-    return dist
+    return dist, parent
+
+
+def _check_every_cap(o, size):
+    # the partial set is the first ``cap`` forms the BFS finds; the next
+    # one is found from the form being expanded, whose depth is reported,
+    # and the frontier runs from that form to the last one found
+    dist, parent = _st_distances(o)
+    order = list(dist)
+    assert len(order) == size
+    for cap in range(1, size):
+        with pytest.raises(OrbitCapExceeded) as err:
+            orbit(o, cap=cap)
+        exc = err.value
+        assert exc.partial == frozenset(order[:cap])
+        expanding = parent[order[cap]]
+        assert exc.depth == dist[expanding] == dist[order[cap]] - 1
+        assert exc.frontier == cap - order.index(expanding)
 
 
 def test_orbit_cap_reports_depth_and_frontier():
@@ -327,19 +372,18 @@ def test_orbit_cap_reports_depth_and_frontier():
     # and none beyond the next one; the frontier is part of the partial
     # set and counts the form being expanded
     o = make_l_origami(2, 4)
-    dist = _st_distances(o)
-    assert len(dist) == 18
-    for cap in range(1, 18):
-        with pytest.raises(OrbitCapExceeded) as err:
-            orbit(o, cap=cap)
-        exc = err.value
-        assert len(exc.partial) == cap
-        assert {f for f, n in dist.items() if n <= exc.depth} <= exc.partial
-        assert max(dist[f] for f in exc.partial) <= exc.depth + 1
-        assert 1 <= exc.frontier <= cap
+    _check_every_cap(o, 18)
     with pytest.raises(OrbitCapExceeded) as err:
         orbit(o, cap=5)
     assert (err.value.depth, err.value.frontier) == (2, 2)
+
+
+def test_orbit_cap_reports_depth_and_frontier_where_minus_identity_acts():
+    # S^-1 = S^3 and U has order 6 here: a wrong inverse or order would
+    # change the T-images, so the forms found and their depths
+    o = parse_origami(H6)
+    assert canonical_form(_minus_identity(o)) != canonical_form(o)
+    _check_every_cap(o, 84)
 
 
 def test_primitivity():
