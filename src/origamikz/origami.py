@@ -296,7 +296,18 @@ def make_l_origami(n, m):
 # ---------------------------------------------------------------------------
 
 def act_letter(o, gen, exp):
-    """Apply a single S/T letter with exponent sign ``exp`` in {1, -1}."""
+    """Apply a single S/T letter with exponent sign ``exp`` in {1, -1}.
+
+    ``o`` is an origami, or a pair (h, v) of image sequences, for which
+    the result is the pair of image sequences and no object is built.
+    """
+    if not isinstance(o, Origami):
+        h, v = o
+        if gen == "T":
+            return h, [v[j] for j in (_inverse(h) if exp > 0 else h)]
+        if gen == "S":
+            return (_inverse(v), h) if exp > 0 else (v, _inverse(h))
+        raise ValueError("unknown generator %r" % (gen,))
     h, v = o.h, o.v
     if gen == "T":
         return Origami._trusted(h, v * (h.inverse() if exp > 0 else h))
@@ -393,21 +404,16 @@ def canonical_form(o):
     H(2), all d on a torus.  That set is invariant under relabelling, so
     two origamis are translation-equivalent iff their canonical forms are
     equal; the representative differs from a minimum over all d starts.
-    """
-    return _pair_origami(_canonical_pair(o.h.images, o.v.images))
 
-
-def _pair_origami(pair):
-    return Origami._trusted(Perm._trusted(pair[0]), Perm._trusted(pair[1]))
-
-
-def _canonical_pair(h, v):
-    """The image tuples of :func:`canonical_form` of the pair (h, v).
+    ``o`` may also be a pair (h, v) of image sequences; the result is then
+    the pair of canonical image tuples and no object is built.
 
     Entry k of a start's h-part is final once the BFS has processed the
     square labelled k, so each start is compared with the best so far as
     it goes and dropped at its first larger entry.
     """
+    is_pair = not isinstance(o, Origami)
+    h, v = o if is_pair else (o.h.images, o.v.images)
     d = len(h)
     starts = [i for i in range(d) if v[h[i]] != h[v[i]]] or range(d)
     best = None
@@ -438,7 +444,12 @@ def _canonical_pair(h, v):
             key += [label[v[i]] for i in order]
             if best is None or key < best:
                 best = key
-    return tuple(best[:d]), tuple(best[d:])
+    form = tuple(best[:d]), tuple(best[d:])
+    return form if is_pair else _pair_origami(form)
+
+
+def _pair_origami(pair):
+    return Origami._trusted(Perm._trusted(pair[0]), Perm._trusted(pair[1]))
 
 
 def _inverse(images):
@@ -448,26 +459,21 @@ def _inverse(images):
     return inv
 
 
-def _s_pair(h, v):
-    """S on image sequences: (h, v) -> (v^-1, h)."""
-    return _inverse(v), h
+def _close_cycle(table, letters, order, x):
+    """Enter the cycle of class ``x`` under ``letters`` into ``table``.
 
-
-def _u_pair(h, v):
-    """U = S T on image sequences: (h, v) -> (h v^-1, h)."""
-    return [h[j] for j in _inverse(v)], h
-
-
-def _close_cycle(table, step, order, x):
-    """Enter the cycle of class ``x`` under ``step`` into ``table``.
-
-    ``order`` is a multiple of every cycle length, so all edges but the
-    last are computed and the last one goes back to ``x``; a shorter
-    cycle, a fixed point included, closes when it comes back.
+    The letters are applied left to right, each with exponent 1: "S" is
+    S and "TS" is U = S T.  ``order`` is a multiple of every cycle length,
+    so all edges but the last are computed and the last one goes back to
+    ``x``; a shorter cycle, a fixed point included, closes when it comes
+    back.
     """
     cur = x
     for _ in range(order - 1):
-        img = _canonical_pair(*step(*cur))
+        img = cur
+        for gen in letters:
+            img = act_letter(img, gen, 1)
+        img = canonical_form(img)
         table[cur] = img
         if img == x:
             return
@@ -492,7 +498,8 @@ def orbit(o, cap=ORBIT_CAP):
     min(l, order - 1) canonical forms, so an orbit of n classes costs
     7n/6 + 2 forms if no class is fixed by S or U, and 3n/4 + 5n/6 + 2
     if -I acts and no class is fixed by U^2.  Forms are kept as pairs of
-    image tuples; origamis are built only for the result.
+    image tuples, which :func:`act_letter` and :func:`canonical_form` take
+    in place of origamis; origamis are built only for the result.
 
     Raises :class:`OrbitCapExceeded` if more than ``cap`` forms show up,
     carrying the partial set, the BFS depth of the form being expanded
@@ -500,8 +507,8 @@ def orbit(o, cap=ORBIT_CAP):
     counting that one.
     """
     h, v = o.h.images, o.v.images
-    start = _canonical_pair(h, v)
-    if _canonical_pair(_inverse(h), _inverse(v)) == start:
+    start = canonical_form((h, v))
+    if canonical_form((_inverse(h), _inverse(v))) == start:
         s_order, u_order = 2, 3
     else:
         s_order, u_order = 4, 6
@@ -513,13 +520,13 @@ def orbit(o, cap=ORBIT_CAP):
         nxt = []
         for pos, cur in enumerate(frontier):
             if cur not in s_map:
-                _close_cycle(s_map, _s_pair, s_order, cur)
+                _close_cycle(s_map, "S", s_order, cur)
             if cur not in u_map:
-                _close_cycle(u_map, _u_pair, u_order, cur)
+                _close_cycle(u_map, "TS", u_order, cur)
             # U(cur) is read once: T(cur) = S^-1(U(cur))
             t_img = u_map.pop(cur)
             if t_img not in s_map:
-                _close_cycle(s_map, _s_pair, s_order, t_img)
+                _close_cycle(s_map, "S", s_order, t_img)
             for _ in range(s_order - 1):
                 t_img = s_map[t_img]
             for img in (s_map[cur], t_img):

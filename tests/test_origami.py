@@ -94,6 +94,22 @@ def test_action_inverses():
     assert x == o
 
 
+def test_action_on_image_pairs_matches_action_on_origamis():
+    # the pair branch of act_letter and canonical_form, which orbit uses,
+    # against the origami branch, for every letter and both signs
+    rng = random.Random(29)
+    for _ in range(40):
+        o = random_transitive_pair(rng, dmax=9)
+        pair = (o.h.images, o.v.images)
+        for gen in "ST":
+            for exp in (1, -1):
+                img = act_letter(o, gen, exp)
+                h, v = act_letter(pair, gen, exp)
+                assert (tuple(h), tuple(v)) == (img.h.images, img.v.images)
+                form = canonical_form(img)
+                assert canonical_form((h, v)) == (form.h.images, form.v.images)
+
+
 def test_pull_back_inverts_push_forward():
     # shear words of random directions, on points inside squares, on
     # their edges and at their corners
@@ -229,8 +245,8 @@ def _minus_identity(o):
 
 @pytest.mark.parametrize("text", [H6, H22, H13], ids=["H(6)", "H(2,2)", "H(1,3)"])
 def test_orbit_matches_four_generator_search_where_minus_identity_acts(text):
-    # orbit skips S-edges only when -I fixes the seed's class; here it
-    # does not, so every S-edge is followed
+    # -I moves the seed's class, so orbit walks S and U = ST cycles of
+    # orders 4 and 6, and reads S^-1 as S^3
     o = parse_origami(text)
     assert canonical_form(_minus_identity(o)) != canonical_form(o)
     ref = reference_orbit(o)
@@ -239,15 +255,15 @@ def test_orbit_matches_four_generator_search_where_minus_identity_acts(text):
     assert orb == frozenset(canonical_form(r) for r in ref)
 
 
-def _counting_canonical_pair(monkeypatch):
-    real = origami_module._canonical_pair
+def _counting_canonical_form(monkeypatch):
+    real = origami_module.canonical_form
     calls = []
 
-    def counting(h, v):
-        calls.append((h, v))
-        return real(h, v)
+    def counting(o):
+        calls.append(o)
+        return real(o)
 
-    monkeypatch.setattr(origami_module, "_canonical_pair", counting)
+    monkeypatch.setattr(origami_module, "canonical_form", counting)
     return calls
 
 
@@ -258,13 +274,14 @@ def _fixed_classes(orb, word):
 
 @pytest.mark.parametrize("k", range(4, 9))
 def test_orbit_skips_s_edges_when_minus_identity_is_trivial(monkeypatch, k):
-    # S has order 2 and U = ST order 3 on the classes; a cycle costs one
-    # form per edge but the last, a fixed point one form, and the seed and
+    # S has order 2 and U = ST order 3 on the classes, so the S-edge back
+    # from S(x) to x is skipped (no canonical form) and so is the last
+    # edge of each U cycle; a fixed point costs one form, and the seed and
     # its -I image one each: 7n/6 + 2, plus 1/2 per S-fixed class and 1/3
     # per U-fixed class
     o = make_l_origami(2, k)
     assert canonical_form(_minus_identity(o)) == canonical_form(o)
-    calls = _counting_canonical_pair(monkeypatch)
+    calls = _counting_canonical_form(monkeypatch)
     orb = orbit(o)
     n, forms = len(orb), len(calls)
     fixed_s = _fixed_classes(orb, [("S", 1)])
@@ -274,10 +291,11 @@ def test_orbit_skips_s_edges_when_minus_identity_is_trivial(monkeypatch, k):
 
 def test_orbit_follows_every_edge_when_minus_identity_acts(monkeypatch):
     # -I moves every class, so S has order 4 and U order 6 on them (no
-    # shorter cycles here): 3n/4 + 5n/6 forms, plus the seed and its -I
+    # shorter cycles here); every edge of a cycle is followed, the last
+    # one without a form: 3n/4 + 5n/6 forms, plus the seed and its -I
     # image
     o = parse_origami(H6)
-    calls = _counting_canonical_pair(monkeypatch)
+    calls = _counting_canonical_form(monkeypatch)
     orb = orbit(o)
     assert len(orb) == 84
     assert len(calls) == 3 * 84 // 4 + 5 * 84 // 6 + 2 == 135
@@ -286,7 +304,7 @@ def test_orbit_follows_every_edge_when_minus_identity_acts(monkeypatch):
 def test_orbit_canonical_forms_of_the_bench_orbits(monkeypatch):
     # the two orbits of the `orbit` benchmark workload have no class
     # fixed by S or U: 7n/6 + 2 forms each, 4,834 in all
-    calls = _counting_canonical_pair(monkeypatch)
+    calls = _counting_canonical_form(monkeypatch)
     sizes = []
     for k in (20, 21):
         del calls[:]
