@@ -120,14 +120,11 @@ def h2_origamis(degree, primitive_only=True):
     for ptype in _partitions(degree):
         h = Perm._trusted(_canonical_of_type(ptype))
         h_cycles = h.cycles(include_fixed=True)
-        seen_w = set()
+        # distinct 3-cycles c give distinct w = c h, none equal to h
         for cyc in _three_cycles(degree):
             w = Perm._trusted(_apply_cycle(h.images, cyc))
-            if w == h or w in seen_w:
-                continue
             if w.cycle_type() != ptype:
                 continue
-            seen_w.add(w)
             v0 = _conjugator(h_cycles, w.cycles(include_fixed=True))
             for z in _centralizer(h):
                 v = tuple(v0[z[i]] for i in range(degree))

@@ -17,6 +17,9 @@ Action conventions (fixed once, validated by the cylinder-data tests):
   (0, x) in square v^-1(i) for y = 0.
 * Inverses accordingly: T^-1: (h, v o h), point (x - y, y) / square
   h^-1(i); S^-1: (v, h^-1), point (y, 1 - x) / square h^-1(i) at x = 0.
+* ``U`` = S T, T first: on pairs (h, v) -> (h o v^-1, h), one inverse and
+  one composition.  :func:`act_letter` takes it with exponent 1 only, for
+  the cycle walk of :func:`orbit`; words and point transport are over S/T.
 
 Acting by a matrix means decomposing it into S/T letters
 (:func:`origamikz.sl2.matrix_to_word`) and applying them right-to-left,
@@ -24,7 +27,7 @@ so that ``act_matrix(M, act_matrix(N, o)) == act_matrix(M*N, o)``.
 """
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, islice
 from math import gcd
 
 from .errors import InvalidShapeError, OrbitCapExceeded, OrigamiError
@@ -298,6 +301,7 @@ def make_l_origami(n, m):
 def act_letter(o, gen, exp):
     """Apply a single S/T letter with exponent sign ``exp`` in {1, -1}.
 
+    ``gen`` may also be "U" = S T with ``exp`` 1: (h, v) -> (h v^-1, h).
     ``o`` is an origami, or a pair (h, v) of image sequences, for which
     the result is the pair of image sequences and no object is built.
     """
@@ -307,7 +311,9 @@ def act_letter(o, gen, exp):
             return h, [v[j] for j in (_inverse(h) if exp > 0 else h)]
         if gen == "S":
             return (_inverse(v), h) if exp > 0 else (v, _inverse(h))
-        raise ValueError("unknown generator %r" % (gen,))
+        if gen == "U" and exp == 1:
+            return [h[j] for j in _inverse(v)], h
+        raise ValueError("unknown letter %r with exponent %r" % (gen, exp))
     h, v = o.h, o.v
     if gen == "T":
         return Origami._trusted(h, v * (h.inverse() if exp > 0 else h))
@@ -315,7 +321,9 @@ def act_letter(o, gen, exp):
         if exp > 0:
             return Origami._trusted(v.inverse(), h)
         return Origami._trusted(v, h.inverse())
-    raise ValueError("unknown generator %r" % (gen,))
+    if gen == "U" and exp == 1:
+        return Origami._trusted(h * v.inverse(), h)
+    raise ValueError("unknown letter %r with exponent %r" % (gen, exp))
 
 
 def transport_letter(o, gen, exp, point):
@@ -401,51 +409,93 @@ def canonical_form(o):
     forward orbit under h and v is the orbit of <h, v>, so every square is
     numbered without h^-1 or v^-1.  The starts are the squares whose
     top-right corner is a cone point, those with v(h(i)) != h(v(i)): 3 in
-    H(2), all d on a torus.  That set is invariant under relabelling, so
-    two origamis are translation-equivalent iff their canonical forms are
-    equal; the representative differs from a minimum over all d starts.
+    H(2).  That set is invariant under relabelling, so two origamis are
+    translation-equivalent iff their canonical forms are equal; the
+    representative differs from a minimum over all d starts.  A torus
+    cover has no such square and one start, square 0: there h and v
+    commute, so <h, v> is abelian and transitive, hence regular, and its
+    centralizer (the automorphisms) takes any square to any other; every
+    start gives the same pair.
 
     ``o`` may also be a pair (h, v) of image sequences; the result is then
     the pair of canonical image tuples and no object is built.
 
     Entry k of a start's h-part is final once the BFS has processed the
-    square labelled k, so each start is compared with the best so far as
-    it goes and dropped at its first larger entry.
+    square labelled k.  The first start leads; each later one challenges
+    it a square at a time, advancing the leader only as far as the
+    comparison needs, and stops at its first entry that differs.  A
+    smaller entry makes it the leader, with the shared prefix kept.  Only
+    the last leader runs to the end and builds its v-part, and at most two
+    label arrays are alive at once.
     """
     is_pair = not isinstance(o, Origami)
     h, v = o if is_pair else (o.h.images, o.v.images)
     d = len(h)
-    starts = [i for i in range(d) if v[h[i]] != h[v[i]]] or range(d)
-    best = None
-    for start in starts:
-        label = [-1] * d
-        label[start] = 0
-        order = [start]
-        key = []
-        tied = best is not None
-        for cur in order:
+    starts = [i for i in range(d) if v[h[i]] != h[v[i]]] or [0]
+    label = [-1] * d
+    order = [starts[0]]
+    label[order[0]] = 0
+    key = []  # the leader's h-part, as far as it has run
+    for start in starts[1:]:
+        c_label = [-1] * d
+        c_label[start] = 0
+        c_order = [start]
+        # this loop and the leader's last run are the hot path and are
+        # written out; the leader's steps on demand go through _bfs_step
+        for pos, cur in enumerate(c_order):
             nxt = h[cur]
-            k = label[nxt]
+            k = c_label[nxt]
             if k < 0:
-                k = label[nxt] = len(order)
-                order.append(nxt)
+                k = c_label[nxt] = len(c_order)
+                c_order.append(nxt)
             nxt = v[cur]
-            if label[nxt] < 0:
-                label[nxt] = len(order)
-                order.append(nxt)
-            if tied:
-                b = best[len(key)]
-                if k > b:
-                    break
-                tied = k == b
-            key.append(k)
+            if c_label[nxt] < 0:
+                c_label[nxt] = len(c_order)
+                c_order.append(nxt)
+            if pos == len(key):
+                key.append(_bfs_step(h, v, label, order, pos))
+            if k != key[pos]:
+                if k < key[pos]:
+                    label, order = c_label, c_order
+                    key[pos:] = [k]
+                break
         else:
-            # the square labelled k is order[k]
-            key += [label[v[i]] for i in order]
-            if best is None or key < best:
-                best = key
-    form = tuple(best[:d]), tuple(best[d:])
+            # equal h-parts: the first v-part entry that differs decides
+            for i, j in zip(order, c_order):
+                if label[v[i]] != c_label[v[j]]:
+                    if c_label[v[j]] < label[v[i]]:
+                        label, order = c_label, c_order
+                    break
+        del c_label, c_order  # before the next start allocates its array
+    for cur in islice(order, len(key), None):
+        nxt = h[cur]
+        k = label[nxt]
+        if k < 0:
+            k = label[nxt] = len(order)
+            order.append(nxt)
+        nxt = v[cur]
+        if label[nxt] < 0:
+            label[nxt] = len(order)
+            order.append(nxt)
+        key.append(k)
+    # the square labelled k is order[k]
+    form = tuple(key), tuple([label[v[i]] for i in order])
     return form if is_pair else _pair_origami(form)
+
+
+def _bfs_step(h, v, label, order, pos):
+    """Process the square labelled ``pos``; return the label of its h-image."""
+    cur = order[pos]
+    nxt = h[cur]
+    k = label[nxt]
+    if k < 0:
+        k = label[nxt] = len(order)
+        order.append(nxt)
+    nxt = v[cur]
+    if label[nxt] < 0:
+        label[nxt] = len(order)
+        order.append(nxt)
+    return k
 
 
 def _pair_origami(pair):
@@ -459,21 +509,17 @@ def _inverse(images):
     return inv
 
 
-def _close_cycle(table, letters, order, x):
-    """Enter the cycle of class ``x`` under ``letters`` into ``table``.
+def _close_cycle(table, gen, order, x):
+    """Enter the cycle of class ``x`` under the letter ``gen`` into ``table``.
 
-    The letters are applied left to right, each with exponent 1: "S" is
-    S and "TS" is U = S T.  ``order`` is a multiple of every cycle length,
-    so all edges but the last are computed and the last one goes back to
-    ``x``; a shorter cycle, a fixed point included, closes when it comes
-    back.
+    ``gen`` is "S" or "U", applied with exponent 1.  ``order`` is a
+    multiple of every cycle length, so all edges but the last are computed
+    and the last one goes back to ``x``; a shorter cycle, a fixed point
+    included, closes when it comes back.
     """
     cur = x
     for _ in range(order - 1):
-        img = cur
-        for gen in letters:
-            img = act_letter(img, gen, 1)
-        img = canonical_form(img)
+        img = canonical_form(act_letter(cur, gen, 1))
         table[cur] = img
         if img == x:
             return
@@ -495,11 +541,13 @@ def orbit(o, cap=ORBIT_CAP):
     fixes every class in the orbit: on the classes, S has order 2 and
     U order 3, as in PSL2(Z) = Z/2 * Z/3, and S^-1 = S.  Otherwise the
     orders are 4 and 6 and S^-1 = S^3.  A cycle of length l costs
-    min(l, order - 1) canonical forms, so an orbit of n classes costs
-    7n/6 + 2 forms if no class is fixed by S or U, and 3n/4 + 5n/6 + 2
-    if -I acts and no class is fixed by U^2.  Forms are kept as pairs of
-    image tuples, which :func:`act_letter` and :func:`canonical_form` take
-    in place of origamis; origamis are built only for the result.
+    min(l, order - 1) letters, each one :func:`act_letter` call and one
+    canonical form, so an orbit of n classes costs 7n/6 + 2 forms if no
+    class is fixed by S or U, and 3n/4 + 5n/6 + 2 if -I acts and no class
+    is fixed by U^2; the 2 are the seed and its -I image, which take no
+    letter.  Forms are kept as pairs of image tuples, which
+    :func:`act_letter` and :func:`canonical_form` take in place of
+    origamis; origamis are built only for the result.
 
     Raises :class:`OrbitCapExceeded` if more than ``cap`` forms show up,
     carrying the partial set, the BFS depth of the form being expanded
@@ -522,7 +570,7 @@ def orbit(o, cap=ORBIT_CAP):
             if cur not in s_map:
                 _close_cycle(s_map, "S", s_order, cur)
             if cur not in u_map:
-                _close_cycle(u_map, "TS", u_order, cur)
+                _close_cycle(u_map, "U", u_order, cur)
             # U(cur) is read once: T(cur) = S^-1(U(cur))
             t_img = u_map.pop(cur)
             if t_img not in s_map:

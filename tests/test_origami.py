@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -26,6 +27,7 @@ from origamikz.origami import (MAX_DEGREE, act_letter, act_word, pull_back_point
 from origamikz.sl2 import matrix_to_word
 from util import (
     GENS,
+    cone_start_canonical_form,
     random_direction,
     random_transitive_pair,
     reference_canonical_form,
@@ -101,13 +103,26 @@ def test_action_on_image_pairs_matches_action_on_origamis():
     for _ in range(40):
         o = random_transitive_pair(rng, dmax=9)
         pair = (o.h.images, o.v.images)
-        for gen in "ST":
-            for exp in (1, -1):
-                img = act_letter(o, gen, exp)
-                h, v = act_letter(pair, gen, exp)
-                assert (tuple(h), tuple(v)) == (img.h.images, img.v.images)
-                form = canonical_form(img)
-                assert canonical_form((h, v)) == (form.h.images, form.v.images)
+        for gen, exp in GENS + [("U", 1)]:
+            img = act_letter(o, gen, exp)
+            h, v = act_letter(pair, gen, exp)
+            assert (tuple(h), tuple(v)) == (img.h.images, img.v.images)
+            form = canonical_form(img)
+            assert canonical_form((h, v)) == (form.h.images, form.v.images)
+
+
+def test_u_is_t_then_s():
+    # U = S T in one step, (h, v) -> (h v^-1, h), on origamis and on pairs
+    rng = random.Random(37)
+    for _ in range(40):
+        o = random_transitive_pair(rng, dmax=9)
+        ts = act_letter(act_letter(o, "T", 1), "S", 1)
+        assert act_letter(o, "U", 1) == ts == act_word(o, [("S", 1), ("T", 1)])[0]
+        h, v = act_letter((o.h.images, o.v.images), "U", 1)
+        assert (tuple(h), tuple(v)) == (ts.h.images, ts.v.images)
+    for x in (o, (o.h.images, o.v.images)):
+        with pytest.raises(ValueError):
+            act_letter(x, "U", -1)
 
 
 def test_pull_back_inverts_push_forward():
@@ -218,13 +233,112 @@ def _orbit_relabelled(text):
 ], ids=["h2-census-d<=6", "torus-covers", "H(1,1)", "H(4)", "H(1,3)", "H(2,2)"])
 def test_canonical_form_agrees_with_all_starts_reference(build):
     # the cone-anchored form and the all-starts form must induce the same
-    # partition: (reference, form) pairs are a bijection between the two
+    # partition: (reference, form) pairs are a bijection between the two;
+    # and the form is the minimum over the cone starts, each run to the end
     surfaces = build(random.Random(11))
+    for o in surfaces:
+        assert canonical_form(o) == cone_start_canonical_form(o)
     pairs = {(reference_canonical_form(o), canonical_form(o)) for o in surfaces}
     assert len(pairs) == len({r for r, _ in pairs}) == len({c for _, c in pairs})
     assert len(pairs) < len(surfaces)  # relabelled copies did collide
     for _, c in pairs:
         assert canonical_form(c) == c
+
+
+def _regular_origami(elements, mul, x, y):
+    # the origami of a group with h, v the right multiplications by x, y
+    index = {g: i for i, g in enumerate(elements)}
+    return Origami(Perm([index[mul(g, x)] for g in elements]),
+                   Perm([index[mul(g, y)] for g in elements]))
+
+
+def _eierlegende_wollmilchsau():
+    # the quaternion group, as (sign, unit) with units 1, i, j, k = 0..3
+    table = {(0, 0): (1, 0), (0, 1): (1, 1), (0, 2): (1, 2), (0, 3): (1, 3),
+             (1, 0): (1, 1), (1, 1): (-1, 0), (1, 2): (1, 3), (1, 3): (-1, 2),
+             (2, 0): (1, 2), (2, 1): (-1, 3), (2, 2): (-1, 0), (2, 3): (1, 1),
+             (3, 0): (1, 3), (3, 1): (1, 2), (3, 2): (-1, 1), (3, 3): (-1, 0)}
+
+    def mul(a, b):
+        sign, unit = table[a[1], b[1]]
+        return a[0] * b[0] * sign, unit
+
+    q8 = [(s, u) for s in (1, -1) for u in range(4)]
+    return _regular_origami(q8, mul, (1, 1), (1, 2))
+
+
+def _heisenberg_mod_5():
+    # upper unitriangular 3x3 matrices over Z/5, (a, b, c) the entries
+    # above the diagonal, rows first
+    def mul(g, k):
+        return ((g[0] + k[0]) % 5, (g[1] + k[1]) % 5,
+                (g[2] + k[2] + g[0] * k[1]) % 5)
+
+    group = list(itertools.product(range(5), repeat=3))
+    return _regular_origami(group, mul, (1, 0, 0), (0, 1, 0))
+
+
+@pytest.mark.parametrize("build,d,cones", [
+    (_eierlegende_wollmilchsau, 8, (1, 1, 1, 1)),
+    (_heisenberg_mod_5, 125, (4,) * 25),
+], ids=["Eierlegende-Wollmilchsau", "Heisenberg-mod-5"])
+def test_canonical_form_when_every_start_ties(build, d, cones):
+    # a regular origami: the left multiplications are automorphisms, so
+    # every square is a cone start and every start gives the same key,
+    # and each challenger runs to the end of both parts
+    o = build()
+    assert o.degree == d
+    assert singularity_data(o).cone_orders == cones
+    h, v = o.h.images, o.v.images
+    assert all(v[h[i]] != h[v[i]] for i in range(d))
+    form = cone_start_canonical_form(o)
+    assert canonical_form(o) == form
+    for x in _relabellings(random.Random(13), o, 3):
+        assert canonical_form(x) == form
+
+
+class _CountingImages:
+    # an image sequence that counts its reads
+    def __init__(self, images):
+        self.images = images
+        self.reads = 0
+
+    def __len__(self):
+        return len(self.images)
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return self.images[i]
+
+
+def test_canonical_form_takes_one_start_on_a_torus():
+    # no cone square: h and v commute, every start gives the same key, so
+    # one start is taken: 2d reads of h find no cone square and d more
+    # number the squares (all d starts would read it about d^2 times)
+    o = torus_cover(40, 7, 25)
+    d = o.degree
+    assert d == 1000
+    h = _CountingImages(o.h.images)
+    form = canonical_form((h, o.v.images))
+    assert h.reads <= 3 * d
+    x = _relabellings(random.Random(17), o, 1)[0]
+    assert form == canonical_form((x.h.images, x.v.images))
+
+
+def test_canonical_form_memory_stays_flat_in_the_number_of_starts():
+    # at most two label arrays are alive at once, whatever the number of
+    # cone starts; one array per start would hold about 70 MB here
+    o = random_transitive_pair(random.Random(41), 3000, 3000)
+    pair = (o.h.images, o.v.images)
+    h, v = pair
+    assert sum(v[h[i]] != h[v[i]] for i in range(3000)) > 2900
+    tracemalloc.start()
+    try:
+        canonical_form(pair)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 @pytest.mark.parametrize("o", [make_l_origami(2, k) for k in range(2, 9)] + [
@@ -303,13 +417,23 @@ def test_orbit_follows_every_edge_when_minus_identity_acts(monkeypatch):
 
 def test_orbit_canonical_forms_of_the_bench_orbits(monkeypatch):
     # the two orbits of the `orbit` benchmark workload have no class
-    # fixed by S or U: 7n/6 + 2 forms each, 4,834 in all
+    # fixed by S or U: 7n/6 + 2 forms each, 4,834 in all, and one
+    # act_letter call per form but the seed's and its -I image's, U being
+    # one letter: 4,830 in all
     calls = _counting_canonical_form(monkeypatch)
+    letters = []
+    real = origami_module.act_letter
+
+    def counting(o, gen, exp):
+        letters.append(gen)
+        return real(o, gen, exp)
+
+    monkeypatch.setattr(origami_module, "act_letter", counting)
     sizes = []
     for k in (20, 21):
-        del calls[:]
-        sizes.append((len(orbit(make_l_origami(2, k))), len(calls)))
-    assert sizes == [(1440, 1682), (2700, 3152)]
+        del calls[:], letters[:]
+        sizes.append((len(orbit(make_l_origami(2, k))), len(calls), len(letters)))
+    assert sizes == [(1440, 1682, 1680), (2700, 3152, 3150)]
 
 
 def test_orbit_l22_matches_exhaustive_enumeration():
@@ -480,7 +604,7 @@ def test_unchecked_results_pass_the_checks():
     rng = random.Random(5)
     for _ in range(20):
         o = random_transitive_pair(rng)
-        outs = [act_letter(o, g, e) for g in "ST" for e in (1, -1)]
+        outs = [act_letter(o, g, e) for g, e in GENS + [("U", 1)]]
         outs += [canonical_form(o), Origami(o.h * o.v, o.v.inverse())]
         for r in outs:
             assert Origami(Perm(r.h.images), Perm(r.v.images)) == r

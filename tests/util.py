@@ -1,7 +1,7 @@
 """Shared helpers for the test suite: seeded random surfaces and directions,
 the reference Fraction intersection pairing, the reference Fraction
 determinant and solver for the Gram system, the reference all-starts
-canonical form and a four-generator orbit search."""
+and cone-starts canonical forms and a four-generator orbit search."""
 
 from fractions import Fraction
 
@@ -206,6 +206,34 @@ def reference_canonical_form(o):
             new_h[label[i]] = label[h[i]]
             new_v[label[i]] = label[v[i]]
         key = tuple(new_h) + tuple(new_v)
+        if best is None or key < best:
+            best = key
+    return Origami._trusted(Perm._trusted(best[:d]), Perm._trusted(best[d:]))
+
+
+def cone_start_canonical_form(o):
+    """The minimum of the full (h, v) keys over the cone starts.
+
+    The same starts as :func:`origamikz.canonical_form` (the squares with
+    v(h(i)) != h(v(i)), all d on a torus), the same BFS along h then v,
+    but every start runs to the end and no start is dropped early: the
+    oracle for the leader/challenger search and its single torus start.
+    """
+    d = o.degree
+    h, v = o.h.images, o.v.images
+    starts = [i for i in range(d) if v[h[i]] != h[v[i]]] or range(d)
+    best = None
+    for start in starts:
+        label = [-1] * d
+        order = [start]
+        label[start] = 0
+        for cur in order:
+            for nxt in (h[cur], v[cur]):
+                if label[nxt] < 0:
+                    label[nxt] = len(order)
+                    order.append(nxt)
+        key = (tuple(label[h[i]] for i in order)
+               + tuple(label[v[i]] for i in order))
         if best is None or key < best:
             best = key
     return Origami._trusted(Perm._trusted(best[:d]), Perm._trusted(best[d:]))
