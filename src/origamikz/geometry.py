@@ -13,10 +13,14 @@ direction is horizontal and reads the cylinders off the h-cycles, while
 recover the cylinder boundaries combinatorially.  They validate each
 other in the test suite.
 
-:func:`decompose` builds only the cylinders (rows, f, c and core
-loops), which is all the homology pipeline reads.  The saddle
-connections and the upper boundary of each cylinder are traced on first
-access to :attr:`CylinderDecomposition.saddle_connections` or
+:func:`decompose` shears once and builds only the cylinders (rows, f
+and c), keeping the shear's stages.  The multitwist pipeline reads the
+cores as cellular cycles through those stages
+(:meth:`CylinderDecomposition.core_cycles`,
+:meth:`CylinderDecomposition.omega_with_cores`); a core loop is traced
+on first access to :attr:`Cylinder.core`, and the saddle connections
+and the upper boundary of each cylinder on first access to
+:attr:`CylinderDecomposition.saddle_connections` or
 :attr:`CylinderDecomposition.upper_boundaries`.
 """
 
@@ -24,7 +28,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import TracingError
-from .origami import MAX_TRACE_LENGTH, act_word, pull_back_point, push_forward_point
+from .origami import (MAX_TRACE_LENGTH, act_word, pull_back_chain, pull_back_point,
+                      push_forward_chain, push_forward_point)
 from .sl2 import Mat2, matrix_to_word
 
 F0 = Fraction(0)
@@ -366,17 +371,24 @@ class Cylinder:
     ``height_rows`` the number of rows.  ``c`` is the combinatorial
     height: row heights divided by their gcd across the decomposition.
     ``core`` is the mid-height closed geodesic, in the original
-    (unsheared) frame.
+    (unsheared) frame, traced on first access.
     """
 
-    __slots__ = ("rows", "height_rows", "f", "c", "core")
+    __slots__ = ("rows", "height_rows", "f", "c", "_frame", "_core")
 
-    def __init__(self, rows, f, height_rows, core, c=1):
+    def __init__(self, rows, f, height_rows, c, frame):
         self.rows = tuple(tuple(r) for r in rows)
         self.height_rows = height_rows
         self.f = f
         self.c = c
-        self.core = core
+        self._frame = frame  # (origami, direction, shear stages)
+        self._core = None
+
+    @property
+    def core(self):
+        if self._core is None:
+            self._core = _trace_core(self)
+        return self._core
 
     def __repr__(self):
         return "Cylinder(f=%d, height=%d, c=%d)" % (
@@ -389,17 +401,21 @@ class Cylinder:
 class CylinderDecomposition:
     """The cylinders of one direction, sorted by (f, smallest square id).
 
-    ``saddle_connections`` and ``upper_boundaries`` (per cylinder, the
-    sorted indices of the saddle connections bounding it from above) are
-    traced together on first access to either.
+    The stages of the shear that made the direction horizontal are kept:
+    cores are traced from them on first access, cellular core cycles and
+    their intersections are read through them, and ``saddle_connections``
+    and ``upper_boundaries`` (per cylinder, the sorted indices of the
+    saddle connections bounding it from above) are traced and labelled
+    with them, together, on first access to either.
     """
 
-    __slots__ = ("origami", "direction", "cylinders", "_labels")
+    __slots__ = ("origami", "direction", "cylinders", "_stages", "_labels")
 
-    def __init__(self, origami, direction, cylinders):
+    def __init__(self, origami, direction, cylinders, stages):
         self.origami = origami
         self.direction = direction
         self.cylinders = tuple(cylinders)
+        self._stages = stages
         self._labels = None
 
     @property
@@ -419,6 +435,41 @@ class CylinderDecomposition:
 
     def c_values(self):
         return tuple(c.c for c in self.cylinders)
+
+    def core_cycles(self):
+        """Each cylinder's core as a cellular 1-cycle (b, l) of the origami.
+
+        In the sheared frame the bottom edges of the cylinder's bottom
+        row and the row's mid-height line bound its lower half, so their
+        sum is homologous to the core; it is pulled back through the
+        shear with :func:`origamikz.origami.pull_back_chain`, whose edges
+        are those of :func:`origamikz.origami.transport_chain`.
+        """
+        d = self.origami.degree
+        p, q = self.direction.vector
+        out = []
+        for cyl in self.cylinders:
+            b = [0] * d
+            for sq in cyl.rows[0]:
+                b[sq] = 1
+            z = pull_back_chain(self._stages, (b, [0] * d))
+            if (sum(z[0]), sum(z[1])) != (cyl.f * p, cyl.f * q):
+                raise TracingError("core cycle holonomy is not f times the direction")
+            out.append(z)
+        return out
+
+    def omega_with_cores(self, cycle):
+        """omega(cycle, core) for each cylinder, without tracing a core.
+
+        ``cycle`` is a cellular 1-cycle of the origami.  Pushed into the
+        sheared frame, where each core runs along (1, 0) at mid-height of
+        its rows, it meets a core only on the left edges l_i of the
+        core's row, each once and upwards; such a crossing counts
+        det[(0, 1), (1, 0)] = -1, as in
+        :func:`origamikz.homology.intersection_number`.
+        """
+        _, l = push_forward_chain(self.origami, self._stages, cycle)
+        return tuple(-sum(l[sq] for sq in cyl.rows[0]) for cyl in self.cylinders)
 
     def __repr__(self):
         return "CylinderDecomposition(dir=%r, f=%r, c=%r)" % (
@@ -472,53 +523,55 @@ def decompose(o, direction):
     """Cylinder decomposition of ``o`` in a rational direction.
 
     Shears the origami until the direction is horizontal (a word in the
-    S/T action), reads rows and heights there, and pulls the core curves
-    back through the shear as exact geodesics in the original frame.
-    Every rational direction on an origami is completely periodic, so
-    this never fails.  Cylinders are sorted by (f, smallest square id).
-    No saddle connection is traced here; the result traces and labels
-    them on first access (see :class:`CylinderDecomposition`).
+    S/T action) and reads rows and heights there; the shear's stages
+    stay on the result.  Every rational direction on an origami is
+    completely periodic, so this never fails.  Cylinders are sorted by
+    (f, smallest square id).  No curve is traced here: a core is pulled
+    back through the shear and traced on first access (see
+    :class:`Cylinder`), and the saddle connections are traced and
+    labelled on first access (see :class:`CylinderDecomposition`).
     """
     _check_trace_length(o, direction)
     sheared, stages = act_word(o, matrix_to_word(shear_matrix(direction)))
     chains = _row_chains(sheared)
-    corners = _Corners(o)
 
     heights = [len(chain) for chain in chains]
     g = 0
     for hgt in heights:
         g = gcd(g, hgt)
-    cvals = [hgt // g for hgt in heights]
-
-    cylinders = []
-    for chain, hgt, c in zip(chains, heights, cvals):
-        # mid-height of the middle row is interior to the cylinder, so the
-        # core never meets a cone point
-        start_sq = min(chain[len(chain) // 2])
-        p0 = pull_back_point(stages, (start_sq, F0, FHALF))
-        core = GeodesicLoop(o, direction, _trace_closed(o, corners, p0, direction))
-        f = len(chain[0])
-        if core.holonomy() != (f * direction.p, f * direction.q):
-            raise TracingError("core holonomy is not f times the direction")
-        cylinders.append(Cylinder(chain, f, hgt, core, c))
-
+    frame = (o, direction, stages)
+    cylinders = [Cylinder(chain, len(chain[0]), hgt, hgt // g, frame)
+                 for chain, hgt in zip(chains, heights)]
     cylinders.sort(key=lambda cyl: (cyl.f, min(min(r) for r in cyl.rows)))
     if sum(c.f * c.height_rows for c in cylinders) != o.degree:
         raise TracingError("cylinder areas do not sum to the degree")
-    return CylinderDecomposition(o, direction, cylinders)
+    return CylinderDecomposition(o, direction, cylinders, stages)
+
+
+def _trace_core(cyl):
+    """Pull a cylinder's mid-height point back through the shear and trace."""
+    o, direction, stages = cyl._frame
+    # mid-height of the middle row is interior to the cylinder, so the
+    # core never meets a cone point
+    start_sq = min(cyl.rows[len(cyl.rows) // 2])
+    p0 = pull_back_point(stages, (start_sq, F0, FHALF))
+    core = GeodesicLoop(o, direction, _trace_closed(o, _Corners(o), p0, direction))
+    if core.holonomy() != (cyl.f * direction.p, cyl.f * direction.q):
+        raise TracingError("core holonomy is not f times the direction")
+    return core
 
 
 def _label_saddles(dec):
     """Saddle connections of a decomposition and the cylinders' upper boundaries.
 
-    Re-derives the shear from the direction and pushes the midpoint of
-    each saddle connection's first segment into the sheared frame, where
-    the connection is horizontal: the point lies on the bottom edge of
-    a square s, and the connection bounds from above the cylinder whose
-    top row holds v^-1(s).  Returns ``(saddles, upper_boundaries)``.
+    Pushes the midpoint of each saddle connection's first segment through
+    the kept shear stages into the sheared frame, where the connection
+    is horizontal: the point lies on the bottom edge of a square s, and
+    the connection bounds from above the cylinder whose top row holds
+    v^-1(s).  Returns ``(saddles, upper_boundaries)``.
     """
-    o, direction = dec.origami, dec.direction
-    sheared, stages = act_word(o, matrix_to_word(shear_matrix(direction)))
+    o, direction, stages = dec.origami, dec.direction, dec._stages
+    sheared = stages[-1][2] if stages else o
     top_row_of = {sq: k for k, cyl in enumerate(dec.cylinders) for sq in cyl.rows[-1]}
     saddles = tuple(r[0] for r in _raw_saddles(o, _Corners(o), direction))
     upper = [[] for _ in dec.cylinders]

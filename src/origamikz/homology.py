@@ -5,9 +5,11 @@ loop or an integer coefficient vector over the basis (X1, X2, Y1, Y2) of
 horizontal and vertical core curves.  The intersection form is assembled
 as the 4x4 Gram matrix and classes of new loops are recovered by solving
 ``A x = (omega(X1, loop), .., omega(Y2, loop))`` in integers, which is
-enough for every computation in scope; no chain complex is built.  A is
-skew-symmetric, so det(A) = Pf(A)^2 and A^-1 = adj(A) / Pf(A) in closed
-form.
+enough for every computation in scope.  A is skew-symmetric, so
+det(A) = Pf(A)^2 and A^-1 = adj(A) / Pf(A) in closed form.  The right
+side for a cylinder core needs no traced core: the basis curves are
+taken as cellular 1-cycles and pushed through the core's shear, where
+the core is horizontal (:meth:`HomologyBasis.omega_against_cores`).
 
 Sign convention: a transverse crossing of a curve in direction u with a
 curve in direction w counts as the sign of det[u w] (columns u, w).  All
@@ -123,7 +125,7 @@ class HomologyBasis:
     """
 
     __slots__ = ("origami", "decompositions", "directions", "loops",
-                 "f_values", "gram")
+                 "f_values", "gram", "_cycles")
 
     def __init__(self, dec1, dec2):
         if dec1.direction == dec2.direction:
@@ -149,10 +151,25 @@ class HomologyBasis:
         self.gram = tuple(tuple(row) for row in g)
         if _pfaffian(self.gram) == 0:
             raise RankError("intersection form is degenerate on this basis")
+        self._cycles = None
 
     def omega_against(self, loop):
         """(omega(X1, loop), omega(X2, loop), omega(Y1, loop), omega(Y2, loop))."""
         return tuple(intersection_number(b, loop) for b in self.loops)
+
+    def omega_against_cores(self, dec):
+        """:meth:`omega_against` of each core of ``dec``, none of them traced.
+
+        The basis curves are taken as cellular cycles
+        (:meth:`CylinderDecomposition.core_cycles`, built once) and
+        paired with the cores through ``dec``'s shear.  One 4-tuple per
+        cylinder, in ``dec``'s order.
+        """
+        if dec.origami != self.origami:
+            raise OrigamiError("decomposition and basis live on different origamis")
+        if self._cycles is None:
+            self._cycles = tuple(z for d in self.decompositions for z in d.core_cycles())
+        return list(zip(*(dec.omega_with_cores(z) for z in self._cycles)))
 
     def __repr__(self):
         return "HomologyBasis(dirs=%r, f=%r)" % (self.directions, self.f_values)
@@ -219,9 +236,12 @@ def express_in_basis(loop, basis):
 
     Solves A x = (omega(X1, loop), .., omega(Y2, loop)) in integers; a
     fractional solution raises IntegralityError (a finding about the
-    basis, not a fallback code path).
+    basis, not a fallback code path).  ``loop`` is a traced loop, or the
+    tuple of those four intersection numbers, as
+    :meth:`HomologyBasis.omega_against_cores` gives them.
     """
-    return _solve_gram(basis.gram, basis.omega_against(loop))
+    omegas = loop if isinstance(loop, tuple) else basis.omega_against(loop)
+    return _solve_gram(basis.gram, omegas)
 
 
 def omega_class_loop(basis, coeffs, loop):

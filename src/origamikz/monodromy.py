@@ -45,13 +45,15 @@ def dehn_twist_action(dec, basis):
     """Matrix of the minimal multitwist of ``dec`` on the non-tautological part.
 
     ``dec`` is a cylinder decomposition of the basis's origami; it is
-    twisted as given, not decomposed again.  Columns are the images of X
+    twisted as given, not decomposed again, and its cores are paired
+    with the basis cellularly, not traced.  Columns are the images of X
     and Y.  Entries must come out integral and the determinant must be
     1; violations raise instead of degrading to rational output, since
     they would mean the {X, Y} pair is not a basis of the kernel lattice.
     """
     multiplicities = twist_multiplicities(dec)
-    gammas = [express_in_basis(cyl.core, basis) for cyl in dec.cylinders]
+    gammas = [express_in_basis(omegas, basis)
+              for omegas in basis.omega_against_cores(dec)]
     nt = nontaut_basis(basis)
     gram = basis.gram
     cols = []

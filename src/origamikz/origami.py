@@ -19,7 +19,8 @@ Action conventions (fixed once, validated by the cylinder-data tests):
   h^-1(i); S^-1: (v, h^-1), point (y, 1 - x) / square h^-1(i) at x = 0.
 * ``U`` = S T, T first: on pairs (h, v) -> (h o v^-1, h), one inverse and
   one composition.  :func:`act_letter` takes it with exponent 1 only, for
-  the cycle walk of :func:`orbit`; words and point transport are over S/T.
+  the cycle walk of :func:`orbit`; words and point and chain transport
+  are over S/T.
 
 Acting by a matrix means decomposing it into S/T letters
 (:func:`origamikz.sl2.matrix_to_word`) and applying them right-to-left,
@@ -39,9 +40,10 @@ MAX_DEGREE = 10000
 
 # Largest d * (|p| + |q|) for which a degree-d origami is decomposed or
 # traced in direction (p, q): the shear keeps one origami per unit of
-# shear exponent and the traced curves cross that many squares in all,
-# so time and memory grow with it (at 10^5, about 6.4 s and 110 MB on
-# 2 vCPUs with Python 3.11).
+# shear exponent, for as long as the decomposition lives, and the traced
+# curves cross that many squares in all, so time and memory grow with it
+# (at 10^5, decomposing and tracing the saddle connections takes about
+# 2.3 s and 65 MB on 2 vCPUs with Python 3.11).
 # Checked before the shear; every direction of the basis search
 # (|p| + |q| <= 12) passes at every degree up to MAX_DEGREE.
 MAX_TRACE_LENGTH = 12 * MAX_DEGREE
@@ -351,6 +353,36 @@ def transport_letter(o, gen, exp, point):
     raise ValueError("unknown generator %r" % (gen,))
 
 
+def transport_chain(o, gen, exp, chain):
+    """Image of a cellular 1-chain under one generator acting on ``o``.
+
+    ``chain`` is a pair (b, l) of integer coefficient lists over the
+    edges of ``o``: b_i is the bottom of square i, from its bottom-left
+    corner to that of h(i), and l_i its left side, up to that of v(i).
+    Each edge goes to the edge path of the acted origami that
+    :func:`transport_letter` carries it to, up to homotopy rel ends:
+
+    * T: b_i -> b_i and l_i -> b_i + l_h(i);
+    * S: b_i -> l_v^-1(i) and l_i -> -b_i;
+    * T^-1: b_i -> b_i and l_i -> l_h^-1(i) - b_h^-1(i);
+    * S^-1: b_i -> -l_i and l_i -> b_h^-1(i).
+
+    T^-1 and S^-1 are the inverses of the maps of T and S, solved for the
+    edges of T^-1(o) = (h, v h) and S^-1(o) = (v, h^-1).
+    """
+    b, l = chain
+    h = o.h.images
+    if gen == "T":
+        if exp > 0:
+            return [x + y for x, y in zip(b, l)], [l[j] for j in o.h.inverse().images]
+        return [x - l[j] for x, j in zip(b, h)], [l[j] for j in h]
+    if gen == "S":
+        if exp > 0:
+            return [-y for y in l], [b[j] for j in o.v.images]
+        return [l[j] for j in h], [-x for x in b]
+    raise ValueError("unknown generator %r" % (gen,))
+
+
 def act_word(o, word):
     """Apply a word over S/T (rightmost letter first).
 
@@ -386,6 +418,21 @@ def push_forward_point(o, stages, point):
         point = transport_letter(o, gen, exp, point)
         o = after
     return point
+
+
+def pull_back_chain(stages, chain):
+    """Undo a stage list (from :func:`act_word`) on a cellular 1-chain."""
+    for gen, exp, after in reversed(stages):
+        chain = transport_chain(after, gen, -exp, chain)
+    return chain
+
+
+def push_forward_chain(o, stages, chain):
+    """Apply a stage list (from :func:`act_word` on ``o``) to a cellular 1-chain."""
+    for gen, exp, after in stages:
+        chain = transport_chain(o, gen, exp, chain)
+        o = after
+    return chain
 
 
 # ---------------------------------------------------------------------------

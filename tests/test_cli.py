@@ -437,3 +437,43 @@ def test_verify_paper_text(capsys):
     assert len(checks) == 34 and all(line.startswith("    ") for line in checks)
     assert any("twist matrix (3,5)" in line and "got [[3, 2], [-2, -1]]" in line
                for line in checks)
+
+
+@pytest.mark.parametrize("argv, traced", [
+    # the twists pair the cores cellularly: only the 4 cores of each of
+    # the 3 standard bases are traced, for their Gram matrices
+    (["conjecture", "--max-dir-sum", "14"], 12),
+    # the paper's tables read the basis cores and the twist directions'
+    # cores: 8 per even-degree case, 6 per odd one (its vertical twist
+    # direction is the basis axis)
+    (["verify-paper", "--n-max", "10"], 140),
+    # the report reads saddle connections, never a core
+    (["decompose", "L24", "--dir", "2,3"], 0),
+], ids=["conjecture", "verify-paper", "decompose"])
+def test_cores_traced_per_command(monkeypatch, capsys, l24_file, argv, traced):
+    real = geometry._trace_closed
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(geometry, "_trace_closed", counting)
+    assert main([l24_file if a == "L24" else a for a in argv]) == 0
+    capsys.readouterr()
+    assert len(calls) == traced
+
+
+def test_decompose_shears_once(monkeypatch, capsys, l24_file):
+    # the saddle labels reuse the stages decompose kept
+    real = geometry.act_word
+    calls = []
+
+    def counting(o, word):
+        calls.append(word)
+        return real(o, word)
+
+    monkeypatch.setattr(geometry, "act_word", counting)
+    assert main(["decompose", l24_file, "--dir=-7,30"]) == 0
+    capsys.readouterr()
+    assert len(calls) == 1

@@ -210,7 +210,7 @@ def test_boundary_tracing_matches_decompose_randomised():
 
 
 def test_decompose_traces_no_saddle_connections(monkeypatch):
-    # the multitwist pipeline reads only cylinders and cores; saddle
+    # the multitwist pipeline reads only cylinders and their core cycles; saddle
     # connections are traced on first access
     def boom(*args):
         raise RuntimeError("saddle connections traced")
@@ -242,6 +242,22 @@ def test_saddle_labels_push_one_point_per_saddle(monkeypatch):
         monkeypatch.setattr(geometry, name, counting)
     assert len(dec.upper_boundaries) == 2
     assert calls == {"push_forward_point": 3, "contains_point": 0, "pull_back_point": 0}
+
+
+def test_core_is_traced_once_on_first_access(monkeypatch):
+    real = geometry._trace_closed
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(geometry, "_trace_closed", counting)
+    dec = decompose(make_l_origami(2, 4), Direction(2, 3))
+    assert calls == []
+    cyl = dec.cylinders[0]
+    assert cyl.core is cyl.core
+    assert len(calls) == 1
 
 
 def test_saddle_labels_are_computed_once():

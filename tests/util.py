@@ -1,7 +1,8 @@
 """Shared helpers for the test suite: seeded random surfaces and directions,
 the reference Fraction intersection pairing, the reference Fraction
-determinant and solver for the Gram system, the reference all-starts
-and cone-starts canonical forms and a four-generator orbit search."""
+determinant and solver for the Gram system, the traced multitwist action,
+the reference all-starts and cone-starts canonical forms and a
+four-generator orbit search."""
 
 from fractions import Fraction
 
@@ -17,7 +18,10 @@ from origamikz import (
     singularity_data,
 )
 from origamikz.geometry import _Corners
+from origamikz.homology import express_in_basis, nontaut_basis
+from origamikz.monodromy import _in_span, twist_multiplicities
 from origamikz.origami import act_letter
+from origamikz.sl2 import Mat2
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -175,6 +179,31 @@ def reference_solve4(m, b):
                 factor = rows[r][col]
                 rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
     return tuple(rows[r][4] for r in range(4))
+
+
+def reference_dehn_twist_action(dec, basis):
+    """The multitwist matrix of ``dec`` from traced cores.
+
+    The traced route that :func:`origamikz.dehn_twist_action` replaced
+    with cellular core intersections, kept as its test oracle: every core
+    of ``dec`` is traced and paired with the basis loops, then the same
+    Gram solve and span check run.  The determinant check is left to the
+    tests.
+    """
+    gammas = [express_in_basis(cyl.core, basis) for cyl in dec.cylinders]
+    nt = nontaut_basis(basis)
+    gram = basis.gram
+    cols = []
+    for z in (nt.x, nt.y):
+        w = list(z)
+        for n_i, gamma in zip(twist_multiplicities(dec), gammas):
+            omega = sum(
+                z[i] * gram[i][j] * gamma[j] for i in range(4) for j in range(4)
+            )
+            for k in range(4):
+                w[k] += n_i * omega * gamma[k]
+        cols.append(_in_span(w, nt))
+    return Mat2(cols[0][0], cols[1][0], cols[0][1], cols[1][1])
 
 
 def reference_canonical_form(o):
