@@ -1,15 +1,14 @@
 """Intersection pairing of geodesic loops and the 4-curve homology basis.
 
-Homology classes are handled geometrically: a class is either a traced
-loop or an integer coefficient vector over the basis (X1, X2, Y1, Y2) of
-horizontal and vertical core curves.  The intersection form is assembled
-as the 4x4 Gram matrix and classes of new loops are recovered by solving
-``A x = (omega(X1, loop), .., omega(Y2, loop))`` in integers, which is
-enough for every computation in scope.  A is skew-symmetric, so
-det(A) = Pf(A)^2 and A^-1 = adj(A) / Pf(A) in closed form.  The right
-side for a cylinder core needs no traced core: the basis curves are
-taken as cellular 1-cycles and pushed through the core's shear, where
-the core is horizontal (:meth:`HomologyBasis.omega_against_cores`).
+A curve meets the basis (X1, X2, Y1, Y2) of core curves of two
+cylinder decompositions as its row (omega(X1, c), .., omega(Y2, c)):
+read cellularly for a cylinder core, with the basis curves as cellular
+1-cycles pushed through the core's shear, where it is horizontal
+(:meth:`HomologyBasis.omega_against_cores`, no curve traced), or paired
+with the traced basis loops (:meth:`HomologyBasis.omega_against`).  The
+basis's own rows give its Gram matrix A, and a class is recovered from
+its row by solving ``A x = row`` in integers.  A is skew-symmetric, so
+det(A) = Pf(A)^2 and A^-1 = adj(A) / Pf(A) in closed form.
 
 Sign convention: a transverse crossing of a curve in direction u with a
 curve in direction w counts as the sign of det[u w] (columns u, w).  All
@@ -119,15 +118,19 @@ class HomologyBasis:
     X1, X2 are the cores of ``dec1`` and Y1, Y2 those of ``dec2``, each
     pair in the decomposition's order (increasing f, ties by smallest
     square id).  ``gram`` is the intersection matrix A with
-    A[i][j] = omega(basis_i, basis_j).  ``decompositions`` keeps
-    (dec1, dec2), so a twist in either direction need not decompose it
-    again.
+    A[i][j] = omega(basis_i, basis_j), read cellularly from the basis's
+    own rows (:meth:`omega_against_cores`), so building a basis traces
+    no curve; ``loops``, the traced cores, are traced when first read.
+    ``decompositions`` keeps (dec1, dec2), so a twist in either
+    direction need not decompose it again.
     """
 
-    __slots__ = ("origami", "decompositions", "directions", "loops",
-                 "f_values", "gram", "_cycles")
+    __slots__ = ("origami", "decompositions", "directions", "f_values",
+                 "gram", "_cycles")
 
     def __init__(self, dec1, dec2):
+        if dec1.origami != dec2.origami:
+            raise OrigamiError("basis decompositions are of different origamis")
         if dec1.direction == dec2.direction:
             raise BasisUnavailableError("basis directions must differ")
         for dec in (dec1, dec2):
@@ -136,39 +139,39 @@ class HomologyBasis:
                     "direction %r has %d cylinders, need exactly 2"
                     % (dec.direction, len(dec.cylinders))
                 )
-        cylinders = dec1.cylinders + dec2.cylinders
         self.origami = dec1.origami
         self.decompositions = (dec1, dec2)
         self.directions = (dec1.direction, dec2.direction)
-        self.loops = tuple(c.core for c in cylinders)
-        self.f_values = tuple(c.f for c in cylinders)
-        g = [[0] * 4 for _ in range(4)]
-        for i in range(4):
-            for j in range(i + 1, 4):
-                val = intersection_number(self.loops[i], self.loops[j])
-                g[i][j] = val
-                g[j][i] = -val
-        self.gram = tuple(tuple(row) for row in g)
+        self.f_values = tuple(c.f for c in dec1.cylinders + dec2.cylinders)
+        self._cycles = tuple(z for d in self.decompositions for z in d.core_cycles())
+        # row j is omega(basis_i, basis_j) over i: A is its transpose;
+        # omega(X_i, Y_j) and omega(Y_j, X_i) come from different shears
+        rows = self.omega_against_cores(dec1) + self.omega_against_cores(dec2)
+        self.gram = tuple(zip(*rows))
+        if any(self.gram[i][j] != -rows[i][j] for i in range(4) for j in range(4)):
+            raise TracingError("cellular intersection form is not skew-symmetric")
         if _pfaffian(self.gram) == 0:
             raise RankError("intersection form is degenerate on this basis")
-        self._cycles = None
+
+    @property
+    def loops(self):
+        """The traced cores X1, X2, Y1, Y2, each traced on first access."""
+        return tuple(c.core for dec in self.decompositions for c in dec.cylinders)
 
     def omega_against(self, loop):
-        """(omega(X1, loop), omega(X2, loop), omega(Y1, loop), omega(Y2, loop))."""
+        """(omega(X1, loop), .., omega(Y2, loop)) against the traced :attr:`loops`."""
         return tuple(intersection_number(b, loop) for b in self.loops)
 
     def omega_against_cores(self, dec):
         """:meth:`omega_against` of each core of ``dec``, none of them traced.
 
         The basis curves are taken as cellular cycles
-        (:meth:`CylinderDecomposition.core_cycles`, built once) and
+        (:meth:`CylinderDecomposition.core_cycles`, built with the basis) and
         paired with the cores through ``dec``'s shear.  One 4-tuple per
         cylinder, in ``dec``'s order.
         """
         if dec.origami != self.origami:
             raise OrigamiError("decomposition and basis live on different origamis")
-        if self._cycles is None:
-            self._cycles = tuple(z for d in self.decompositions for z in d.core_cycles())
         return list(zip(*(dec.omega_with_cores(z) for z in self._cycles)))
 
     def __repr__(self):
@@ -231,16 +234,15 @@ def _search_basis(o, held):
     )
 
 
-def express_in_basis(loop, basis):
-    """Integer coordinates of a loop over (X1, X2, Y1, Y2).
+def express_in_basis(omegas, basis):
+    """Integer coordinates over (X1, X2, Y1, Y2) of the class with row ``omegas``.
 
-    Solves A x = (omega(X1, loop), .., omega(Y2, loop)) in integers; a
-    fractional solution raises IntegralityError (a finding about the
-    basis, not a fallback code path).  ``loop`` is a traced loop, or the
-    tuple of those four intersection numbers, as
-    :meth:`HomologyBasis.omega_against_cores` gives them.
+    ``omegas`` is (omega(X1, c), .., omega(Y2, c)), as
+    :meth:`HomologyBasis.omega_against_cores` or
+    :meth:`HomologyBasis.omega_against` give it.  Solves A x = omegas in
+    integers; a fractional solution raises IntegralityError (a finding
+    about the basis, not a fallback code path).
     """
-    omegas = loop if isinstance(loop, tuple) else basis.omega_against(loop)
     return _solve_gram(basis.gram, omegas)
 
 

@@ -45,25 +45,22 @@ def dehn_twist_action(dec, basis):
     """Matrix of the minimal multitwist of ``dec`` on the non-tautological part.
 
     ``dec`` is a cylinder decomposition of the basis's origami; it is
-    twisted as given, not decomposed again, and its cores are paired
-    with the basis cellularly, not traced.  Columns are the images of X
+    twisted as given, not decomposed again.  Each core gamma_i meets
+    the basis as its cellular row (:meth:`HomologyBasis.omega_against_cores`,
+    no core traced): omega(z, gamma_i) is z . row_i, and the Gram solve
+    of the row gives gamma_i's coordinates.  Columns are the images of X
     and Y.  Entries must come out integral and the determinant must be
     1; violations raise instead of degrading to rational output, since
     they would mean the {X, Y} pair is not a basis of the kernel lattice.
     """
-    multiplicities = twist_multiplicities(dec)
-    gammas = [express_in_basis(omegas, basis)
-              for omegas in basis.omega_against_cores(dec)]
+    rows = basis.omega_against_cores(dec)
+    gammas = [express_in_basis(row, basis) for row in rows]
     nt = nontaut_basis(basis)
-    gram = basis.gram
     cols = []
     for z in (nt.x, nt.y):
         w = list(z)
-        for n_i, gamma in zip(multiplicities, gammas):
-            omega = sum(
-                z[i] * gram[i][j] * gamma[j] for i in range(4) for j in range(4)
-            )
-            coeff = n_i * omega
+        for n_i, row, gamma in zip(twist_multiplicities(dec), rows, gammas):
+            coeff = n_i * sum(zk * rk for zk, rk in zip(z, row))
             for k in range(4):
                 w[k] += coeff * gamma[k]
         cols.append(_in_span(w, nt))

@@ -29,6 +29,7 @@ from util import (
     random_h2_origami,
     random_transitive_pair,
     reference_dehn_twist_action,
+    traced_gram,
 )
 
 # the degree-3 one-cylinder surface: its axes have one cylinder each, so
@@ -174,6 +175,11 @@ def test_oracle_cases_cover_searched_bases(oracle_cases):
     searched = [b for _, b, _ in oracle_cases
                 if b.directions != (Direction(1, 0), Direction(0, 1))]
     assert len(searched) == 17
+
+
+def test_cellular_gram_matches_traced_gram(oracle_cases):
+    for _, basis, _ in oracle_cases:
+        assert basis.gram == traced_gram(basis)
 
 
 def test_cellular_core_intersections_match_traced_cores(oracle_cases):

@@ -440,16 +440,17 @@ def test_verify_paper_text(capsys):
 
 
 @pytest.mark.parametrize("argv, traced", [
-    # the twists pair the cores cellularly: only the 4 cores of each of
-    # the 3 standard bases are traced, for their Gram matrices
-    (["conjecture", "--max-dir-sum", "14"], 12),
-    # the paper's tables read the basis cores and the twist directions'
-    # cores: 8 per even-degree case, 6 per odd one (its vertical twist
-    # direction is the basis axis)
+    # the twists and the basis Gram matrices pair cores cellularly
+    (["conjecture", "--max-dir-sum", "14"], 0),
+    (["homology", "L24"], 0),
+    (["monodromy", "L24", "--dirs", "2,3;0,1"], 0),
+    # the paper's tables, not the Gram, read the basis cores and the twist
+    # directions' cores: 8 per even-degree case, 6 per odd one (its
+    # vertical twist direction is the basis axis)
     (["verify-paper", "--n-max", "10"], 140),
     # the report reads saddle connections, never a core
     (["decompose", "L24", "--dir", "2,3"], 0),
-], ids=["conjecture", "verify-paper", "decompose"])
+], ids=["conjecture", "homology", "monodromy", "verify-paper", "decompose"])
 def test_cores_traced_per_command(monkeypatch, capsys, l24_file, argv, traced):
     real = geometry._trace_closed
     calls = []

@@ -8,9 +8,11 @@ from origamikz import (
     DegenerateConfigurationError,
     Direction,
     GeodesicLoop,
+    HomologyBasis,
     IntegralityError,
     NoBasisFoundError,
     Origami,
+    OrigamiError,
     Perm,
     RankError,
     class_pushforward,
@@ -93,14 +95,14 @@ def test_express_in_basis_diagonal_cores():
     o = make_l_origami(2, 4)
     basis = standard_basis(o)
     cores = diagonal_cores(o, Direction(2, 3))
-    assert express_in_basis(cores[3], basis) == (4, 1, 1, 2)
-    assert express_in_basis(cores[2], basis) == (2, 1, 2, 1)
+    assert express_in_basis(basis.omega_against(cores[3]), basis) == (4, 1, 1, 2)
+    assert express_in_basis(basis.omega_against(cores[2]), basis) == (2, 1, 2, 1)
 
 
 def test_express_basis_vector_is_unit():
     basis = standard_basis(make_l_origami(2, 4))
-    assert express_in_basis(basis.loops[0], basis) == (1, 0, 0, 0)
-    assert express_in_basis(basis.loops[3], basis) == (0, 0, 0, 1)
+    assert express_in_basis(basis.omega_against(basis.loops[0]), basis) == (1, 0, 0, 0)
+    assert express_in_basis(basis.omega_against(basis.loops[3]), basis) == (0, 0, 0, 1)
 
 
 def test_intersection_examples():
@@ -196,7 +198,7 @@ def test_bilinearity_through_gram():
     basis = standard_basis(o)
     cores = diagonal_cores(o, Direction(2, 3))
     for core in cores.values():
-        coeffs = express_in_basis(core, basis)
+        coeffs = express_in_basis(basis.omega_against(core), basis)
         for j, bloop in enumerate(basis.loops):
             via_gram = sum(
                 coeffs[k] * basis.gram[j][k] * -1 for k in range(4)
@@ -308,6 +310,16 @@ def test_class_table_rows_via_combination():
     assert omega_class_loop(basis, nt.x, cores[2]) == 1
     assert omega_class_loop(basis, nt.y, cores[3]) == -1
     assert omega_class_loop(basis, nt.y, cores[2]) == 1
+
+
+def test_basis_rejects_decompositions_of_two_origamis():
+    # checked before anything else: L(3,3) has the degree of L(2,4), and
+    # its decomposition shares the first one's direction
+    l24 = make_l_origami(2, 4)
+    for other, d2 in ((make_l_origami(3, 3), Direction(1, 0)),
+                      (make_l_origami(2, 5), Direction(0, 1))):
+        with pytest.raises(OrigamiError, match="different origamis"):
+            HomologyBasis(decompose(l24, Direction(1, 0)), decompose(other, d2))
 
 
 def test_basis_from_directions_rejects_equal_directions():

@@ -46,3 +46,23 @@ def test_homology_pipeline_does_not_import_fractions():
             else:
                 continue
             assert "fractions" not in modules, "%s:%d" % (name, node.lineno)
+
+
+def test_no_unused_imports():
+    # a name imported but never read is dead weight on every import;
+    # __init__.py imports only to re-export
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    imported[name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += ["%s:%d %s" % (path.name, line, name)
+                  for name, line in imported.items() if name not in used]
+    assert not found, found

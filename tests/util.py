@@ -1,8 +1,8 @@
 """Shared helpers for the test suite: seeded random surfaces and directions,
 the reference Fraction intersection pairing, the reference Fraction
-determinant and solver for the Gram system, the traced multitwist action,
-the reference all-starts and cone-starts canonical forms and a
-four-generator orbit search."""
+determinant and solver for the Gram system, the traced Gram matrix and
+multitwist action, the reference all-starts and cone-starts canonical
+forms and a four-generator orbit search."""
 
 from fractions import Fraction
 
@@ -18,7 +18,7 @@ from origamikz import (
     singularity_data,
 )
 from origamikz.geometry import _Corners
-from origamikz.homology import express_in_basis, nontaut_basis
+from origamikz.homology import _solve_gram, intersection_number, nontaut_basis
 from origamikz.monodromy import _in_span, twist_multiplicities
 from origamikz.origami import act_letter
 from origamikz.sl2 import Mat2
@@ -181,18 +181,29 @@ def reference_solve4(m, b):
     return tuple(rows[r][4] for r in range(4))
 
 
+def traced_gram(basis):
+    """The Gram matrix of ``basis`` from its traced loops, pair by pair.
+
+    The route the cellular ``HomologyBasis.gram`` replaced, kept as its
+    test oracle.
+    """
+    return tuple(tuple(intersection_number(a, b) for b in basis.loops)
+                 for a in basis.loops)
+
+
 def reference_dehn_twist_action(dec, basis):
     """The multitwist matrix of ``dec`` from traced cores.
 
     The traced route that :func:`origamikz.dehn_twist_action` replaced
     with cellular core intersections, kept as its test oracle: every core
-    of ``dec`` is traced and paired with the basis loops, then the same
-    Gram solve and span check run.  The determinant check is left to the
-    tests.
+    of ``dec`` is traced and paired with the traced basis loops, the
+    Gram matrix is paired from those loops too, then the same Gram solve
+    and span check run.  The determinant check is left to the tests.
     """
-    gammas = [express_in_basis(cyl.core, basis) for cyl in dec.cylinders]
+    gram = traced_gram(basis)
+    gammas = [_solve_gram(gram, basis.omega_against(cyl.core))
+              for cyl in dec.cylinders]
     nt = nontaut_basis(basis)
-    gram = basis.gram
     cols = []
     for z in (nt.x, nt.y):
         w = list(z)
