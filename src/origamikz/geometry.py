@@ -1,9 +1,11 @@
 """Exact flat geometry on origamis: directions, cylinders, separatrices.
 
-Everything here is exact: coordinates are :class:`fractions.Fraction` and
-no float ever appears.  A surface point is a triple ``(square, x, y)``
-with ``0 <= x, y < 1`` (left and bottom edges belong to the square); a
-point with ``x == 1`` or ``y == 1`` is wrapped through the gluings.
+Everything here is exact: coordinates are :class:`fractions.Fraction`,
+the tracer (:func:`_step`) steps in integers over one denominator per
+curve, and no float ever appears.  A surface point is a triple
+``(square, x, y)`` with ``0 <= x, y < 1`` (left and bottom edges belong
+to the square); a point with ``x == 1`` or ``y == 1`` is wrapped through
+the gluings.
 
 Directions are primitive integer vectors in a canonical half-plane
 (q > 0, or q == 0 and p > 0).  Two independent decomposition routes are
@@ -146,30 +148,63 @@ class _Curve:
     """A traced constant-direction curve with its integer form.
 
     ``segments`` is a tuple of ``(square, (x0, y0), (x1, y1))`` entries
-    with exact coordinates in the closed unit square.  ``integer_form``
-    is ``(den, by_square)``, built once at construction: ``den`` is the
-    lcm of the coordinates' denominators and ``by_square`` maps a square
-    to the ``(X0, Y0, length)`` of its segments, where ``(X0, Y0)`` is
-    ``den`` times the entry point and the segment runs ``length / den``
-    times the direction vector.
+    with exact :class:`fractions.Fraction` coordinates in the closed unit
+    square.  ``integer_form`` is ``(den, by_square)``, built once at
+    construction: ``den`` is the lcm of the coordinates' denominators and
+    ``by_square`` maps a square to the ``(X0, Y0, length)`` of its
+    segments, where ``(X0, Y0)`` is ``den`` times the entry point and the
+    segment runs ``length / den`` times the direction vector.  The tracer's
+    curves come from its integers, through :meth:`_from_trace`.
     """
 
     __slots__ = ("origami", "direction", "segments", "integer_form")
 
     def __init__(self, origami, direction, segments):
+        self.segments = tuple(segments)
+        n = lcm(*(c.denominator for s in self.segments for c in s[1] + s[2]))
+        steps = [(sq,) + tuple(c.numerator * (n // c.denominator) for c in p0 + p1)
+                 for sq, p0, p1 in self.segments]
+        self._init_from_steps(origami, direction, n, steps)
+
+    @classmethod
+    def _from_trace(cls, origami, direction, n, steps):
+        """The curve of a trace: ``(square, X0, Y0, X1, Y1)`` steps over ``n``.
+
+        Each exit point is two new Fractions; each entry point shares the
+        previous exit's coordinates, or ``F0``/``F1`` where it wrapped.
+        """
+        curve = cls.__new__(cls)
+        segments = []
+        px = py = fx = fy = None
+        for sq, x0, y0, x1, y1 in steps:
+            if x0 != px:
+                fx = F0 if x0 == 0 else F1 if x0 == n else Fraction(x0, n)
+            if y0 != py:
+                fy = F0 if y0 == 0 else F1 if y0 == n else Fraction(y0, n)
+            exit_point = (Fraction(x1, n), Fraction(y1, n))
+            segments.append((sq, (fx, fy), exit_point))
+            px, py, (fx, fy) = x1, y1, exit_point
+        curve.segments = tuple(segments)
+        curve._init_from_steps(origami, direction, n, steps)
+        return curve
+
+    def _init_from_steps(self, origami, direction, n, steps):
+        # den is n over the gcd of n and every coordinate
         self.origami = origami
         self.direction = direction
-        self.segments = tuple(segments)
         a, b = direction.vector
-        den = lcm(*(c.denominator for s in self.segments for c in s[1] + s[2]))
+        g = n
+        for step in steps:
+            if g == 1:
+                break
+            g = gcd(g, *step[1:])
         by_square = {}
-        for sq, p0, p1 in self.segments:
-            x0, y0, x1, y1 = (c.numerator * (den // c.denominator) for c in p0 + p1)
+        for sq, x0, y0, x1, y1 in steps:
             length = (x1 - x0) // a if a else (y1 - y0) // b
             if (x1 - x0, y1 - y0) != (length * a, length * b):
                 raise TracingError("segment is not along %r" % (direction,))
-            by_square.setdefault(sq, []).append((x0, y0, length))
-        self.integer_form = (den, by_square)
+            by_square.setdefault(sq, []).append((x0 // g, y0 // g, length // g))
+        self.integer_form = (n // g, by_square)
 
     def holonomy(self):
         """Total displacement of the curve (integral)."""
@@ -213,56 +248,6 @@ class SaddleConnection(_Curve):
         )
 
 
-def _step(o, state, a, b):
-    """One square crossing along (a, b).
-
-    Returns ``(segment, corner, next_state)`` where ``corner`` is None
-    for a plain edge crossing and ``(exit_square, (cx, cy), anchor)``
-    when the exit hits a grid vertex, ``anchor`` anchoring the corner
-    sector it arrives in; ``next_state`` assumes the vertex is regular.
-    """
-    sq, x, y = state
-    h, v = o.h.images, o.v.images
-    if a > 0:
-        tx = (F1 - x) / a
-    elif a < 0:
-        tx = x / (-a)
-    else:
-        tx = None
-    ty = (F1 - y) / b if b > 0 else None
-    if tx is None:
-        t = ty
-    elif ty is None:
-        t = tx
-    else:
-        t = tx if tx <= ty else ty
-    nx, ny = x + t * a, y + t * b
-    seg = (sq, (x, y), (nx, ny))
-    corner = nx in (F0, F1) and ny in (F0, F1)
-    if corner:
-        if nx == F1 and ny == F1:          # direction (+, +): top-right sector
-            anchor = h[v[sq]]
-            nxt = (anchor, F0, F0)
-        elif nx == F0 and ny == F1:        # direction (-, +) or (0, 1): top-left
-            anchor = h[v[o.h.inverse()(sq)]]
-            if a == 0:
-                nxt = (v[sq], F0, F0)
-            else:
-                nxt = (o.h.inverse()(v[sq]), F1, F0)
-        elif nx == F1 and ny == F0:        # direction (1, 0): bottom-right
-            anchor = h[sq]
-            nxt = (h[sq], F0, F0)
-        else:  # pragma: no cover - canonical directions never exit at (0, 0)
-            raise TracingError("impossible corner exit")
-        return seg, (sq, (nx, ny), anchor), nxt
-    if ny == F1:
-        return seg, None, (v[sq], nx, F0)
-    if nx == F1:
-        return seg, None, (h[sq], F0, ny)
-    # nx == 0, moving left
-    return seg, None, (o.h.inverse()(sq), F1, ny)
-
-
 def _check_trace_length(o, direction):
     """Raise ValueError if ``direction`` is too long to trace on ``o``."""
     p, q = direction.vector
@@ -279,40 +264,94 @@ def _max_steps(o, a, b):
     return 8 * o.degree * (abs(a) + abs(b) + 2) + 16
 
 
+def _on_grid(point, a, b):
+    """``(n, (square, X, Y))`` for the point ``(X / n, Y / n)``: a trace along
+    (a, b) from a point over D meets every edge on this grid."""
+    sq, x, y = point
+    n = lcm(x.denominator, y.denominator) * lcm(a or 1, b or 1)  # lcm(0, k) is 0
+    return n, (sq, x.numerator * (n // x.denominator), y.numerator * (n // y.denominator))
+
+
+def _step(o, state, a, b, n):
+    """One square crossing along (a, b) from ``(square, X, Y)`` over ``n``.
+
+    Returns ``(step, anchor, next_state)``: ``step`` is ``(square, X0, Y0,
+    X1, Y1)``; ``anchor`` is None at a plain edge crossing, else it anchors
+    the corner sector the exit vertex arrives in; ``next_state`` assumes
+    the vertex is regular.  The exit parameters ``ex / |a|`` and ``ey / b``
+    are compared cross-multiplied, ties going to the side edge.
+    """
+    sq, x, y = state
+    h, v = o.h.images, o.v.images
+    ex = n - x if a > 0 else x
+    ey = n - y
+    if a and (b == 0 or ex * b <= ey * abs(a)):
+        dy, r = divmod(ex * b, abs(a))
+        nx, ny = (n if a > 0 else 0), y + dy
+    else:
+        dx, r = divmod(ey * a, b)
+        nx, ny = x + dx, n
+    if r:
+        raise TracingError("crossing is off the 1/%d grid" % n)
+    step = (sq, x, y, nx, ny)
+    if nx in (0, n) and ny in (0, n):
+        if nx == n and ny == n:            # direction (+, +): top-right sector
+            anchor = h[v[sq]]
+            nxt = (anchor, 0, 0)
+        elif nx == 0 and ny == n:          # direction (-, +) or (0, 1): top-left
+            anchor = h[v[o.h.inverse()(sq)]]
+            nxt = (v[sq], 0, 0) if a == 0 else (o.h.inverse()(v[sq]), n, 0)
+        elif nx == n and ny == 0:          # direction (1, 0): bottom-right
+            anchor = h[sq]
+            nxt = (h[sq], 0, 0)
+        else:  # pragma: no cover - canonical directions never exit at (0, 0)
+            raise TracingError("impossible corner exit")
+        return step, anchor, nxt
+    if ny == n:
+        return step, None, (v[sq], nx, 0)
+    if nx == n:
+        return step, None, (h[sq], 0, ny)
+    # nx == 0, moving left
+    return step, None, (o.h.inverse()(sq), n, ny)
+
+
 def _trace_closed(o, corners, start, direction):
     """Trace the closed geodesic through ``start``; it must avoid cone points.
 
     One step from the start point, which may sit anywhere in a square,
     reaches the first edge crossing.  Tracer states at edge crossings are
     canonical for a fixed direction, so the trace then runs until that
-    exact state recurs; the loop's segments start and end there.
+    exact state recurs; the loop's steps start and end there.  Returns
+    ``(n, steps)`` for :meth:`_Curve._from_trace`.
     """
     a, b = direction.vector
-    first = state = _step(o, start, a, b)[2]
-    segments = []
+    n, state = _on_grid(start, a, b)
+    first = state = _step(o, state, a, b, n)[2]
+    steps = []
     for _ in range(_max_steps(o, a, b)):
-        seg, corner, state = _step(o, state, a, b)
-        if corner is not None and corners.singular(corner[2]):
+        step, anchor, state = _step(o, state, a, b, n)
+        if anchor is not None and corners.singular(anchor):
             raise TracingError("closed trace ran into a cone point")
-        segments.append(seg)
+        steps.append(step)
         if state == first:
-            return segments
+            return n, steps
     raise TracingError("trace failed to close (step budget exhausted)")
 
 
 def _trace_to_singularity(o, corners, start, direction):
     """Trace a separatrix until it hits a cone point.
 
-    Returns ``(segments, corner)`` with the exit ``corner`` of :func:`_step`.
+    Returns ``(n, steps, anchor)`` with the anchor of the cone point's
+    corner sector it arrives in (see :func:`_step`).
     """
     a, b = direction.vector
-    state = start
-    segments = []
+    n, state = _on_grid(start, a, b)
+    steps = []
     for _ in range(_max_steps(o, a, b)):
-        seg, corner, state = _step(o, state, a, b)
-        segments.append(seg)
-        if corner is not None and corners.singular(corner[2]):
-            return segments, corner
+        step, anchor, state = _step(o, state, a, b, n)
+        steps.append(step)
+        if anchor is not None and corners.singular(anchor):
+            return n, steps, anchor
     raise TracingError("separatrix failed to terminate (no cone point hit)")
 
 
@@ -342,10 +381,10 @@ def _raw_saddles(o, corners, direction):
     """
     out = []
     for cyc, turn, start in _separatrix_starts(o, corners, direction):
-        segments, (exit_sq, (cx, cy), anchor) = _trace_to_singularity(
-            o, corners, start, direction
-        )
-        conn = SaddleConnection(o, direction, segments, start, (exit_sq, cx, cy))
+        n, steps, anchor = _trace_to_singularity(o, corners, start, direction)
+        conn = SaddleConnection._from_trace(o, direction, n, steps)
+        conn.start = start
+        conn.end = (steps[-1][0],) + conn.segments[-1][2]
         in_end = (corners.cycle_of[anchor], corners.pos_in[anchor])
         hol = conn.holonomy()
         # holonomy must be a positive multiple of the direction vector
@@ -555,7 +594,7 @@ def _trace_core(cyl):
     # core never meets a cone point
     start_sq = min(cyl.rows[len(cyl.rows) // 2])
     p0 = pull_back_point(stages, (start_sq, F0, FHALF))
-    core = GeodesicLoop(o, direction, _trace_closed(o, _Corners(o), p0, direction))
+    core = GeodesicLoop._from_trace(o, direction, *_trace_closed(o, _Corners(o), p0, direction))
     if core.holonomy() != (cyl.f * direction.p, cyl.f * direction.q):
         raise TracingError("core holonomy is not f times the direction")
     return core

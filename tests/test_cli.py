@@ -465,6 +465,42 @@ def test_cores_traced_per_command(monkeypatch, capsys, l24_file, argv, traced):
     assert len(calls) == traced
 
 
+def test_verify_paper_tracer_work(monkeypatch, capsys):
+    # the 140 cores of test_cores_traced_per_command cross 9,910 squares;
+    # the stepper works in integers, and a core's segments take two new
+    # Fractions per crossing (its exit point) plus one for its first entry
+    # point: 19,680 in all.  Counted over the whole run, Fraction
+    # constructions fell from 80,116 with the Fraction stepper to 21,296.
+    # From Python 3.12 on, Fraction arithmetic builds its results without
+    # calling __new__, so that total is pinned on earlier versions only.
+    from fractions import Fraction
+
+    counts = {"crossings": 0, "segment_fractions": 0, "fractions": 0}
+    real_step, real_new = geometry._step, Fraction.__new__
+
+    def step(*args):
+        counts["crossings"] += 1
+        return real_step(*args)
+
+    def segment_fraction(*args):
+        counts["segment_fractions"] += 1
+        return Fraction(*args)
+
+    def new(cls, *args, **kwargs):
+        counts["fractions"] += 1
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "_step", step)
+    monkeypatch.setattr(geometry, "Fraction", segment_fraction)
+    monkeypatch.setattr(Fraction, "__new__", new)
+    assert main(["verify-paper", "--n-max", "10"]) == 0
+    capsys.readouterr()
+    assert counts["crossings"] == 9910
+    assert counts["segment_fractions"] == 19680
+    if sys.version_info < (3, 12):
+        assert counts["fractions"] == 21296
+
+
 def test_decompose_shears_once(monkeypatch, capsys, l24_file):
     # the saddle labels reuse the stages decompose kept
     real = geometry.act_word

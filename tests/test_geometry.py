@@ -8,6 +8,7 @@ from origamikz import (
     Origami,
     Perm,
     SeparatrixDiagram,
+    TracingError,
     act_matrix,
     contains_point,
     decompose,
@@ -21,10 +22,21 @@ from origamikz import (
     trace_boundaries,
 )
 from origamikz import geometry
+from origamikz.geometry import _Corners, _trace_closed
 from origamikz.sl2 import Mat2
-from util import random_direction, random_h2_origami, random_transitive_pair
+from util import (
+    random_direction,
+    random_h2_origami,
+    random_transitive_pair,
+    reference_core,
+    reference_saddles,
+    reference_trace_closed,
+    row_boundary_starts,
+)
 
 TORUS = Origami(Perm.identity(1), Perm.identity(1))
+# the degree-3 one-cylinder surface
+ONE_CYLINDER = Origami(Perm.from_cycles([(1, 2, 3)]), Perm.from_cycles([(2, 3)], 3))
 
 
 def test_shear_matrix_axes():
@@ -348,3 +360,89 @@ def test_saddle_endpoints_are_cone_points():
         assert anchor in singular
         esq, ex, ey = s.end
         assert ex in (0, 1) and ey in (0, 1)
+
+
+def assert_same_curve(curve, ref):
+    # the integer tracer against the Fraction one it replaced: equal
+    # segment values, all of them Fractions, and the same integer form
+    assert curve.segments == ref.segments
+    assert all(type(c) is Fraction for s in curve.segments for c in s[1] + s[2])
+    assert curve.integer_form == ref.integer_form
+    assert curve.holonomy() == ref.holonomy()
+
+
+def assert_direction_matches_reference(o, d):
+    dec = decompose(o, d)
+    for cyl in dec.cylinders:
+        assert_same_curve(cyl.core, reference_core(cyl))
+    ref = reference_saddles(o, d)
+    assert len(dec.saddle_connections) == len(ref)
+    for conn, r in zip(dec.saddle_connections, ref):
+        assert_same_curve(conn, r)
+        assert (conn.start, conn.end) == (r.start, r.end)
+
+
+@pytest.mark.parametrize("o", [
+    make_l_origami(2, 4), make_l_origami(3, 3), make_l_origami(5, 5), ONE_CYLINDER,
+], ids=["L24", "L33", "L55", "one-cylinder"])
+def test_integer_tracer_matches_fraction_tracer(o):
+    for d in primitive_directions(8):
+        assert_direction_matches_reference(o, d)
+
+
+def test_integer_tracer_matches_fraction_tracer_random():
+    rng = random.Random(1)
+    directions = set()
+    for _ in range(20):
+        o = random_h2_origami(rng)
+        for d in (Direction(1, 0), Direction(0, 1), Direction(-1, 1),
+                  random_direction(rng), random_direction(rng)):
+            directions.add(d)
+            assert_direction_matches_reference(o, d)
+    assert any(d.p < 0 for d in directions)
+
+
+def test_integer_tracer_matches_fraction_tracer_through_regular_vertices():
+    rng = random.Random(6)
+    through_vertex = 0
+    for o in [make_l_origami(2, 4), make_l_origami(3, 3)] + [
+            random_h2_origami(rng, dmax=8) for _ in range(3)]:
+        corners = _Corners(o)
+        for d in primitive_directions(5):
+            for pt in row_boundary_starts(o, d):
+                loop = geometry.GeodesicLoop._from_trace(
+                    o, d, *_trace_closed(o, corners, pt, d))
+                ref = geometry.GeodesicLoop(o, d, reference_trace_closed(o, corners, pt, d))
+                assert_same_curve(loop, ref)
+                through_vertex += any(x in (0, 1) and y in (0, 1)
+                                      for _, _, (x, y) in loop.segments)
+    assert through_vertex > 0
+
+
+def test_step_off_the_grid_raises():
+    # from (0, 0) along (1, 2) the top edge is met at x = 1/2, which is not
+    # on the grid of step 1/3: the stepper's divisions must be exact
+    with pytest.raises(TracingError, match="off the 1/3 grid"):
+        geometry._step(make_l_origami(2, 4), (0, 0, 0), 1, 2, 3)
+
+
+@pytest.mark.slow
+def test_shear_and_separatrix_routes_agree_on_long_directions():
+    # the two independent boundary routes at the trace lengths where the
+    # integer stepper matters: L(2,4) at (20000, 1), 100,000 crossings in
+    # all, and random H(2) surfaces at |p| + |q| up to 40
+    rng = random.Random(40)
+    cases = [(make_l_origami(2, 4), Direction(20000, 1))]
+    while len(cases) < 6:
+        d = random_direction(rng, 39)
+        if 30 <= abs(d.p) + abs(d.q) <= 40:
+            cases.append((random_h2_origami(rng), d))
+    for o, d in cases:
+        dec = decompose(o, d)
+        diag = separatrix_diagram(o, d)
+        assert set(trace_boundaries(diag)) == set(map(frozenset, dec.upper_boundaries))
+        hol = [s.holonomy() for s in dec.saddle_connections]
+        assert hol == [s.holonomy() for s in diag.edges]
+        for cyl, upper in zip(dec.cylinders, dec.upper_boundaries):
+            assert (sum(hol[i][0] for i in upper), sum(hol[i][1] for i in upper)) == (
+                cyl.f * d.p, cyl.f * d.q)

@@ -24,19 +24,17 @@ from origamikz import (
     nontaut_basis,
     omega_class_loop,
     primitive_directions,
-    shear_matrix,
     standard_basis,
 )
 from origamikz.geometry import _Corners, _trace_closed
 from origamikz.homology import _pfaffian, _search_basis, _solve_gram
-from origamikz.origami import act_word, pull_back_point
-from origamikz.sl2 import matrix_to_word
 from util import (
     random_direction,
     random_h2_origami,
     reference_det4,
     reference_intersection_number,
     reference_solve4,
+    row_boundary_starts,
 )
 
 A_REFERENCE = (
@@ -118,18 +116,12 @@ def test_intersection_examples():
 def row_boundary_loops(o, direction):
     """Closed geodesics on the line between the two lowest rows of a cylinder.
 
-    Such a line lies inside its cylinder, so it meets only regular
-    vertices, and it meets at least one; core curves meet none.
+    They meet only regular vertices, and at least one (see
+    :func:`util.row_boundary_starts`); core curves meet none.
     """
-    _, stages = act_word(o, matrix_to_word(shear_matrix(direction)))
     corners = _Corners(o)
-    loops = []
-    for cyl in decompose(o, direction).cylinders:
-        if cyl.height_rows > 1:
-            pt = pull_back_point(stages, (cyl.rows[1][0], Fraction(1, 2), Fraction(0)))
-            segs = _trace_closed(o, corners, pt, direction)
-            loops.append(GeodesicLoop(o, direction, segs))
-    return loops
+    return [GeodesicLoop._from_trace(o, direction, *_trace_closed(o, corners, pt, direction))
+            for pt in row_boundary_starts(o, direction)]
 
 
 def test_intersection_matches_reference_pairing():

@@ -66,3 +66,20 @@ def test_no_unused_imports():
         found += ["%s:%d %s" % (path.name, line, name)
                   for name, line in imported.items() if name not in used]
     assert not found, found
+
+
+def test_tracer_does_no_fraction_arithmetic():
+    # the square-crossing stepper and the two tracers run on integers over
+    # one common denominator; Fractions are built only for a traced curve's
+    # segments, once per point
+    path = SRC / "geometry.py"
+    tree = ast.parse(path.read_text(), str(path))
+    funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    banned = {"Fraction", "F0", "F1", "FHALF"}
+    found = []
+    for name in ("_on_grid", "_step", "_trace_closed", "_trace_to_singularity"):
+        for node in ast.walk(funcs[name]):
+            ref = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if ref in banned:
+                found.append("%s:%d %s" % (name, node.lineno, ref))
+    assert not found, found

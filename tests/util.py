@@ -1,30 +1,37 @@
 """Shared helpers for the test suite: seeded random surfaces and directions,
-the reference Fraction intersection pairing, the reference Fraction
-determinant and solver for the Gram system, the traced Gram matrix and
-multitwist action, the reference all-starts and cone-starts canonical
-forms and a four-generator orbit search."""
+the reference Fraction tracer, the reference Fraction intersection
+pairing, the reference Fraction determinant and solver for the Gram
+system, the traced Gram matrix and multitwist action, the reference
+all-starts and cone-starts canonical forms and a four-generator orbit
+search."""
 
 from fractions import Fraction
 
 from origamikz import (
     DegenerateConfigurationError,
     Direction,
+    GeodesicLoop,
     Origami,
     OrigamiError,
     Perm,
     RankError,
+    SaddleConnection,
+    TracingError,
+    decompose,
     make_l_origami,
     relabel,
+    shear_matrix,
     singularity_data,
 )
-from origamikz.geometry import _Corners
+from origamikz.geometry import _Corners, _max_steps, _separatrix_starts
 from origamikz.homology import _solve_gram, intersection_number, nontaut_basis
 from origamikz.monodromy import _in_span, twist_multiplicities
-from origamikz.origami import act_letter
-from origamikz.sl2 import Mat2
+from origamikz.origami import act_letter, act_word, pull_back_point
+from origamikz.sl2 import Mat2, matrix_to_word
 
 F0 = Fraction(0)
 F1 = Fraction(1)
+FHALF = Fraction(1, 2)
 
 GENS = [("S", 1), ("T", 1), ("S", -1), ("T", -1)]
 
@@ -80,6 +87,118 @@ def random_direction(rng, bound=7):
             d = Direction(p, q)
             if abs(d.p) <= bound and abs(d.q) <= bound:
                 return d
+
+
+def reference_step(o, state, a, b):
+    """One square crossing along (a, b), in Fractions.
+
+    The stepper the integer one in :mod:`origamikz.geometry` replaced,
+    kept as its test oracle.  Returns ``(segment, corner, next_state)``
+    where ``corner`` is None for a plain edge crossing and
+    ``(exit_square, (cx, cy), anchor)`` when the exit hits a grid vertex,
+    ``anchor`` anchoring the corner sector it arrives in; ``next_state``
+    assumes the vertex is regular.
+    """
+    sq, x, y = state
+    h, v = o.h.images, o.v.images
+    if a > 0:
+        tx = (F1 - x) / a
+    elif a < 0:
+        tx = x / (-a)
+    else:
+        tx = None
+    ty = (F1 - y) / b if b > 0 else None
+    if tx is None:
+        t = ty
+    elif ty is None:
+        t = tx
+    else:
+        t = tx if tx <= ty else ty
+    nx, ny = x + t * a, y + t * b
+    seg = (sq, (x, y), (nx, ny))
+    corner = nx in (F0, F1) and ny in (F0, F1)
+    if corner:
+        if nx == F1 and ny == F1:          # direction (+, +): top-right sector
+            anchor = h[v[sq]]
+            nxt = (anchor, F0, F0)
+        elif nx == F0 and ny == F1:        # direction (-, +) or (0, 1): top-left
+            anchor = h[v[o.h.inverse()(sq)]]
+            if a == 0:
+                nxt = (v[sq], F0, F0)
+            else:
+                nxt = (o.h.inverse()(v[sq]), F1, F0)
+        elif nx == F1 and ny == F0:        # direction (1, 0): bottom-right
+            anchor = h[sq]
+            nxt = (h[sq], F0, F0)
+        else:
+            raise TracingError("impossible corner exit")
+        return seg, (sq, (nx, ny), anchor), nxt
+    if ny == F1:
+        return seg, None, (v[sq], nx, F0)
+    if nx == F1:
+        return seg, None, (h[sq], F0, ny)
+    # nx == 0, moving left
+    return seg, None, (o.h.inverse()(sq), F1, ny)
+
+
+def reference_trace_closed(o, corners, start, direction):
+    """The Fraction segments of the closed geodesic through ``start``."""
+    a, b = direction.vector
+    first = state = reference_step(o, start, a, b)[2]
+    segments = []
+    for _ in range(_max_steps(o, a, b)):
+        seg, corner, state = reference_step(o, state, a, b)
+        if corner is not None and corners.singular(corner[2]):
+            raise TracingError("closed trace ran into a cone point")
+        segments.append(seg)
+        if state == first:
+            return segments
+    raise TracingError("trace failed to close (step budget exhausted)")
+
+
+def reference_trace_to_singularity(o, corners, start, direction):
+    """``(segments, corner)`` of a separatrix traced to a cone point."""
+    a, b = direction.vector
+    state = start
+    segments = []
+    for _ in range(_max_steps(o, a, b)):
+        seg, corner, state = reference_step(o, state, a, b)
+        segments.append(seg)
+        if corner is not None and corners.singular(corner[2]):
+            return segments, corner
+    raise TracingError("separatrix failed to terminate (no cone point hit)")
+
+
+def reference_core(cyl):
+    """The core of ``cyl`` traced in Fractions from the package's start point."""
+    o, direction, stages = cyl._frame
+    start = pull_back_point(stages, (min(cyl.rows[len(cyl.rows) // 2]), F0, FHALF))
+    segments = reference_trace_closed(o, _Corners(o), start, direction)
+    return GeodesicLoop(o, direction, segments)
+
+
+def reference_saddles(o, direction):
+    """The saddle connections of a direction traced in Fractions, in the
+    package's order."""
+    corners = _Corners(o)
+    out = []
+    for _, _, start in _separatrix_starts(o, corners, direction):
+        segments, (exit_sq, (cx, cy), _) = reference_trace_to_singularity(
+            o, corners, start, direction)
+        out.append(SaddleConnection(o, direction, segments, start, (exit_sq, cx, cy)))
+    return out
+
+
+def row_boundary_starts(o, direction):
+    """Points on the line between the two lowest rows of each cylinder.
+
+    Such a line lies inside its cylinder, so the closed geodesic through
+    the point meets only regular vertices, and it meets at least one;
+    core curves meet none.
+    """
+    _, stages = act_word(o, matrix_to_word(shear_matrix(direction)))
+    return [pull_back_point(stages, (cyl.rows[1][0], FHALF, F0))
+            for cyl in decompose(o, direction).cylinders if cyl.height_rows > 1]
 
 
 def reference_intersection_number(alpha, beta):
