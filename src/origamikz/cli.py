@@ -24,9 +24,10 @@ from .sl2 import COSET_CAP, Mat2, _index_and_minus_identity, index_in_sl2
 
 SCHEMA_VERSION = 1
 
-# conjecture builds about 0.6 * S^2 directions up front and shears each
-# one (S = 50 takes about 1.5 s on the default representatives, on
-# 2 vCPUs with Python 3.11)
+# conjecture builds about 0.6 * S^2 directions up front and shears along
+# their shear words, each shared prefix once (S = 50 takes about 0.9 s on
+# the default representatives, start-up included, on 2 vCPUs with
+# Python 3.11; 1.5-1.8 s when each direction was sheared from scratch)
 MAX_DIR_SUM = 50
 
 EXIT_OK = 0
@@ -353,8 +354,9 @@ def cmd_conjecture(args):
             o = make_l_origami(n, m)
             # kz_generators twists the basis axes as the basis holds them
             # and drops every other decomposition, with its shear stages,
-            # once twisted (holding all of them took the traced heap peak
-            # from 1.0 to 5.9 MB at --max-dir-sum 30, under tracemalloc)
+            # once the next one is made (holding all of them took the
+            # traced heap peak from 1.0 to 5.9 MB at --max-dir-sum 30,
+            # under tracemalloc)
             basis = standard_basis(o)
             gens = kz_generators(o, dirs, basis)
             try:

@@ -16,9 +16,12 @@ recover the cylinder boundaries combinatorially.  They validate each
 other in the test suite.
 
 :func:`decompose` shears once and builds only the cylinders (rows, f
-and c), keeping the shear's stages.  The multitwist pipeline reads the
-cores as cellular cycles through those stages
-(:meth:`CylinderDecomposition.core_cycles`,
+and c), keeping the shear's stages; handed a decomposition in another
+direction, it takes over the stages the two shear words share as a
+prefix.  The multitwist pipeline reads the cores as cellular cycles
+through those stages (:meth:`CylinderDecomposition.core_cycles`) and
+pairs them with cycles pushed through the shear
+(:meth:`CylinderDecomposition.push_cycles`,
 :meth:`CylinderDecomposition.omega_with_cores`); a core loop is traced
 on first access to :attr:`Cylinder.core`, and the saddle connections
 and the upper boundary of each cylinder on first access to
@@ -27,11 +30,12 @@ and the upper boundary of each cylinder on first access to
 """
 
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
 
 from .errors import TracingError
-from .origami import (MAX_TRACE_LENGTH, act_word, pull_back_chain, pull_back_point,
-                      push_forward_chain, push_forward_point)
+from .origami import (MAX_TRACE_LENGTH, _over_denominator, act_word, pull_back_chain,
+                      pull_back_point, push_forward_chain, push_forward_point)
 from .sl2 import Mat2, matrix_to_word
 
 F0 = Fraction(0)
@@ -267,9 +271,9 @@ def _max_steps(o, a, b):
 def _on_grid(point, a, b):
     """``(n, (square, X, Y))`` for the point ``(X / n, Y / n)``: a trace along
     (a, b) from a point over D meets every edge on this grid."""
-    sq, x, y = point
-    n = lcm(x.denominator, y.denominator) * lcm(a or 1, b or 1)  # lcm(0, k) is 0
-    return n, (sq, x.numerator * (n // x.denominator), y.numerator * (n // y.denominator))
+    n, (sq, x, y) = _over_denominator(point)
+    k = lcm(a or 1, b or 1)  # lcm(0, k) is 0
+    return n * k, (sq, x * k, y * k)
 
 
 def _step(o, state, a, b, n):
@@ -497,17 +501,30 @@ class CylinderDecomposition:
             out.append(z)
         return out
 
-    def omega_with_cores(self, cycle):
+    def push_cycles(self, cycles, start=0, stop=None):
+        """Cellular 1-cycles pushed through the shear stages ``start`` to ``stop``.
+
+        The cycles live on the origami as the first ``start`` stages
+        leave it (the origami itself at 0), and come out on it as the
+        first ``stop`` leave it: by default all of them, the sheared
+        frame that :meth:`omega_with_cores` reads.  Each stage is one
+        :func:`origamikz.origami.transport_chain` per cycle.
+        """
+        stages = self._stages
+        o = stages[start - 1][2] if start else self.origami
+        return [push_forward_chain(o, islice(stages, start, stop), z) for z in cycles]
+
+    def omega_with_cores(self, pushed):
         """omega(cycle, core) for each cylinder, without tracing a core.
 
-        ``cycle`` is a cellular 1-cycle of the origami.  Pushed into the
-        sheared frame, where each core runs along (1, 0) at mid-height of
-        its rows, it meets a core only on the left edges l_i of the
-        core's row, each once and upwards; such a crossing counts
-        det[(0, 1), (1, 0)] = -1, as in
+        ``pushed`` is a cellular 1-cycle of the origami pushed through the
+        whole shear (:meth:`push_cycles`).  In the sheared frame each core
+        runs along (1, 0) at mid-height of its rows, so the cycle meets a
+        core only on the left edges l_i of the core's row, each once and
+        upwards; such a crossing counts det[(0, 1), (1, 0)] = -1, as in
         :func:`origamikz.homology.intersection_number`.
         """
-        _, l = push_forward_chain(self.origami, self._stages, cycle)
+        _, l = pushed
         return tuple(-sum(l[sq] for sq in cyl.rows[0]) for cyl in self.cylinders)
 
     def __repr__(self):
@@ -558,12 +575,15 @@ def _row_chains(o):
     return chains
 
 
-def decompose(o, direction):
+def decompose(o, direction, prev=None):
     """Cylinder decomposition of ``o`` in a rational direction.
 
     Shears the origami until the direction is horizontal (a word in the
     S/T action) and reads rows and heights there; the shear's stages
-    stay on the result.  Every rational direction on an origami is
+    stay on the result.  ``prev``, a decomposition of ``o`` in another
+    direction, lends the stages its shear word shares with this one's as
+    a prefix: they are taken over, not sheared again, and the result is
+    the same as without it.  Every rational direction on an origami is
     completely periodic, so this never fails.  Cylinders are sorted by
     (f, smallest square id).  No curve is traced here: a core is pulled
     back through the shear and traced on first access (see
@@ -571,7 +591,10 @@ def decompose(o, direction):
     labelled on first access (see :class:`CylinderDecomposition`).
     """
     _check_trace_length(o, direction)
-    sheared, stages = act_word(o, matrix_to_word(shear_matrix(direction)))
+    if prev is not None and prev.origami != o:
+        raise ValueError("prev is a decomposition of another origami")
+    reuse = prev._stages if prev is not None else ()
+    sheared, stages = act_word(o, matrix_to_word(shear_matrix(direction)), reuse)
     chains = _row_chains(sheared)
 
     heights = [len(chain) for chain in chains]

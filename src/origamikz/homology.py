@@ -162,17 +162,21 @@ class HomologyBasis:
         """(omega(X1, loop), .., omega(Y2, loop)) against the traced :attr:`loops`."""
         return tuple(intersection_number(b, loop) for b in self.loops)
 
-    def omega_against_cores(self, dec):
+    def omega_against_cores(self, dec, pushed=None):
         """:meth:`omega_against` of each core of ``dec``, none of them traced.
 
         The basis curves are taken as cellular cycles
-        (:meth:`CylinderDecomposition.core_cycles`, built with the basis) and
-        paired with the cores through ``dec``'s shear.  One 4-tuple per
+        (:meth:`CylinderDecomposition.core_cycles`, built with the basis),
+        pushed through ``dec``'s shear and paired with its cores there.
+        ``pushed``, if given, holds them already pushed through the whole
+        shear (:meth:`CylinderDecomposition.push_cycles`).  One 4-tuple per
         cylinder, in ``dec``'s order.
         """
         if dec.origami != self.origami:
             raise OrigamiError("decomposition and basis live on different origamis")
-        return list(zip(*(dec.omega_with_cores(z) for z in self._cycles)))
+        if pushed is None:
+            pushed = dec.push_cycles(self._cycles)
+        return list(zip(*map(dec.omega_with_cores, pushed)))
 
     def __repr__(self):
         return "HomologyBasis(dirs=%r, f=%r)" % (self.directions, self.f_values)

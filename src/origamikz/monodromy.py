@@ -11,14 +11,20 @@ with gamma_i the core-curve classes.  Restricted to the kernel of the
 pushforward this is a parabolic element of SL2(Z) in the {X, Y}
 coordinates of :func:`origamikz.homology.nontaut_basis`; matrices are
 returned with columns the images of X and Y.
+
+Many directions of one origami are twisted by :func:`kz_generators`,
+which shears the origami once along the shared prefixes of their shear
+words and pushes the basis cycles along the same walk, so a letter
+common to many words is applied once.
 """
 
 from math import gcd, lcm
+from os.path import commonprefix
 
-from .errors import IntegralityError, UnimodularityError
-from .geometry import decompose
+from .errors import IntegralityError, OrigamiError, UnimodularityError
+from .geometry import _check_trace_length, decompose, shear_matrix
 from .homology import default_basis, express_in_basis, nontaut_basis
-from .sl2 import Mat2
+from .sl2 import Mat2, matrix_to_word
 
 
 def twist_multiplicities(dec):
@@ -41,25 +47,27 @@ def twist_multiplicities(dec):
     return tuple(n // g for n in ns)
 
 
-def dehn_twist_action(dec, basis):
+def dehn_twist_action(dec, basis, pushed=None):
     """Matrix of the minimal multitwist of ``dec`` on the non-tautological part.
 
     ``dec`` is a cylinder decomposition of the basis's origami; it is
     twisted as given, not decomposed again.  Each core gamma_i meets
     the basis as its cellular row (:meth:`HomologyBasis.omega_against_cores`,
-    no core traced): omega(z, gamma_i) is z . row_i, and the Gram solve
-    of the row gives gamma_i's coordinates.  Columns are the images of X
-    and Y.  Entries must come out integral and the determinant must be
-    1; violations raise instead of degrading to rational output, since
-    they would mean the {X, Y} pair is not a basis of the kernel lattice.
+    no core traced; ``pushed`` as there): omega(z, gamma_i) is z . row_i,
+    and the Gram solve of the row gives gamma_i's coordinates.  Columns
+    are the images of X and Y.  Entries must come out integral and the
+    determinant must be 1; violations raise instead of degrading to
+    rational output, since they would mean the {X, Y} pair is not a
+    basis of the kernel lattice.
     """
-    rows = basis.omega_against_cores(dec)
+    rows = basis.omega_against_cores(dec, pushed)
     gammas = [express_in_basis(row, basis) for row in rows]
+    ns = twist_multiplicities(dec)
     nt = nontaut_basis(basis)
     cols = []
     for z in (nt.x, nt.y):
         w = list(z)
-        for n_i, row, gamma in zip(twist_multiplicities(dec), rows, gammas):
+        for n_i, row, gamma in zip(ns, rows, gammas):
             coeff = n_i * sum(zk * rk for zk, rk in zip(z, row))
             for k in range(4):
                 w[k] += coeff * gamma[k]
@@ -91,13 +99,60 @@ def kz_generators(o, directions, basis=None):
 
     The basis defaults to :func:`origamikz.homology.default_basis`.  A
     direction the basis was built from is twisted as the basis holds it,
-    not decomposed again; every other decomposition is dropped once
-    twisted.
+    not decomposed again.  The directions are walked in the order of
+    their shear words' letters, so each word shares its longest common
+    prefix with the one before: its decomposition takes that one's
+    stages up to there (:func:`decompose` with ``prev``), and the basis
+    cycles are pushed on from there.  Pushed cycles are kept only at the
+    depths where later words branch off, and a decomposition only until
+    the next one is made.  Matrices come back in input order; if twists
+    fail, the error of the first failing direction in input order is
+    raised, and a direction too long to trace is refused before any shear.
     """
     if basis is None:
         basis = default_basis(o)
+    directions = list(directions)
+    for d in directions:
+        _check_trace_length(o, d)
+    if directions and basis.origami != o:
+        raise OrigamiError("decomposition and basis live on different origamis")
+    words = [_shear_letters(d) for d in directions]
+    order = sorted(range(len(directions)), key=words.__getitem__)
+    # resume[k]: the letters the k-th word of the walk shares with the one
+    # before; branch[k]: the depths later words resume from, increasing
+    resume = [0] + [len(commonprefix((words[i], words[j])))
+                    for i, j in zip(order, order[1:])]
+    branch = [[] for _ in order]
+    for k in range(len(order) - 1, 0, -1):
+        branch[k - 1] = [t for t in branch[k] if t < resume[k]] + [resume[k]]
     held = {dec.direction: dec for dec in basis.decompositions}
-    return [
-        dehn_twist_action(held[d] if d in held else decompose(o, d), basis)
-        for d in directions
-    ]
+    saved = [(0, basis._cycles)]  # (depth, pushed cycles), depth increasing
+    out = [None] * len(directions)
+    failed = None
+    dec = None
+    for k, i in enumerate(order):
+        d = directions[i]
+        dec = held[d] if d in held else decompose(o, d, dec)
+        depth, cycles = saved[-1] if resume[k] in branch[k] else saved.pop()
+        for t in branch[k]:
+            if t > depth:
+                cycles = dec.push_cycles(cycles, depth, t)
+                depth = t
+                saved.append((t, cycles))
+        try:
+            out[i] = dehn_twist_action(dec, basis, dec.push_cycles(cycles, depth))
+        except OrigamiError as exc:
+            if failed is None or i < failed[0]:
+                failed = (i, exc)
+    if failed is not None:
+        raise failed[1]
+    return out
+
+
+def _shear_letters(direction):
+    """A direction's shear word as a string of its letters in the order they act.
+
+    One character per letter, lower case for an inverse.
+    """
+    word = matrix_to_word(shear_matrix(direction))
+    return "".join((g if e > 0 else g.lower()) * abs(e) for g, e in reversed(word))

@@ -29,7 +29,7 @@ so that ``act_matrix(M, act_matrix(N, o)) == act_matrix(M*N, o)``.
 
 from fractions import Fraction
 from itertools import combinations, islice
-from math import gcd
+from math import gcd, lcm
 
 from .errors import InvalidShapeError, OrbitCapExceeded, OrigamiError
 from .sl2 import matrix_to_word
@@ -328,28 +328,24 @@ def act_letter(o, gen, exp):
     raise ValueError("unknown letter %r with exponent %r" % (gen, exp))
 
 
-def transport_letter(o, gen, exp, point):
+def _transport_point(o, gen, exp, point, n):
     """Image of a surface point under one generator acting on ``o``.
 
-    ``point`` is (square, x, y) with exact rationals, 0 <= x, y < 1.  The
-    result is canonical in the same sense on the acted origami.
+    ``point`` is (square, X, Y) for the point (X / n, Y / n) of that
+    square, with 0 <= X, Y < n; the result is the same on the acted
+    origami, over the same n.
     """
     sq, x, y = point
-    h, v = o.h, o.v
     if gen == "T":
         if exp > 0:
-            s = x + y
-            return (sq, s, y) if s < 1 else (h(sq), s - 1, y)
-        s = x - y
-        return (sq, s, y) if s >= 0 else (h.inverse()(sq), s + 1, y)
+            x += y
+            return (sq, x, y) if x < n else (o.h(sq), x - n, y)
+        x -= y
+        return (sq, x, y) if x >= 0 else (o.h.inverse()(sq), x + n, y)
     if gen == "S":
         if exp > 0:
-            if y > 0:
-                return (sq, 1 - y, x)
-            return (v.inverse()(sq), Fraction(0), x)
-        if x > 0:
-            return (sq, y, 1 - x)
-        return (h.inverse()(sq), y, Fraction(0))
+            return (sq, n - y, x) if y else (o.v.inverse()(sq), 0, x)
+        return (sq, y, n - x) if x else (o.h.inverse()(sq), y, 0)
     raise ValueError("unknown generator %r" % (gen,))
 
 
@@ -360,7 +356,7 @@ def transport_chain(o, gen, exp, chain):
     edges of ``o``: b_i is the bottom of square i, from its bottom-left
     corner to that of h(i), and l_i its left side, up to that of v(i).
     Each edge goes to the edge path of the acted origami that
-    :func:`transport_letter` carries it to, up to homotopy rel ends:
+    :func:`_transport_point` carries it to, up to homotopy rel ends:
 
     * T: b_i -> b_i and l_i -> b_i + l_h(i);
     * S: b_i -> l_v^-1(i) and l_i -> -b_i;
@@ -383,20 +379,30 @@ def transport_chain(o, gen, exp, chain):
     raise ValueError("unknown generator %r" % (gen,))
 
 
-def act_word(o, word):
+def act_word(o, word, reuse=()):
     """Apply a word over S/T (rightmost letter first).
 
     Returns ``(result, stages)`` where stages is the list of
     ``(gen, exp, origami_after)`` single-letter applications, in the
     order they were applied.  Stages are what point transport needs.
+    ``reuse`` is the stage list of an earlier word on ``o``: its stages
+    are taken over, not recomputed, for as long as their letters are
+    this word's.
     """
     stages = []
     cur = o
+    shared = True  # every stage so far is taken from reuse
     for gen, exp in reversed(word):
         step = 1 if exp > 0 else -1
         for _ in range(abs(exp)):
-            cur = act_letter(cur, gen, step)
-            stages.append((gen, step, cur))
+            k = len(stages)
+            shared = shared and k < len(reuse) and reuse[k][:2] == (gen, step)
+            if shared:
+                cur = reuse[k][2]
+                stages.append(reuse[k])
+            else:
+                cur = act_letter(cur, gen, step)
+                stages.append((gen, step, cur))
     return cur, stages
 
 
@@ -405,19 +411,35 @@ def act_matrix(o, m):
     return act_word(o, matrix_to_word(m))[0]
 
 
+def _over_denominator(point):
+    """``(n, (square, X, Y))`` for a point ``(square, X / n, Y / n)``."""
+    sq, x, y = point
+    n = lcm(x.denominator, y.denominator)
+    return n, (sq, x.numerator * (n // x.denominator), y.numerator * (n // y.denominator))
+
+
 def pull_back_point(stages, point):
-    """Undo a stage list (from :func:`act_word`) on a surface point."""
+    """Undo a stage list (from :func:`act_word`) on a surface point.
+
+    The point is carried in integers over its coordinates' denominator
+    and its Fractions are built once, at the end.
+    """
+    n, point = _over_denominator(point)
     for gen, exp, after in reversed(stages):
-        point = transport_letter(after, gen, -exp, point)
-    return point
+        point = _transport_point(after, gen, -exp, point, n)
+    return point[0], Fraction(point[1], n), Fraction(point[2], n)
 
 
 def push_forward_point(o, stages, point):
-    """Apply a stage list (from :func:`act_word` on ``o``) to a surface point."""
+    """Apply a stage list (from :func:`act_word` on ``o``) to a surface point.
+
+    In integers over the point's denominator, as :func:`pull_back_point`.
+    """
+    n, point = _over_denominator(point)
     for gen, exp, after in stages:
-        point = transport_letter(o, gen, exp, point)
+        point = _transport_point(o, gen, exp, point, n)
         o = after
-    return point
+    return point[0], Fraction(point[1], n), Fraction(point[2], n)
 
 
 def pull_back_chain(stages, chain):

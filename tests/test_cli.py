@@ -1,11 +1,14 @@
 import json
+import random
 import sys
 
 import pytest
 
-from origamikz import cli, geometry, paper, sl2
+from origamikz import (OrigamiError, cli, decompose, default_basis, dehn_twist_action,
+                       format_origami, geometry, origami, paper, sl2)
 from origamikz.cli import main
 from origamikz.origami import MAX_DEGREE, MAX_TRACE_LENGTH
+from util import random_h2_origami
 
 L24 = "d=5\nh=(1 2)\nv=(1 3 4 5)\n"
 
@@ -384,9 +387,9 @@ def test_each_direction_decomposed_once(monkeypatch, capsys, tmp_path,
     real = geometry.decompose
     calls = []
 
-    def counting(o, d):
+    def counting(o, d, *prev):
         calls.append((o, d))
-        return real(o, d)
+        return real(o, d, *prev)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("origamikz") and getattr(module, "decompose", None) is real:
@@ -470,7 +473,9 @@ def test_verify_paper_tracer_work(monkeypatch, capsys):
     # the stepper works in integers, and a core's segments take two new
     # Fractions per crossing (its exit point) plus one for its first entry
     # point: 19,680 in all.  Counted over the whole run, Fraction
-    # constructions fell from 80,116 with the Fraction stepper to 21,296.
+    # constructions fell from 80,116 with the Fraction stepper to 21,296,
+    # and to 19,960 once the cores' start points were pulled back through
+    # the shear in integers, with two Fractions per point.
     # From Python 3.12 on, Fraction arithmetic builds its results without
     # calling __new__, so that total is pinned on earlier versions only.
     from fractions import Fraction
@@ -498,7 +503,57 @@ def test_verify_paper_tracer_work(monkeypatch, capsys):
     assert counts["crossings"] == 9910
     assert counts["segment_fractions"] == 19680
     if sys.version_info < (3, 12):
-        assert counts["fractions"] == 21296
+        assert counts["fractions"] == 19960
+
+
+def test_conjecture_shear_and_push_work(monkeypatch, capsys):
+    # the 3 x 128 directions apply 4,209 shear letters one word at a time
+    # but hold only 332 distinct prefixes per case; the walk applies each
+    # once (one of them in the basis) and pushes the four basis cycles
+    # along it: 4 x 996 chain transports, plus 6 per case to build the
+    # basis, against 4,209 letters and 16,854 transports one at a time
+    counts = {"act_letter": 0, "transport_chain": 0}
+    for name in counts:
+        real = getattr(origami, name)
+
+        def counting(*args, name=name, real=real):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(origami, name, counting)
+    assert main(["conjecture", "--max-dir-sum", "14"]) == 0
+    capsys.readouterr()
+    assert counts == {"act_letter": 996, "transport_chain": 4002}
+
+
+@pytest.mark.parametrize("dirs", [
+    "3,2;2,3;1,2;2,1;1,1;-1,1", "-1,1;1,1;2,1;1,2;2,3;3,2",
+], ids=["forward", "reversed"])
+def test_monodromy_reports_the_first_failing_direction(capsys, tmp_path, dirs):
+    # the twists run in the order of the shear words; the error reported
+    # is still the one of the first failing direction in input order
+    rng = random.Random(1)
+    failing = 0
+    for k in range(10):
+        o = random_h2_origami(rng)
+        path = tmp_path / ("r%d.txt" % k)
+        path.write_text(format_origami(o))
+        basis = default_basis(o)
+        first = None
+        for d in cli._parse_dirs(dirs):
+            try:
+                dehn_twist_action(decompose(o, d), basis)
+            except OrigamiError as exc:
+                first = exc
+                break
+        code = main(["monodromy", str(path), "--dirs=" + dirs])
+        err = capsys.readouterr().err
+        if first is None:
+            assert code in (0, 3) and err == ""
+        else:
+            failing += 1
+            assert code == 1 and err == "error: %s\n" % first
+    assert failing == 4
 
 
 def test_decompose_shears_once(monkeypatch, capsys, l24_file):
@@ -506,9 +561,9 @@ def test_decompose_shears_once(monkeypatch, capsys, l24_file):
     real = geometry.act_word
     calls = []
 
-    def counting(o, word):
+    def counting(o, word, *reuse):
         calls.append(word)
-        return real(o, word)
+        return real(o, word, *reuse)
 
     monkeypatch.setattr(geometry, "act_word", counting)
     assert main(["decompose", l24_file, "--dir=-7,30"]) == 0

@@ -1,20 +1,27 @@
 import random
+import tracemalloc
+
+import pytest
 
 from origamikz import (
     Direction,
     Origami,
+    OrigamiError,
     Perm,
     class_pushforward,
     decompose,
+    default_basis,
     dehn_twist_action,
     index_in_sl2,
     kz_generators,
     make_l_origami,
     nontaut_basis,
+    primitive_directions,
     standard_basis,
     twist_multiplicities,
 )
 from origamikz.homology import basis_from_directions
+from origamikz.monodromy import _shear_letters
 from origamikz.sl2 import Mat2
 from util import random_direction, random_h2_origami
 
@@ -129,3 +136,106 @@ def test_group_level_basis_independence():
     b2 = basis_from_directions(o, Direction(0, 1), Direction(1, 0))
     idx2 = index_in_sl2([dehn_twist_action(decompose(o, d), b2) for d in dirs])
     assert idx1 == idx2 == 3
+
+
+# the degree-3 one-cylinder surface: its axes have one cylinder each, so
+# its default basis is searched
+ONE_CYLINDER = Origami(Perm.from_cycles([(1, 2, 3)]), Perm.from_cycles([(2, 3)], 3))
+
+
+def _walk_surfaces():
+    # the second and third random surfaces fail 87 and 58 of the 128
+    # twists with |p| + |q| <= 14 (non-integral core coordinates)
+    rng = random.Random(1)
+    return ([make_l_origami(3, 3), make_l_origami(3, 5), make_l_origami(5, 5),
+             ONE_CYLINDER] + [random_h2_origami(rng) for _ in range(3)])
+
+
+def _one_at_a_time(o, dirs, basis):
+    """Each direction's matrix from a fresh decomposition, or its error."""
+    out = []
+    for d in dirs:
+        try:
+            out.append(dehn_twist_action(decompose(o, d), basis))
+        except OrigamiError as exc:
+            out.append(exc)
+    return out
+
+
+def test_kz_generators_walk_matches_one_direction_at_a_time():
+    # the shared-prefix walk, in input, word and shuffled order, against a
+    # fresh decomposition and a fresh push per direction; where twists
+    # fail, the first failure in input order is the one raised
+    rng = random.Random(59)
+    errors = 0
+    for o in _walk_surfaces():
+        basis = default_basis(o)
+        dirs = primitive_directions(14)
+        shuffled = rng.sample(dirs, len(dirs))
+        for order in (dirs, sorted(dirs, key=_shear_letters), shuffled):
+            expected = _one_at_a_time(o, order, basis)
+            failures = [m for m in expected if isinstance(m, OrigamiError)]
+            if not failures:
+                assert kz_generators(o, order, basis) == expected
+                continue
+            errors += 1
+            with pytest.raises(type(failures[0])) as info:
+                kz_generators(o, order, basis)
+            assert str(info.value) == str(failures[0])
+    assert errors > 0
+
+
+def test_reused_decomposition_equals_a_fresh_one():
+    # each direction decomposed with its predecessor in word order, and
+    # with an unrelated one, lent as prev
+    rng = random.Random(61)
+    for o in _walk_surfaces():
+        dirs = sorted(primitive_directions(10), key=_shear_letters)
+        prevs = [None] + dirs[:-1]
+        for d, before in zip(dirs, prevs):
+            for lent in (before, rng.choice(dirs)):
+                fresh = decompose(o, d)
+                reused = decompose(o, d, None if lent is None else decompose(o, lent))
+                assert ([cyl.rows for cyl in reused.cylinders]
+                        == [cyl.rows for cyl in fresh.cylinders])
+                assert reused.f_values() == fresh.f_values()
+                assert reused.c_values() == fresh.c_values()
+                assert ([s[:2] for s in reused._stages]
+                        == [s[:2] for s in fresh._stages])
+                sheared = [x._stages[-1][2] if x._stages else o for x in (reused, fresh)]
+                assert sheared[0] == sheared[1]
+                assert reused.core_cycles() == fresh.core_cycles()
+
+
+def test_decompose_refuses_a_foreign_prev():
+    prev = decompose(make_l_origami(2, 4), Direction(1, 1))
+    with pytest.raises(ValueError):
+        decompose(make_l_origami(4, 2), Direction(1, 2), prev)
+
+
+def test_kz_generators_rejects_a_foreign_basis():
+    basis = standard_basis(make_l_origami(2, 4))
+    with pytest.raises(OrigamiError):
+        kz_generators(make_l_origami(4, 2), [Direction(1, 1)], basis)
+
+
+def test_kz_generators_keeps_no_pushed_copy_per_letter():
+    # one long direction shares a single letter with the other: the walk
+    # holds the long word's stages, as one fresh decomposition does, and
+    # no pushed cycles along it (a copy per letter would hold about four
+    # times what the stages hold)
+    o = make_l_origami(2, 4)
+    basis = standard_basis(o)
+    long_dir = Direction(5000, 1)
+
+    def peak(run):
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    alone = peak(lambda: dehn_twist_action(decompose(o, long_dir), basis))
+    walked = peak(lambda: kz_generators(o, [long_dir, Direction(1, 1)], basis))
+    assert walked < 1.1 * alone

@@ -33,6 +33,7 @@ from util import (
     reference_canonical_form,
     reference_orbit,
     torus_cover,
+    transport_letter,
 )
 
 TORUS = Origami(Perm.identity(1), Perm.identity(1))
@@ -137,6 +138,33 @@ def test_pull_back_inverts_push_forward():
             pt = (rng.randrange(o.degree), Fraction(rng.randrange(4), 4),
                   Fraction(rng.randrange(3), 3))
             assert pull_back_point(stages, push_forward_point(o, stages, pt)) == pt
+
+
+def test_point_transport_matches_the_fraction_oracle():
+    # random stage lists, of shear words and of random letters, on points
+    # inside squares, on their edges and at their corners, over mixed
+    # denominators: each stage is one transport_letter step
+    rng = random.Random(29)
+    for trial in range(40):
+        o = random_transitive_pair(rng, dmax=8)
+        if trial % 2:
+            word = matrix_to_word(shear_matrix(random_direction(rng, bound=9)))
+        else:
+            word = [rng.choice(GENS) for _ in range(rng.randrange(12))]
+        _, stages = act_word(o, word)
+        for _ in range(6):
+            den = rng.choice((1, 2, 3, 4, 6, 7))
+            pt = (rng.randrange(o.degree), Fraction(rng.randrange(den), den),
+                  Fraction(rng.randrange(5), 5))
+            forward, cur = pt, o
+            for gen, exp, after in stages:
+                forward = transport_letter(cur, gen, exp, forward)
+                cur = after
+            assert push_forward_point(o, stages, pt) == forward
+            backward = pt
+            for gen, exp, after in reversed(stages):
+                backward = transport_letter(after, gen, -exp, backward)
+            assert pull_back_point(stages, pt) == backward
 
 
 def test_action_preserves_stratum():

@@ -1,5 +1,5 @@
 """Shared helpers for the test suite: seeded random surfaces and directions,
-the reference Fraction tracer, the reference Fraction intersection
+the reference Fraction point transport, the reference Fraction tracer, the reference Fraction intersection
 pairing, the reference Fraction determinant and solver for the Gram
 system, the traced Gram matrix and multitwist action, the reference
 all-starts and cone-starts canonical forms and a four-generator orbit
@@ -87,6 +87,34 @@ def random_direction(rng, bound=7):
             d = Direction(p, q)
             if abs(d.p) <= bound and abs(d.q) <= bound:
                 return d
+
+
+def transport_letter(o, gen, exp, point):
+    """Image of a surface point under one generator acting on ``o``.
+
+    ``point`` is (square, x, y) with exact rationals, 0 <= x, y < 1.  The
+    result is canonical in the same sense on the acted origami.  The
+    Fraction route that :func:`origamikz.origami.push_forward_point` and
+    :func:`origamikz.origami.pull_back_point` replaced with integers over
+    the point's denominator; kept as their per-letter oracle.
+    """
+    sq, x, y = point
+    h, v = o.h, o.v
+    if gen == "T":
+        if exp > 0:
+            s = x + y
+            return (sq, s, y) if s < 1 else (h(sq), s - 1, y)
+        s = x - y
+        return (sq, s, y) if s >= 0 else (h.inverse()(sq), s + 1, y)
+    if gen == "S":
+        if exp > 0:
+            if y > 0:
+                return (sq, 1 - y, x)
+            return (v.inverse()(sq), Fraction(0), x)
+        if x > 0:
+            return (sq, y, 1 - x)
+        return (h.inverse()(sq), y, Fraction(0))
+    raise ValueError("unknown generator %r" % (gen,))
 
 
 def reference_step(o, state, a, b):
