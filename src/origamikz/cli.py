@@ -261,7 +261,8 @@ def cmd_census(args):
         return EXIT_USAGE
     if d >= 10:
         print("census at degree %d enumerates large centralizer cosets; "
-              "expect half a minute or more" % d, file=sys.stderr)
+              "expect seconds at degree 10 and over a minute beyond" % d,
+              file=sys.stderr)
     origamis = h2_origamis(d)
     cap = args.cap
     try:

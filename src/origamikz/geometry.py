@@ -46,7 +46,7 @@ FHALF = Fraction(1, 2)
 class Direction:
     """A primitive rational direction, stored with q > 0 or (q = 0, p > 0)."""
 
-    __slots__ = ("p", "q")
+    __slots__ = ("p", "q", "_word")
 
     def __init__(self, p, q):
         if p == 0 and q == 0:
@@ -57,6 +57,7 @@ class Direction:
             p, q = -p, -q
         self.p = p
         self.q = q
+        self._word = None  # the shear word, see _shear_word
 
     @property
     def vector(self):
@@ -111,6 +112,30 @@ def shear_matrix(direction):
     if m.det() != 1 or m.apply((p, q)) != (1, 0):
         raise TracingError("shear %r does not send %r to (1, 0)" % (m, direction))
     return m
+
+
+def _shear_word(direction):
+    """``matrix_to_word(shear_matrix(direction))``, built once per direction."""
+    if direction._word is None:
+        direction._word = tuple(matrix_to_word(shear_matrix(direction)))
+    return direction._word
+
+
+def _shared_letters(word, other):
+    """How many letters two S/T words share at the start of their action.
+
+    Compared run by run, rightmost first.  A run that one word splits in
+    two (S^-1 S^-2 for S^-3) only ends the count early: the letters
+    counted are always shared.
+    """
+    n = 0
+    for (gen, exp), (gen2, exp2) in zip(reversed(word), reversed(other)):
+        if gen != gen2 or (exp > 0) != (exp2 > 0):
+            break
+        n += min(abs(exp), abs(exp2))
+        if exp != exp2:
+            break
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -582,19 +607,22 @@ def decompose(o, direction, prev=None):
     S/T action) and reads rows and heights there; the shear's stages
     stay on the result.  ``prev``, a decomposition of ``o`` in another
     direction, lends the stages its shear word shares with this one's as
-    a prefix: they are taken over, not sheared again, and the result is
-    the same as without it.  Every rational direction on an origami is
-    completely periodic, so this never fails.  Cylinders are sorted by
-    (f, smallest square id).  No curve is traced here: a core is pulled
-    back through the shear and traced on first access (see
-    :class:`Cylinder`), and the saddle connections are traced and
+    a prefix: they are taken over as one slice, not sheared again, and
+    the result is the same as without it.  Every rational direction on
+    an origami is completely periodic, so this never fails.  Cylinders
+    are sorted by (f, smallest square id).  No curve is traced here: a
+    core is pulled back through the shear and traced on first access
+    (see :class:`Cylinder`), and the saddle connections are traced and
     labelled on first access (see :class:`CylinderDecomposition`).
     """
     _check_trace_length(o, direction)
     if prev is not None and prev.origami != o:
         raise ValueError("prev is a decomposition of another origami")
-    reuse = prev._stages if prev is not None else ()
-    sheared, stages = act_word(o, matrix_to_word(shear_matrix(direction)), reuse)
+    word = _shear_word(direction)
+    lent = ()
+    if prev is not None:
+        lent = prev._stages[:_shared_letters(_shear_word(prev.direction), word)]
+    sheared, stages = act_word(o, word, lent)
     chains = _row_chains(sheared)
 
     heights = [len(chain) for chain in chains]

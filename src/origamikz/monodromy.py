@@ -19,12 +19,11 @@ common to many words is applied once.
 """
 
 from math import gcd, lcm
-from os.path import commonprefix
 
 from .errors import IntegralityError, OrigamiError, UnimodularityError
-from .geometry import _check_trace_length, decompose, shear_matrix
+from .geometry import _check_trace_length, _shared_letters, _shear_word, decompose
 from .homology import default_basis, express_in_basis, nontaut_basis
-from .sl2 import Mat2, matrix_to_word
+from .sl2 import Mat2
 
 
 def twist_multiplicities(dec):
@@ -102,12 +101,14 @@ def kz_generators(o, directions, basis=None):
     not decomposed again.  The directions are walked in the order of
     their shear words' letters, so each word shares its longest common
     prefix with the one before: its decomposition takes that one's
-    stages up to there (:func:`decompose` with ``prev``), and the basis
-    cycles are pushed on from there.  Pushed cycles are kept only at the
-    depths where later words branch off, and a decomposition only until
-    the next one is made.  Matrices come back in input order; if twists
-    fail, the error of the first failing direction in input order is
-    raised, and a direction too long to trace is refused before any shear.
+    stages up to there as one slice (:func:`decompose` with ``prev``),
+    and the basis cycles are pushed on from there.  Pushed cycles are
+    kept only at the depths where later words branch off, and a
+    decomposition only until the next one is made.  Each direction's
+    shear word is built once and kept on it.  Matrices come back in
+    input order; if twists fail, the error of the first failing
+    direction in input order is raised, and a direction too long to
+    trace is refused before any shear.
     """
     if basis is None:
         basis = default_basis(o)
@@ -116,12 +117,11 @@ def kz_generators(o, directions, basis=None):
         _check_trace_length(o, d)
     if directions and basis.origami != o:
         raise OrigamiError("decomposition and basis live on different origamis")
-    words = [_shear_letters(d) for d in directions]
-    order = sorted(range(len(directions)), key=words.__getitem__)
+    order = sorted(range(len(directions)), key=lambda i: _shear_letters(directions[i]))
+    words = [_shear_word(d) for d in directions]
     # resume[k]: the letters the k-th word of the walk shares with the one
     # before; branch[k]: the depths later words resume from, increasing
-    resume = [0] + [len(commonprefix((words[i], words[j])))
-                    for i, j in zip(order, order[1:])]
+    resume = [0] + [_shared_letters(words[i], words[j]) for i, j in zip(order, order[1:])]
     branch = [[] for _ in order]
     for k in range(len(order) - 1, 0, -1):
         branch[k - 1] = [t for t in branch[k] if t < resume[k]] + [resume[k]]
@@ -154,5 +154,5 @@ def _shear_letters(direction):
 
     One character per letter, lower case for an inverse.
     """
-    word = matrix_to_word(shear_matrix(direction))
+    word = _shear_word(direction)
     return "".join((g if e > 0 else g.lower()) * abs(e) for g, e in reversed(word))

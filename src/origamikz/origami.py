@@ -385,24 +385,19 @@ def act_word(o, word, reuse=()):
     Returns ``(result, stages)`` where stages is the list of
     ``(gen, exp, origami_after)`` single-letter applications, in the
     order they were applied.  Stages are what point transport needs.
-    ``reuse`` is the stage list of an earlier word on ``o``: its stages
-    are taken over, not recomputed, for as long as their letters are
-    this word's.
+    ``reuse`` holds the stages of the word's first letters on ``o``, as
+    an earlier word beginning with the same letters left them: they are
+    taken over whole, and only the letters after them are applied.
     """
-    stages = []
-    cur = o
-    shared = True  # every stage so far is taken from reuse
+    stages = list(reuse)
+    cur = stages[-1][2] if stages else o
+    skip = len(stages)
     for gen, exp in reversed(word):
         step = 1 if exp > 0 else -1
-        for _ in range(abs(exp)):
-            k = len(stages)
-            shared = shared and k < len(reuse) and reuse[k][:2] == (gen, step)
-            if shared:
-                cur = reuse[k][2]
-                stages.append(reuse[k])
-            else:
-                cur = act_letter(cur, gen, step)
-                stages.append((gen, step, cur))
+        for _ in range(abs(exp) - skip):
+            cur = act_letter(cur, gen, step)
+            stages.append((gen, step, cur))
+        skip = max(skip - abs(exp), 0)
     return cur, stages
 
 

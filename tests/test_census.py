@@ -10,7 +10,10 @@ from origamikz import (
     orbit_partition,
     singularity_data,
 )
-from origamikz.origami import holonomy_lattice_index
+from origamikz import census as census_mod
+from origamikz.origami import Perm, _transitive, holonomy_lattice_index
+
+from util import centralizer
 
 
 def test_counts_small_degrees():
@@ -61,23 +64,76 @@ def test_degree7_two_orbits():
 
 
 def test_exhaustive_cross_check_degree4():
-    # independent oracle: raw loop over all degree-4 pairs; every degree-4
-    # H(2) origami turns out primitive, so the census is the full stratum
+    # independent oracle: raw loop over all pairs of degree 4 and 5; every
+    # H(2) origami of these degrees turns out primitive, so the census is
+    # the full stratum
     import itertools
 
-    from origamikz import Origami, Perm
+    from origamikz import Origami
 
-    forms = set()
-    for him in itertools.permutations(range(4)):
-        for vim in itertools.permutations(range(4)):
-            try:
-                o = Origami(Perm(him), Perm(vim))
-            except ValueError:
-                continue
-            if singularity_data(o).is_h2:
-                assert is_primitive(o)
-                forms.add(canonical_form(o))
-    assert forms == set(h2_origamis(4))
+    for d, count in ((4, 9), (5, 27)):
+        forms = set()
+        for him in itertools.permutations(range(d)):
+            for vim in itertools.permutations(range(d)):
+                try:
+                    o = Origami(Perm(him), Perm(vim))
+                except ValueError:
+                    continue
+                if singularity_data(o).is_h2:
+                    assert is_primitive(o)
+                    forms.add(canonical_form(o))
+        assert len(forms) == count
+        assert forms == set(h2_origamis(d))
+
+
+def _sweep_inputs(degree):
+    # (h, v0) for each cycle type h and each 3-cycle the census keeps
+    for ptype in census_mod._partitions(degree):
+        h = Perm._trusted(census_mod._canonical_of_type(ptype))
+        for cyc in census_mod._three_cycles(degree):
+            w = Perm._trusted(census_mod._apply_cycle(h.images, cyc))
+            if w.cycle_type() == ptype:
+                yield h, census_mod._conjugator(h.cycles(include_fixed=True),
+                                                w.cycles(include_fixed=True))
+
+
+def test_sweep_returns_exactly_the_transitive_coset_elements():
+    # against the full centralizer, each element tested one at a time
+    inputs = 0
+    for d in range(3, 8):
+        for h, v0 in _sweep_inputs(d):
+            inputs += 1
+            swept = list(census_mod._centralizer(h, v0))
+            assert len(swept) == len(set(swept))
+            assert set(swept) == {
+                z for z in centralizer(h)
+                if _transitive(h.images, tuple(v0[x] for x in z))
+            }
+    assert inputs == 387
+
+
+def test_sweep_builds_one_element_per_canonical_form_call(monkeypatch):
+    # the sweep builds only transitive elements: at degrees 7 and 8 the
+    # full cosets hold 6,393 and 35,952, of which 1,757 and 6,716 are
+    # transitive, and each of those is reduced to a canonical form
+    counts = {"built": 0, "forms": 0}
+    real_sweep, real_form = census_mod._centralizer, census_mod.canonical_form
+
+    def sweep(*args):
+        for z in real_sweep(*args):
+            counts["built"] += 1
+            yield z
+
+    def form(o):
+        counts["forms"] += 1
+        return real_form(o)
+
+    monkeypatch.setattr(census_mod, "_centralizer", sweep)
+    monkeypatch.setattr(census_mod, "canonical_form", form)
+    for d, built in ((7, 1757), (8, 6716)):
+        counts.update(built=0, forms=0)
+        h2_origamis(d)
+        assert counts == {"built": built, "forms": built}
 
 
 def _primitive_count(n):
@@ -117,8 +173,6 @@ def test_non_primitive_census_counts():
 
 
 def test_primitivity_tested_once_per_form(monkeypatch):
-    import origamikz.census as census_mod
-
     calls = []
 
     def counting(o):

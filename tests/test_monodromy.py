@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from os.path import commonprefix
 
 import pytest
 
@@ -20,6 +21,7 @@ from origamikz import (
     standard_basis,
     twist_multiplicities,
 )
+from origamikz.geometry import _shared_letters, _shear_word
 from origamikz.homology import basis_from_directions
 from origamikz.monodromy import _shear_letters
 from origamikz.sl2 import Mat2
@@ -205,6 +207,18 @@ def test_reused_decomposition_equals_a_fresh_one():
                 sheared = [x._stages[-1][2] if x._stages else o for x in (reused, fresh)]
                 assert sheared[0] == sheared[1]
                 assert reused.core_cycles() == fresh.core_cycles()
+
+
+def test_shared_letters_of_shear_words_match_their_letters():
+    # counted run by run, the shared start of two shear words is their
+    # common prefix letter by letter: for neighbours in walk order and
+    # for random pairs
+    rng = random.Random(5)
+    dirs = sorted(primitive_directions(20), key=_shear_letters)
+    pairs = list(zip(dirs, dirs[1:])) + [(rng.choice(dirs), rng.choice(dirs)) for _ in range(500)]
+    for a, b in pairs:
+        shared = commonprefix((_shear_letters(a), _shear_letters(b)))
+        assert _shared_letters(_shear_word(a), _shear_word(b)) == len(shared)
 
 
 def test_decompose_refuses_a_foreign_prev():

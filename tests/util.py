@@ -2,10 +2,11 @@
 the reference Fraction point transport, the reference Fraction tracer, the reference Fraction intersection
 pairing, the reference Fraction determinant and solver for the Gram
 system, the traced Gram matrix and multitwist action, the reference
-all-starts and cone-starts canonical forms and a four-generator orbit
-search."""
+all-starts and cone-starts canonical forms, a four-generator orbit
+search and the full centralizer of a permutation."""
 
 from fractions import Fraction
+from itertools import permutations, product
 
 from origamikz import (
     DegenerateConfigurationError,
@@ -454,3 +455,35 @@ def torus_cover(a, b, c):
     v = [x + a * (y + 1) if y + 1 < c else (x - b) % a
          for y in range(c) for x in range(a)]
     return Origami(Perm(h), Perm(v))
+
+
+def centralizer(perm):
+    """All permutations commuting with ``perm``, as image tuples, lazily.
+
+    Blocks of equal-length cycles may be permuted and each cycle rotated;
+    the blocks are filled in recursively so nothing is materialised.
+    """
+    d = perm.degree
+    cycles = perm.cycles(include_fixed=True)
+    by_len = {}
+    for c in cycles:
+        by_len.setdefault(len(c), []).append(c)
+    blocks = [block for _, block in sorted(by_len.items())]
+
+    def emit(block_idx, z):
+        if block_idx == len(blocks):
+            yield tuple(z)
+            return
+        block = blocks[block_idx]
+        length = len(block[0])
+        m = len(block)
+        for tau in permutations(range(m)):
+            for rots in product(range(length), repeat=m):
+                for i, cyc in enumerate(block):
+                    target = block[tau[i]]
+                    r = rots[i]
+                    for k in range(length):
+                        z[cyc[k]] = target[(k + r) % length]
+                yield from emit(block_idx + 1, z)
+
+    yield from emit(0, [None] * d)
