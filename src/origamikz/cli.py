@@ -24,10 +24,10 @@ from .sl2 import COSET_CAP, Mat2, _index_and_minus_identity, index_in_sl2
 
 SCHEMA_VERSION = 1
 
-# conjecture builds about 0.6 * S^2 directions up front and shears along
-# their shear words, each shared prefix once (S = 50 takes about 0.9 s on
-# the default representatives, start-up included, on 2 vCPUs with
-# Python 3.11; 1.5-1.8 s when each direction was sheared from scratch)
+# conjecture builds about 0.6 * S^2 directions up front; kz_generators
+# shears along their shear words, each shared prefix once (S = 50 takes
+# about 0.9 s on the default representatives, start-up included, on 2
+# vCPUs with Python 3.11; 1.5-1.8 s when each was sheared from scratch)
 MAX_DIR_SUM = 50
 
 EXIT_OK = 0

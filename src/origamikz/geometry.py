@@ -15,14 +15,12 @@ direction is horizontal and reads the cylinders off the h-cycles, while
 recover the cylinder boundaries combinatorially.  They validate each
 other in the test suite.
 
-:func:`decompose` shears once and builds only the cylinders (rows, f
-and c), keeping the shear's stages; handed a decomposition in another
-direction, it takes over the stages the two shear words share as a
-prefix.  The multitwist pipeline reads the cores as cellular cycles
+:func:`decompose` shears once, or takes the stages of a shear already
+made, and builds only the cylinders (rows, f and c), keeping the shear's
+stages.  The multitwist pipeline reads the cores as cellular cycles
 through those stages (:meth:`CylinderDecomposition.core_cycles`) and
 pairs them with cycles pushed through the shear
-(:meth:`CylinderDecomposition.push_cycles`,
-:meth:`CylinderDecomposition.omega_with_cores`); a core loop is traced
+(:meth:`CylinderDecomposition.omega_with_cores`); a core loop is traced
 on first access to :attr:`Cylinder.core`, and the saddle connections
 and the upper boundary of each cylinder on first access to
 :attr:`CylinderDecomposition.saddle_connections` or
@@ -30,12 +28,11 @@ and the upper boundary of each cylinder on first access to
 """
 
 from fractions import Fraction
-from itertools import islice
 from math import gcd, lcm
 
 from .errors import TracingError
 from .origami import (MAX_TRACE_LENGTH, _over_denominator, act_word, pull_back_chain,
-                      pull_back_point, push_forward_chain, push_forward_point)
+                      pull_back_point, push_forward_point)
 from .sl2 import Mat2, matrix_to_word
 
 F0 = Fraction(0)
@@ -46,7 +43,7 @@ FHALF = Fraction(1, 2)
 class Direction:
     """A primitive rational direction, stored with q > 0 or (q = 0, p > 0)."""
 
-    __slots__ = ("p", "q", "_word")
+    __slots__ = ("p", "q")
 
     def __init__(self, p, q):
         if p == 0 and q == 0:
@@ -57,7 +54,6 @@ class Direction:
             p, q = -p, -q
         self.p = p
         self.q = q
-        self._word = None  # the shear word, see _shear_word
 
     @property
     def vector(self):
@@ -112,30 +108,6 @@ def shear_matrix(direction):
     if m.det() != 1 or m.apply((p, q)) != (1, 0):
         raise TracingError("shear %r does not send %r to (1, 0)" % (m, direction))
     return m
-
-
-def _shear_word(direction):
-    """``matrix_to_word(shear_matrix(direction))``, built once per direction."""
-    if direction._word is None:
-        direction._word = tuple(matrix_to_word(shear_matrix(direction)))
-    return direction._word
-
-
-def _shared_letters(word, other):
-    """How many letters two S/T words share at the start of their action.
-
-    Compared run by run, rightmost first.  A run that one word splits in
-    two (S^-1 S^-2 for S^-3) only ends the count early: the letters
-    counted are always shared.
-    """
-    n = 0
-    for (gen, exp), (gen2, exp2) in zip(reversed(word), reversed(other)):
-        if gen != gen2 or (exp > 0) != (exp2 > 0):
-            break
-        n += min(abs(exp), abs(exp2))
-        if exp != exp2:
-            break
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -526,27 +498,15 @@ class CylinderDecomposition:
             out.append(z)
         return out
 
-    def push_cycles(self, cycles, start=0, stop=None):
-        """Cellular 1-cycles pushed through the shear stages ``start`` to ``stop``.
-
-        The cycles live on the origami as the first ``start`` stages
-        leave it (the origami itself at 0), and come out on it as the
-        first ``stop`` leave it: by default all of them, the sheared
-        frame that :meth:`omega_with_cores` reads.  Each stage is one
-        :func:`origamikz.origami.transport_chain` per cycle.
-        """
-        stages = self._stages
-        o = stages[start - 1][2] if start else self.origami
-        return [push_forward_chain(o, islice(stages, start, stop), z) for z in cycles]
-
     def omega_with_cores(self, pushed):
         """omega(cycle, core) for each cylinder, without tracing a core.
 
         ``pushed`` is a cellular 1-cycle of the origami pushed through the
-        whole shear (:meth:`push_cycles`).  In the sheared frame each core
-        runs along (1, 0) at mid-height of its rows, so the cycle meets a
-        core only on the left edges l_i of the core's row, each once and
-        upwards; such a crossing counts det[(0, 1), (1, 0)] = -1, as in
+        whole shear (:func:`origamikz.origami.push_forward_chain`).  In
+        the sheared frame each core runs along (1, 0) at mid-height of its
+        rows, so the cycle meets a core only on the left edges l_i of the
+        core's row, each once and upwards; such a crossing counts
+        det[(0, 1), (1, 0)] = -1, as in
         :func:`origamikz.homology.intersection_number`.
         """
         _, l = pushed
@@ -600,29 +560,25 @@ def _row_chains(o):
     return chains
 
 
-def decompose(o, direction, prev=None):
+def decompose(o, direction, stages=None):
     """Cylinder decomposition of ``o`` in a rational direction.
 
     Shears the origami until the direction is horizontal (a word in the
     S/T action) and reads rows and heights there; the shear's stages
-    stay on the result.  ``prev``, a decomposition of ``o`` in another
-    direction, lends the stages its shear word shares with this one's as
-    a prefix: they are taken over as one slice, not sheared again, and
-    the result is the same as without it.  Every rational direction on
-    an origami is completely periodic, so this never fails.  Cylinders
-    are sorted by (f, smallest square id).  No curve is traced here: a
-    core is pulled back through the shear and traced on first access
-    (see :class:`Cylinder`), and the saddle connections are traced and
+    stay on the result.  ``stages``, if given, are those stages already
+    made: ``act_word(o, matrix_to_word(shear_matrix(direction)))[1]``
+    or a list with the same letters and origamis, taken as they are and
+    not sheared again.  Every rational direction on an origami is
+    completely periodic, so this never fails.  Cylinders are sorted by
+    (f, smallest square id).  No curve is traced here: a core is pulled
+    back through the shear and traced on first access (see
+    :class:`Cylinder`), and the saddle connections are traced and
     labelled on first access (see :class:`CylinderDecomposition`).
     """
     _check_trace_length(o, direction)
-    if prev is not None and prev.origami != o:
-        raise ValueError("prev is a decomposition of another origami")
-    word = _shear_word(direction)
-    lent = ()
-    if prev is not None:
-        lent = prev._stages[:_shared_letters(_shear_word(prev.direction), word)]
-    sheared, stages = act_word(o, word, lent)
+    if stages is None:
+        stages = act_word(o, matrix_to_word(shear_matrix(direction)))[1]
+    sheared = stages[-1][2] if stages else o
     chains = _row_chains(sheared)
 
     heights = [len(chain) for chain in chains]

@@ -36,7 +36,7 @@ from .geometry import (
     decompose,
     primitive_directions,
 )
-from .origami import singularity_data
+from .origami import push_forward_chain, singularity_data
 
 
 def intersection_number(alpha, beta):
@@ -169,13 +169,12 @@ class HomologyBasis:
         (:meth:`CylinderDecomposition.core_cycles`, built with the basis),
         pushed through ``dec``'s shear and paired with its cores there.
         ``pushed``, if given, holds them already pushed through the whole
-        shear (:meth:`CylinderDecomposition.push_cycles`).  One 4-tuple per
-        cylinder, in ``dec``'s order.
+        shear.  One 4-tuple per cylinder, in ``dec``'s order.
         """
         if dec.origami != self.origami:
             raise OrigamiError("decomposition and basis live on different origamis")
         if pushed is None:
-            pushed = dec.push_cycles(self._cycles)
+            pushed = [push_forward_chain(dec.origami, dec._stages, z) for z in self._cycles]
         return list(zip(*map(dec.omega_with_cores, pushed)))
 
     def __repr__(self):
@@ -221,10 +220,7 @@ def _search_basis(o, held):
     """
     good = []
     for d in primitive_directions(12):
-        try:
-            dec = held[d] if d in held else decompose(o, d)
-        except TracingError:
-            continue
+        dec = held[d] if d in held else decompose(o, d)
         if len(dec.cylinders) != 2:
             continue
         for prior in good:

@@ -379,25 +379,21 @@ def transport_chain(o, gen, exp, chain):
     raise ValueError("unknown generator %r" % (gen,))
 
 
-def act_word(o, word, reuse=()):
-    """Apply a word over S/T (rightmost letter first).
+def act_word(o, word):
+    """Apply a word of ``(gen, exp)`` runs over S/T, rightmost run first.
 
     Returns ``(result, stages)`` where stages is the list of
-    ``(gen, exp, origami_after)`` single-letter applications, in the
-    order they were applied.  Stages are what point transport needs.
-    ``reuse`` holds the stages of the word's first letters on ``o``, as
-    an earlier word beginning with the same letters left them: they are
-    taken over whole, and only the letters after them are applied.
+    ``(gen, +-1, origami_after)`` single-letter applications, ``|exp|``
+    per run, in the order they were applied.  Stages are what point
+    transport needs.
     """
-    stages = list(reuse)
-    cur = stages[-1][2] if stages else o
-    skip = len(stages)
+    stages = []
+    cur = o
     for gen, exp in reversed(word):
         step = 1 if exp > 0 else -1
-        for _ in range(abs(exp) - skip):
+        for _ in range(abs(exp)):
             cur = act_letter(cur, gen, step)
             stages.append((gen, step, cur))
-        skip = max(skip - abs(exp), 0)
     return cur, stages
 
 

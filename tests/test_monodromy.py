@@ -1,6 +1,5 @@
 import random
 import tracemalloc
-from os.path import commonprefix
 
 import pytest
 
@@ -21,10 +20,11 @@ from origamikz import (
     standard_basis,
     twist_multiplicities,
 )
-from origamikz.geometry import _shared_letters, _shear_word
+from origamikz.geometry import shear_matrix
 from origamikz.homology import basis_from_directions
 from origamikz.monodromy import _shear_letters
-from origamikz.sl2 import Mat2
+from origamikz.origami import act_word
+from origamikz.sl2 import Mat2, matrix_to_word
 from util import random_direction, random_h2_origami
 
 D_THETA_ODD = Mat2(2, 1, -1, 0)
@@ -165,16 +165,20 @@ def _one_at_a_time(o, dirs, basis):
 
 
 def test_kz_generators_walk_matches_one_direction_at_a_time():
-    # the shared-prefix walk, in input, word and shuffled order, against a
-    # fresh decomposition and a fresh push per direction; where twists
-    # fail, the first failure in input order is the one raised
+    # the shared-prefix walk, in input, word and shuffled order and with
+    # repeats (a repeated word shares all its letters with the one before
+    # it, a repeated basis axis among them), against a fresh decomposition
+    # and a fresh push per direction; where twists fail, the first failure
+    # in input order is the one raised
     rng = random.Random(59)
     errors = 0
     for o in _walk_surfaces():
         basis = default_basis(o)
         dirs = primitive_directions(14)
         shuffled = rng.sample(dirs, len(dirs))
-        for order in (dirs, sorted(dirs, key=_shear_letters), shuffled):
+        axis = basis.directions[1]
+        repeated = [axis] + dirs[::4] + [axis] + dirs[::8] + [axis]
+        for order in (dirs, sorted(dirs, key=_shear_letters), shuffled, repeated):
             expected = _one_at_a_time(o, order, basis)
             failures = [m for m in expected if isinstance(m, OrigamiError)]
             if not failures:
@@ -187,44 +191,25 @@ def test_kz_generators_walk_matches_one_direction_at_a_time():
     assert errors > 0
 
 
-def test_reused_decomposition_equals_a_fresh_one():
-    # each direction decomposed with its predecessor in word order, and
-    # with an unrelated one, lent as prev
+def test_decompose_takes_the_stages_it_is_handed():
+    # a shear made by act_word and handed over decomposes as a fresh one:
+    # the empty word of (1, 0), short words and a long one
+    assert matrix_to_word(shear_matrix(Direction(1, 0))) == []
     rng = random.Random(61)
-    for o in _walk_surfaces():
-        dirs = sorted(primitive_directions(10), key=_shear_letters)
-        prevs = [None] + dirs[:-1]
-        for d, before in zip(dirs, prevs):
-            for lent in (before, rng.choice(dirs)):
-                fresh = decompose(o, d)
-                reused = decompose(o, d, None if lent is None else decompose(o, lent))
-                assert ([cyl.rows for cyl in reused.cylinders]
-                        == [cyl.rows for cyl in fresh.cylinders])
-                assert reused.f_values() == fresh.f_values()
-                assert reused.c_values() == fresh.c_values()
-                assert ([s[:2] for s in reused._stages]
-                        == [s[:2] for s in fresh._stages])
-                sheared = [x._stages[-1][2] if x._stages else o for x in (reused, fresh)]
-                assert sheared[0] == sheared[1]
-                assert reused.core_cycles() == fresh.core_cycles()
-
-
-def test_shared_letters_of_shear_words_match_their_letters():
-    # counted run by run, the shared start of two shear words is their
-    # common prefix letter by letter: for neighbours in walk order and
-    # for random pairs
-    rng = random.Random(5)
-    dirs = sorted(primitive_directions(20), key=_shear_letters)
-    pairs = list(zip(dirs, dirs[1:])) + [(rng.choice(dirs), rng.choice(dirs)) for _ in range(500)]
-    for a, b in pairs:
-        shared = commonprefix((_shear_letters(a), _shear_letters(b)))
-        assert _shared_letters(_shear_word(a), _shear_word(b)) == len(shared)
-
-
-def test_decompose_refuses_a_foreign_prev():
-    prev = decompose(make_l_origami(2, 4), Direction(1, 1))
-    with pytest.raises(ValueError):
-        decompose(make_l_origami(4, 2), Direction(1, 2), prev)
+    for _ in range(8):
+        o = random_h2_origami(rng)
+        dirs = [Direction(1, 0), Direction(0, 1), Direction(-300, 1)]
+        for d in dirs + [random_direction(rng, bound=10) for _ in range(6)]:
+            stages = act_word(o, matrix_to_word(shear_matrix(d)))[1]
+            fresh = decompose(o, d)
+            handed = decompose(o, d, stages)
+            assert handed._stages is stages
+            assert ([cyl.rows for cyl in handed.cylinders]
+                    == [cyl.rows for cyl in fresh.cylinders])
+            assert handed.f_values() == fresh.f_values()
+            assert handed.c_values() == fresh.c_values()
+            assert [s[:2] for s in handed._stages] == [s[:2] for s in fresh._stages]
+            assert handed.core_cycles() == fresh.core_cycles()
 
 
 def test_kz_generators_rejects_a_foreign_basis():

@@ -19,6 +19,20 @@ def test_no_assert_statements():
     assert not found, found
 
 
+def test_no_handler_catches_tracing_error():
+    # a TracingError is a failed internal check: no except clause may
+    # skip past it
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                names = {getattr(n, "id", getattr(n, "attr", None))
+                         for n in ast.walk(node.type)}
+                if "TracingError" in names:
+                    found.append("%s:%d" % (path.name, node.lineno))
+    assert not found, found
+
+
 def test_cli_import_skips_dataclasses_and_inspect():
     # every command line pays for the import; these two modules cost a
     # quarter of it and nothing in the package needs them
