@@ -5,7 +5,7 @@ verify-paper, conjecture.  Global flag: --format json|text; every command
 but decompose and homology also takes --cap N.
 
 Exit codes: 0 success, 1 failed checks or pipeline errors, 2 usage,
-3 a cap was exceeded (orbit or coset enumeration).
+3 a cap was exceeded (orbit or coset enumeration) and no check failed.
 """
 
 import argparse
@@ -19,7 +19,7 @@ from .homology import default_basis, nontaut_basis, standard_basis
 from .monodromy import kz_generators
 from .origami import (MAX_TRACE_LENGTH, ORBIT_CAP, canonical_form, make_l_origami,
                       orbit, parse_origami)
-from .paper import check_family_case, family_trace_length
+from .paper import check_family_case, family_trace_length, matrix_json
 from .sl2 import COSET_CAP, Mat2, _index_and_minus_identity, index_in_sl2
 
 SCHEMA_VERSION = 1
@@ -51,50 +51,35 @@ def _emit(rep, args, text_renderer):
 # argument parsing helpers
 # ---------------------------------------------------------------------------
 
-def _parse_direction(text):
-    try:
-        p, q = (int(x) for x in text.split(","))
-        return Direction(p, q)
-    except (ValueError, TypeError):
-        raise argparse.ArgumentTypeError(
-            "direction must look like 'p,q' with integers, got %r" % text
-        )
+def _int_chunks(size, build=None, one=False):
+    """An argparse type: ``;``-separated chunks of ``size`` comma-separated
+    integers, each a tuple or passed to ``build``.
 
+    Empty chunks are skipped; with ``one`` the text is exactly one chunk,
+    returned on its own.  A bad chunk is named in the usage error.
+    """
 
-def _parse_dirs(text):
-    return [_parse_direction(chunk) for chunk in text.split(";") if chunk]
+    def parse(text):
+        out = []
+        for chunk in text.split(";"):
+            if not chunk and not one:
+                continue
+            try:
+                vals = tuple(int(x) for x in chunk.split(","))
+                if len(vals) != size or (one and out):
+                    raise ValueError("expected %s%d comma-separated integers"
+                                     % ("one chunk of " if one else "", size))
+                out.append(build(*vals) if build else vals)
+            except ValueError as exc:
+                raise argparse.ArgumentTypeError("bad chunk %r: %s" % (chunk, exc))
+        return out[0] if one else out
 
-
-def _parse_mat(chunk):
-    vals = [int(x) for x in chunk.split(",")]
-    if len(vals) != 4:
-        raise argparse.ArgumentTypeError(
-            "matrix must be 'a,b,c,d' row-major, got %r" % chunk
-        )
-    return Mat2(*vals)
-
-
-def _parse_gens(text):
-    return [_parse_mat(chunk) for chunk in text.split(";") if chunk]
-
-
-def _parse_pairs(text):
-    out = []
-    for chunk in text.split(";"):
-        if not chunk:
-            continue
-        n, m = (int(x) for x in chunk.split(","))
-        out.append((n, m))
-    return out
+    return parse
 
 
 def _load_origami(path):
     with open(path) as fh:
         return parse_origami(fh.read())
-
-
-def _mat_entry(m):
-    return [[m.a, m.b], [m.c, m.d]]
 
 
 def _one_based(rows):
@@ -181,7 +166,7 @@ def cmd_monodromy(args):
         "monodromy",
         degree=o.degree,
         directions=[list(d.vector) for d in args.dirs],
-        matrices=[_mat_entry(m) for m in gens],
+        matrices=[matrix_json(m) for m in gens],
     )
     code = EXIT_OK
     try:
@@ -203,7 +188,7 @@ def cmd_monodromy(args):
 
 
 def cmd_index(args):
-    rep = _report("index", generators=[_mat_entry(m) for m in args.gens])
+    rep = _report("index", generators=[matrix_json(m) for m in args.gens])
     cap = args.cap
     try:
         rep["index"], rep["contains_minus_identity"] = (
@@ -222,8 +207,6 @@ def _l_shapes_in(degree, members):
     shapes = []
     for n in range(2, degree):
         m = degree + 1 - n
-        if m < 2:
-            continue
         if canonical_form(make_l_origami(n, m)) in members:
             shapes.append((n, m))
     return shapes
@@ -256,9 +239,6 @@ def cmd_orbit(args):
 
 def cmd_census(args):
     d = args.degree
-    if not 3 <= d <= 12:
-        print("census degree must be between 3 and 12", file=sys.stderr)
-        return EXIT_USAGE
     if d >= 10:
         print("census at degree %d enumerates large centralizer cosets; "
               "expect seconds at degree 10 and over a minute beyond" % d,
@@ -301,9 +281,6 @@ def cmd_census(args):
 
 
 def cmd_verify_paper(args):
-    if args.n_max < 1:
-        print("--n-max must be at least 1", file=sys.stderr)
-        return EXIT_USAGE
     length = family_trace_length(args.n_max)
     if length > MAX_TRACE_LENGTH:
         print("--n-max %d needs d*(|p|+|q|) = %d, above MAX_TRACE_LENGTH = %d"
@@ -341,7 +318,7 @@ def cmd_verify_paper(args):
 
 def cmd_conjecture(args):
     cases = []
-    ok = True
+    ok, capped = True, False
     dirs = primitive_directions(args.max_dir_sum)
     for n, m in args.reps:
         entry = {"case": "L(%d,%d)" % (n, m)}
@@ -366,6 +343,7 @@ def cmd_conjecture(args):
             except IndexCapExceeded:
                 entry["index"] = None
                 entry["status"] = "index-exceeds-cap"
+                capped = True
             entry["directions"] = [list(d.vector) for d in dirs]
             entry["matches_conjecture"] = entry["index"] == 3
             entry["ok"] = True
@@ -392,7 +370,7 @@ def cmd_conjecture(args):
                 print("%s: error %s" % (case["case"], case.get("error")))
 
     _emit(rep, args, render)
-    return EXIT_OK if ok else EXIT_FAIL
+    return EXIT_FAIL if not ok else EXIT_CAP if capped else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +397,7 @@ def _build_parser():
     p = sub.add_parser("decompose", parents=[common],
                        help="cylinder decomposition in a direction")
     p.add_argument("file")
-    p.add_argument("--dir", type=_parse_direction, required=True)
+    p.add_argument("--dir", type=_int_chunks(2, Direction, one=True), required=True)
     p.set_defaults(func=cmd_decompose)
 
     p = sub.add_parser("homology", parents=[common],
@@ -430,12 +408,12 @@ def _build_parser():
     p = sub.add_parser("monodromy", parents=[cosets],
                        help="multitwist matrices and the index they generate")
     p.add_argument("file")
-    p.add_argument("--dirs", type=_parse_dirs, required=True)
+    p.add_argument("--dirs", type=_int_chunks(2, Direction), required=True)
     p.set_defaults(func=cmd_monodromy)
 
     p = sub.add_parser("index", parents=[cosets],
                        help="index of a matrix-generated subgroup of SL2(Z)")
-    p.add_argument("--gens", type=_parse_gens, required=True)
+    p.add_argument("--gens", type=_int_chunks(4, Mat2), required=True)
     p.set_defaults(func=cmd_index)
 
     p = sub.add_parser("orbit", parents=[orbits],
@@ -457,7 +435,7 @@ def _build_parser():
     p = sub.add_parser("conjecture", parents=[cosets],
                        help="report monodromy indices for odd-odd L-shapes "
                        "(exploratory; the expected value 3 is unproven)")
-    p.add_argument("--reps", type=_parse_pairs, default=[(3, 3), (3, 5), (5, 5)])
+    p.add_argument("--reps", type=_int_chunks(2), default=[(3, 3), (3, 5), (5, 5)])
     p.add_argument("--max-dir-sum", type=int, default=10,
                    help="use twist directions with |p|+|q| up to this bound "
                    "(the generated subgroup only grows with it)")
@@ -472,15 +450,20 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    for flag in ("cap", "max_dir_sum"):
+    # (flag, least, greatest or None) for every bounded integer option
+    for flag, low, high in (("cap", 1, None), ("max_dir_sum", 1, MAX_DIR_SUM),
+                            ("n_max", 1, None), ("degree", 3, 12)):
         value = getattr(args, flag, None)
-        if value is not None and value < 1:
-            print("--%s must be a positive integer, got %d"
-                  % (flag.replace("_", "-"), value), file=sys.stderr)
-            return EXIT_USAGE
-    if getattr(args, "max_dir_sum", 0) > MAX_DIR_SUM:
-        print("--max-dir-sum must be at most %d, got %d"
-              % (MAX_DIR_SUM, args.max_dir_sum), file=sys.stderr)
+        if value is None:
+            continue
+        if value < low:
+            rule = "a positive integer" if low == 1 else "at least %d" % low
+        elif high is not None and value > high:
+            rule = "at most %d" % high
+        else:
+            continue
+        print("--%s must be %s, got %d" % (flag.replace("_", "-"), rule, value),
+              file=sys.stderr)
         return EXIT_USAGE
     try:
         return args.func(args)

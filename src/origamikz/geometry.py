@@ -148,33 +148,23 @@ class _Corners:
 class _Curve:
     """A traced constant-direction curve with its integer form.
 
-    ``segments`` is a tuple of ``(square, (x0, y0), (x1, y1))`` entries
-    with exact :class:`fractions.Fraction` coordinates in the closed unit
-    square.  ``integer_form`` is ``(den, by_square)``, built once at
-    construction: ``den`` is the lcm of the coordinates' denominators and
-    ``by_square`` maps a square to the ``(X0, Y0, length)`` of its
-    segments, where ``(X0, Y0)`` is ``den`` times the entry point and the
-    segment runs ``length / den`` times the direction vector.  The tracer's
-    curves come from its integers, through :meth:`_from_trace`.
+    Built from a trace's ``steps``, ``(square, X0, Y0, X1, Y1)`` square
+    crossings from ``(X0, Y0) / n`` to ``(X1, Y1) / n``.  ``segments``
+    holds them as ``(square, (x0, y0), (x1, y1))`` with exact
+    :class:`fractions.Fraction` coordinates in the closed unit square, two
+    new Fractions per exit point (an entry point shares the previous
+    exit's, or is ``F0``/``F1`` where it wrapped).  ``integer_form`` is
+    ``(den, by_square)``: ``den`` is ``n`` over the gcd of ``n`` and every
+    coordinate, and ``by_square`` maps a square to the ``(X0, Y0,
+    length)`` of its segments over ``den``, each running ``length / den``
+    times the direction vector.
     """
 
     __slots__ = ("origami", "direction", "segments", "integer_form")
 
-    def __init__(self, origami, direction, segments):
-        self.segments = tuple(segments)
-        n = lcm(*(c.denominator for s in self.segments for c in s[1] + s[2]))
-        steps = [(sq,) + tuple(c.numerator * (n // c.denominator) for c in p0 + p1)
-                 for sq, p0, p1 in self.segments]
-        self._init_from_steps(origami, direction, n, steps)
-
-    @classmethod
-    def _from_trace(cls, origami, direction, n, steps):
-        """The curve of a trace: ``(square, X0, Y0, X1, Y1)`` steps over ``n``.
-
-        Each exit point is two new Fractions; each entry point shares the
-        previous exit's coordinates, or ``F0``/``F1`` where it wrapped.
-        """
-        curve = cls.__new__(cls)
+    def __init__(self, origami, direction, n, steps):
+        self.origami = origami
+        self.direction = direction
         segments = []
         px = py = fx = fy = None
         for sq, x0, y0, x1, y1 in steps:
@@ -185,14 +175,7 @@ class _Curve:
             exit_point = (Fraction(x1, n), Fraction(y1, n))
             segments.append((sq, (fx, fy), exit_point))
             px, py, (fx, fy) = x1, y1, exit_point
-        curve.segments = tuple(segments)
-        curve._init_from_steps(origami, direction, n, steps)
-        return curve
-
-    def _init_from_steps(self, origami, direction, n, steps):
-        # den is n over the gcd of n and every coordinate
-        self.origami = origami
-        self.direction = direction
+        self.segments = tuple(segments)
         a, b = direction.vector
         g = n
         for step in steps:
@@ -235,12 +218,8 @@ class GeodesicLoop(_Curve):
 class SaddleConnection(_Curve):
     """A geodesic segment between cone points with none in its interior."""
 
+    # set by the tracer: first entry and last exit corners, (square, x, y)
     __slots__ = ("start", "end")
-
-    def __init__(self, origami, direction, segments, start, end):
-        super().__init__(origami, direction, segments)
-        self.start = start    # (square, x, y) with x, y in {0, 1}
-        self.end = end        # (square, x, y) exit corner of the last segment
 
     def __repr__(self):
         return "SaddleConnection(dir=%r, holonomy=%r)" % (
@@ -323,7 +302,7 @@ def _trace_closed(o, corners, start, direction):
     reaches the first edge crossing.  Tracer states at edge crossings are
     canonical for a fixed direction, so the trace then runs until that
     exact state recurs; the loop's steps start and end there.  Returns
-    ``(n, steps)`` for :meth:`_Curve._from_trace`.
+    ``(n, steps)`` for :class:`GeodesicLoop`.
     """
     a, b = direction.vector
     n, state = _on_grid(start, a, b)
@@ -383,7 +362,7 @@ def _raw_saddles(o, corners, direction):
     out = []
     for cyc, turn, start in _separatrix_starts(o, corners, direction):
         n, steps, anchor = _trace_to_singularity(o, corners, start, direction)
-        conn = SaddleConnection._from_trace(o, direction, n, steps)
+        conn = SaddleConnection(o, direction, n, steps)
         conn.start = start
         conn.end = (steps[-1][0],) + conn.segments[-1][2]
         in_end = (corners.cycle_of[anchor], corners.pos_in[anchor])
@@ -601,7 +580,7 @@ def _trace_core(cyl):
     # core never meets a cone point
     start_sq = min(cyl.rows[len(cyl.rows) // 2])
     p0 = pull_back_point(stages, (start_sq, F0, FHALF))
-    core = GeodesicLoop._from_trace(o, direction, *_trace_closed(o, _Corners(o), p0, direction))
+    core = GeodesicLoop(o, direction, *_trace_closed(o, _Corners(o), p0, direction))
     if core.holonomy() != (cyl.f * direction.p, cyl.f * direction.q):
         raise TracingError("core holonomy is not f times the direction")
     return core

@@ -279,13 +279,17 @@ def nontaut_basis(basis):
 
 
 def class_pushforward(basis, coeffs):
-    """Holonomy of an integer combination of the basis loops."""
-    hx = hy = 0
-    for c, loop in zip(coeffs, basis.loops):
-        lx, ly = loop.holonomy()
-        hx += c * lx
-        hy += c * ly
-    return (hx, hy)
+    """Holonomy of an integer combination of the basis curves, none traced.
+
+    A core's holonomy is its cylinder's f times its direction (checked
+    where a core or its cellular cycle is built), so it is read from
+    ``basis.f_values`` and ``basis.directions``.
+    """
+    c1, c2, c3, c4 = coeffs
+    f1, f2, f3, f4 = basis.f_values
+    (p1, q1), (p2, q2) = (d.vector for d in basis.directions)
+    t1, t2 = c1 * f1 + c2 * f2, c3 * f3 + c4 * f4
+    return (t1 * p1 + t2 * p2, t1 * q1 + t2 * q2)
 
 
 # ---------------------------------------------------------------------------

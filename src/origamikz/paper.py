@@ -133,7 +133,7 @@ def check_family_case(n, odd, cap):
 
     gens = [dehn_twist_action(dec, basis) for dec in twist_decs]
     for d, m, expect in zip(case["dirs"], gens, case["matrices"]):
-        add("twist matrix (%d,%d)" % d.vector, _entries(expect), _entries(m))
+        add("twist matrix (%d,%d)" % d.vector, matrix_json(expect), matrix_json(m))
 
     try:
         idx = index_in_sl2(gens, cap)
@@ -150,5 +150,6 @@ def check_family_case(n, odd, cap):
     }
 
 
-def _entries(m):
+def matrix_json(m):
+    """A matrix as JSON-ready rows ``[[a, b], [c, d]]``."""
     return [list(row) for row in m.rows()]

@@ -22,8 +22,6 @@ from .errors import IndexCapExceeded
 # Default cap on the live cosets of an enumeration.
 COSET_CAP = 10000
 
-Word = list  # list of (letter, exponent) pairs
-
 
 class Mat2:
     """Row-major integer 2x2 matrix [[a, b], [c, d]]; immutable and hashable."""
@@ -111,7 +109,7 @@ def matrix_to_word(m):
     ``word_to_matrix(matrix_to_word(m)) == m``.
     """
     if m.det() != 1:
-        raise ValueError("matrix_to_word needs determinant 1, got %d" % m.det())
+        raise ValueError("%r has determinant %d, not 1" % (m, m.det()))
     a, b, c, d = m.a, m.b, m.c, m.d
     ops = []  # letters applied on the left, in application order
     while c != 0:
@@ -294,9 +292,6 @@ def _index_and_minus_identity(gens, cap):
     -I = S^2 = a^2; it is in the subgroup iff a^2 stabilises coset 0 of
     the closed table.
     """
-    for g in gens:
-        if g.det() != 1:
-            raise ValueError("all generators must have determinant 1")
     act_a, _ = coset_action(gens, cap)
     return len(act_a), act_a[act_a[0]] == 0
 

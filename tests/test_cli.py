@@ -4,7 +4,8 @@ import sys
 
 import pytest
 
-from origamikz import (OrigamiError, cli, decompose, default_basis, dehn_twist_action,
+from origamikz import (Direction, OrigamiError, cli, decompose, default_basis,
+                       dehn_twist_action,
                        format_origami, geometry, origami, paper, sl2)
 from origamikz.cli import main
 from origamikz.origami import MAX_DEGREE, MAX_TRACE_LENGTH
@@ -274,6 +275,43 @@ def test_conjecture_command(capsys):
     assert "matches_conjecture" in case
 
 
+def test_conjecture_exits_3_when_an_index_passes_the_cap(capsys):
+    code, rep = run_json(capsys, ["conjecture", "--reps", "5,5", "--max-dir-sum", "6"])
+    assert code == 3
+    case = rep["cases"][0]
+    assert (case["case"], case["index"], case["status"]) == (
+        "L(5,5)", None, "index-exceeds-cap")
+
+
+def test_verify_paper_reports_an_index_past_the_cap(capsys):
+    code, rep = run_json(capsys, ["verify-paper", "--n-max", "1", "--cap", "2"])
+    assert code == 1
+    assert rep["ok"] is False
+    index_checks = [c for case in rep["cases"] for c in case["checks"]
+                    if c["check"] == "index"]
+    assert [(c["got"], c["ok"]) for c in index_checks] == [(None, False)] * 2
+
+
+@pytest.mark.parametrize("argv, chunk", [
+    (["conjecture", "--reps", "3"], "'3': expected 2 comma-separated integers"),
+    (["decompose", "L24", "--dir", "0,0"], "'0,0': the zero vector is not a direction"),
+    (["decompose", "L24", "--dir", "1,2;3,4"],
+     "'3,4': expected one chunk of 2 comma-separated integers"),
+    (["monodromy", "L24", "--dirs", "1,2;x,1"], "'x,1': invalid literal for int()"),
+    (["index", "--gens", "1,2,3"], "'1,2,3': expected 4 comma-separated integers"),
+], ids=["reps", "dir-zero", "dir-two", "dirs-word", "gens"])
+def test_bad_list_chunk_is_named(capsys, l24_file, argv, chunk):
+    assert main([l24_file if a == "L24" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --%s: bad chunk %s" % (argv[-2][2:], chunk) in captured.err
+
+
+def test_index_rejects_a_generator_of_determinant_other_than_1(capsys):
+    assert main(["index", "--gens", "1,0,0,1;1,1,0,2"]) == 1
+    assert capsys.readouterr().err == "error: Mat2(1, 1, 0, 2) has determinant 2, not 1\n"
+
+
 def test_conjecture_rejects_even_parameters(capsys):
     code, rep = run_json(capsys, ["conjecture", "--reps", "2,4"])
     assert code == 1
@@ -370,7 +408,7 @@ def test_max_dir_sum_must_be_positive(capsys, value):
 
 @pytest.mark.parametrize("argv", [
     ["verify-paper", "--n-max", "3"],
-    ["conjecture", "--max-dir-sum", "6"],
+    ["conjecture", "--reps", "3,3;3,5", "--max-dir-sum", "6"],
     # (0, 1) is a basis axis and a twist direction
     ["monodromy", "L24", "--dirs", "2,3;0,1"],
     # the horizontal axis has one cylinder, so the basis comes from the
@@ -540,7 +578,7 @@ def test_monodromy_reports_the_first_failing_direction(capsys, tmp_path, dirs):
         path.write_text(format_origami(o))
         basis = default_basis(o)
         first = None
-        for d in cli._parse_dirs(dirs):
+        for d in (Direction(*map(int, c.split(","))) for c in dirs.split(";")):
             try:
                 dehn_twist_action(decompose(o, d), basis)
             except OrigamiError as exc:

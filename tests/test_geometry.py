@@ -25,6 +25,7 @@ from origamikz import geometry
 from origamikz.geometry import _Corners, _trace_closed
 from origamikz.sl2 import Mat2
 from util import (
+    curve_from_segments,
     random_direction,
     random_h2_origami,
     random_transitive_pair,
@@ -410,9 +411,9 @@ def test_integer_tracer_matches_fraction_tracer_through_regular_vertices():
         corners = _Corners(o)
         for d in primitive_directions(5):
             for pt in row_boundary_starts(o, d):
-                loop = geometry.GeodesicLoop._from_trace(
-                    o, d, *_trace_closed(o, corners, pt, d))
-                ref = geometry.GeodesicLoop(o, d, reference_trace_closed(o, corners, pt, d))
+                loop = geometry.GeodesicLoop(o, d, *_trace_closed(o, corners, pt, d))
+                ref = curve_from_segments(geometry.GeodesicLoop, o, d,
+                                          reference_trace_closed(o, corners, pt, d))
                 assert_same_curve(loop, ref)
                 through_vertex += any(x in (0, 1) and y in (0, 1)
                                       for _, _, (x, y) in loop.segments)

@@ -27,9 +27,11 @@ from origamikz import (
     primitive_directions,
     standard_basis,
 )
+from origamikz import geometry
 from origamikz.geometry import _Corners, _trace_closed
 from origamikz.homology import _pfaffian, _search_basis, _solve_gram
 from util import (
+    curve_from_segments,
     random_direction,
     random_h2_origami,
     reference_det4,
@@ -121,7 +123,7 @@ def row_boundary_loops(o, direction):
     :func:`util.row_boundary_starts`); core curves meet none.
     """
     corners = _Corners(o)
-    return [GeodesicLoop._from_trace(o, direction, *_trace_closed(o, corners, pt, direction))
+    return [GeodesicLoop(o, direction, *_trace_closed(o, corners, pt, direction))
             for pt in row_boundary_starts(o, direction)]
 
 
@@ -157,10 +159,10 @@ def test_intersection_at_cone_point_raises():
     # edges of squares 1, 3 cross there
     o = make_l_origami(2, 2)
     z, one = Fraction(0), Fraction(1)
-    horizontal = GeodesicLoop(o, Direction(1, 0), [
+    horizontal = curve_from_segments(GeodesicLoop, o, Direction(1, 0), [
         (0, (z, z), (one, z)), (1, (z, z), (one, z)),
     ])
-    vertical = GeodesicLoop(o, Direction(0, 1), [
+    vertical = curve_from_segments(GeodesicLoop, o, Direction(0, 1), [
         (0, (z, z), (z, one)), (2, (z, z), (z, one)),
     ])
     with pytest.raises(DegenerateConfigurationError):
@@ -254,6 +256,29 @@ def test_nontaut_kills_pushforward():
         nt = nontaut_basis(basis)
         assert class_pushforward(basis, nt.x) == (0, 0)
         assert class_pushforward(basis, nt.y) == (0, 0)
+
+
+def test_class_pushforward_reads_the_traced_holonomy(monkeypatch):
+    # f times the direction, read from the basis, against the traced
+    # cores' holonomies; reading it traces nothing
+    rng = random.Random(4)
+    real = geometry._trace_closed
+    traced = []
+
+    def counting(*args):
+        traced.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(geometry, "_trace_closed", counting)
+    for _ in range(6):
+        basis = default_basis(random_h2_origami(rng, dmax=9))
+        coeffs = [tuple(rng.randrange(-5, 6) for _ in range(4)) for _ in range(3)]
+        got = [class_pushforward(basis, c) for c in coeffs]
+        assert not traced
+        holonomies = [loop.holonomy() for loop in basis.loops]
+        assert got == [tuple(sum(ci * h[k] for ci, h in zip(c, holonomies)) for k in (0, 1))
+                       for c in coeffs]
+        traced.clear()
 
 
 def test_basis_search_starts_with_the_axes():

@@ -82,6 +82,34 @@ def test_no_unused_imports():
     assert not found, found
 
 
+def test_no_unread_module_names():
+    # a module-level assignment, function or class that nothing in the
+    # package reads, and that __init__.py does not re-export, is dead code
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    found = []
+    for name, tree in trees.items():
+        if name == "__init__.py":
+            continue
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                bound = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            found += ["%s:%d %s" % (name, node.lineno, b) for b in bound if b not in read]
+    assert not found, found
+
+
 def test_tracer_does_no_fraction_arithmetic():
     # the square-crossing stepper and the two tracers run on integers over
     # one common denominator; Fractions are built only for a traced curve's

@@ -1,5 +1,6 @@
 """Shared helpers for the test suite: seeded random surfaces and directions,
-the reference Fraction point transport, the reference Fraction tracer, the reference Fraction intersection
+the reference Fraction point transport, the reference Fraction tracer and
+its curves built from Fraction segments, the reference Fraction intersection
 pairing, the reference Fraction determinant and solver for the Gram
 system, the traced Gram matrix and multitwist action, the reference
 all-starts and cone-starts canonical forms, a four-generator orbit
@@ -7,6 +8,7 @@ search and the full centralizer of a permutation."""
 
 from fractions import Fraction
 from itertools import permutations, product
+from math import lcm
 
 from origamikz import (
     DegenerateConfigurationError,
@@ -198,12 +200,29 @@ def reference_trace_to_singularity(o, corners, start, direction):
     raise TracingError("separatrix failed to terminate (no cone point hit)")
 
 
+def curve_from_segments(cls, o, direction, segments):
+    """A :class:`GeodesicLoop` or :class:`SaddleConnection` from Fraction
+    ``segments`` ``(square, (x0, y0), (x1, y1))``.
+
+    The coordinates are scaled to integers over their common denominator,
+    and the curve is built from those steps as from a trace; the segments
+    it rebuilds must equal the given ones.
+    """
+    n = lcm(*(c.denominator for s in segments for c in s[1] + s[2]))
+    steps = [(sq,) + tuple(c.numerator * (n // c.denominator) for c in p0 + p1)
+             for sq, p0, p1 in segments]
+    curve = cls(o, direction, n, steps)
+    if curve.segments != tuple(segments):
+        raise AssertionError("segments changed on the way through integers")
+    return curve
+
+
 def reference_core(cyl):
     """The core of ``cyl`` traced in Fractions from the package's start point."""
     o, direction, stages = cyl._frame
     start = pull_back_point(stages, (min(cyl.rows[len(cyl.rows) // 2]), F0, FHALF))
     segments = reference_trace_closed(o, _Corners(o), start, direction)
-    return GeodesicLoop(o, direction, segments)
+    return curve_from_segments(GeodesicLoop, o, direction, segments)
 
 
 def reference_saddles(o, direction):
@@ -214,7 +233,9 @@ def reference_saddles(o, direction):
     for _, _, start in _separatrix_starts(o, corners, direction):
         segments, (exit_sq, (cx, cy), _) = reference_trace_to_singularity(
             o, corners, start, direction)
-        out.append(SaddleConnection(o, direction, segments, start, (exit_sq, cx, cy)))
+        conn = curve_from_segments(SaddleConnection, o, direction, segments)
+        conn.start, conn.end = start, (exit_sq, cx, cy)
+        out.append(conn)
     return out
 
 
