@@ -15,15 +15,14 @@ direction is horizontal and reads the cylinders off the h-cycles, while
 recover the cylinder boundaries combinatorially.  They validate each
 other in the test suite.
 
-:func:`decompose` shears once, or takes the stages of a shear already
-made, and builds only the cylinders (rows, f and c), keeping the shear's
-stages.  The multitwist pipeline reads the cores as cellular cycles
-through those stages (:meth:`CylinderDecomposition.core_cycles`) and
-pairs them with cycles pushed through the shear
-(:meth:`CylinderDecomposition.omega_with_cores`); a core loop is traced
-on first access to :attr:`Cylinder.core`, and the saddle connections
-and the upper boundary of each cylinder on first access to
-:attr:`CylinderDecomposition.saddle_connections` or
+:func:`decompose` shears once and builds only the cylinders (rows, f
+and c), keeping the shear's stages.  The multitwist pipeline reads the
+cores as cellular cycles through those stages
+(:meth:`CylinderDecomposition.core_cycles`) and pairs them with cycles
+pushed through the shear (:meth:`CylinderDecomposition.omega_with_cores`);
+a core loop is traced on first access to :attr:`Cylinder.core`, and the
+saddle connections and the upper boundary of each cylinder on first
+access to :attr:`CylinderDecomposition.saddle_connections` or
 :attr:`CylinderDecomposition.upper_boundaries`.
 """
 
@@ -539,15 +538,12 @@ def _row_chains(o):
     return chains
 
 
-def decompose(o, direction, stages=None):
+def decompose(o, direction):
     """Cylinder decomposition of ``o`` in a rational direction.
 
     Shears the origami until the direction is horizontal (a word in the
     S/T action) and reads rows and heights there; the shear's stages
-    stay on the result.  ``stages``, if given, are those stages already
-    made: ``act_word(o, matrix_to_word(shear_matrix(direction)))[1]``
-    or a list with the same letters and origamis, taken as they are and
-    not sheared again.  Every rational direction on an origami is
+    stay on the result.  Every rational direction on an origami is
     completely periodic, so this never fails.  Cylinders are sorted by
     (f, smallest square id).  No curve is traced here: a core is pulled
     back through the shear and traced on first access (see
@@ -555,9 +551,7 @@ def decompose(o, direction, stages=None):
     labelled on first access (see :class:`CylinderDecomposition`).
     """
     _check_trace_length(o, direction)
-    if stages is None:
-        stages = act_word(o, matrix_to_word(shear_matrix(direction)))[1]
-    sheared = stages[-1][2] if stages else o
+    sheared, stages = act_word(o, matrix_to_word(shear_matrix(direction)))
     chains = _row_chains(sheared)
 
     heights = [len(chain) for chain in chains]

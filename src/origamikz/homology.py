@@ -2,8 +2,9 @@
 
 A curve meets the basis (X1, X2, Y1, Y2) of core curves of two
 cylinder decompositions as its row (omega(X1, c), .., omega(Y2, c)):
-read cellularly for a cylinder core, with the basis curves as cellular
-1-cycles pushed through the core's shear, where it is horizontal
+read cellularly for a cylinder core, with the core as a cellular 1-cycle
+pushed through each basis decomposition's shear, where that
+decomposition's cores are horizontal
 (:meth:`HomologyBasis.omega_against_cores`, no curve traced), or paired
 with the traced basis loops (:meth:`HomologyBasis.omega_against`).  The
 basis's own rows give its Gram matrix A, and a class is recovered from
@@ -125,8 +126,7 @@ class HomologyBasis:
     direction need not decompose it again.
     """
 
-    __slots__ = ("origami", "decompositions", "directions", "f_values",
-                 "gram", "_cycles")
+    __slots__ = ("origami", "decompositions", "directions", "f_values", "gram")
 
     def __init__(self, dec1, dec2):
         if dec1.origami != dec2.origami:
@@ -143,9 +143,8 @@ class HomologyBasis:
         self.decompositions = (dec1, dec2)
         self.directions = (dec1.direction, dec2.direction)
         self.f_values = tuple(c.f for c in dec1.cylinders + dec2.cylinders)
-        self._cycles = tuple(z for d in self.decompositions for z in d.core_cycles())
         # row j is omega(basis_i, basis_j) over i: A is its transpose;
-        # omega(X_i, Y_j) and omega(Y_j, X_i) come from different shears
+        # omega(X_i, Y_j) is read in Y's shear frame, omega(Y_j, X_i) in X's
         rows = self.omega_against_cores(dec1) + self.omega_against_cores(dec2)
         self.gram = tuple(zip(*rows))
         if any(self.gram[i][j] != -rows[i][j] for i in range(4) for j in range(4)):
@@ -162,20 +161,22 @@ class HomologyBasis:
         """(omega(X1, loop), .., omega(Y2, loop)) against the traced :attr:`loops`."""
         return tuple(intersection_number(b, loop) for b in self.loops)
 
-    def omega_against_cores(self, dec, pushed=None):
+    def omega_against_cores(self, dec):
         """:meth:`omega_against` of each core of ``dec``, none of them traced.
 
-        The basis curves are taken as cellular cycles
-        (:meth:`CylinderDecomposition.core_cycles`, built with the basis),
-        pushed through ``dec``'s shear and paired with its cores there.
-        ``pushed``, if given, holds them already pushed through the whole
-        shear.  One 4-tuple per cylinder, in ``dec``'s order.
+        Each core is taken as its cellular cycle
+        (:meth:`CylinderDecomposition.core_cycles`, pulled back through
+        ``dec``'s shear), pushed through the shear of each basis
+        decomposition and paired with that decomposition's cores there;
+        omega(basis_j, core) is -omega(core, basis_j).  One 4-tuple per
+        cylinder, in ``dec``'s order.
         """
         if dec.origami != self.origami:
             raise OrigamiError("decomposition and basis live on different origamis")
-        if pushed is None:
-            pushed = [push_forward_chain(dec.origami, dec._stages, z) for z in self._cycles]
-        return list(zip(*map(dec.omega_with_cores, pushed)))
+        o = self.origami
+        return [tuple(-w for b in self.decompositions
+                      for w in b.omega_with_cores(push_forward_chain(o, b._stages, z)))
+                for z in dec.core_cycles()]
 
     def __repr__(self):
         return "HomologyBasis(dirs=%r, f=%r)" % (self.directions, self.f_values)

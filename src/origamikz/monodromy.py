@@ -13,22 +13,18 @@ coordinates of :func:`origamikz.homology.nontaut_basis`; matrices are
 returned with columns the images of X and Y.
 
 Many directions of one origami are twisted by :func:`kz_generators`,
-which shears the origami once along the shared prefixes of their shear
-words and pushes the basis cycles along the same walk, so a letter
-common to many words is applied once.  The walk lives there alone:
-:func:`origamikz.geometry.decompose` is handed each direction's stages
-and knows nothing of prefixes.
+one decomposition at a time; each core meets the basis through its own
+shear and the basis's two (see
+:meth:`origamikz.homology.HomologyBasis.omega_against_cores`), so no
+direction shares work with another.
 """
 
-from itertools import groupby, islice
 from math import gcd, lcm
-from os.path import commonprefix
 
 from .errors import IntegralityError, OrigamiError, UnimodularityError
-from .geometry import _check_trace_length, decompose, shear_matrix
+from .geometry import _check_trace_length, decompose
 from .homology import default_basis, express_in_basis, nontaut_basis
-from .origami import act_word, push_forward_chain
-from .sl2 import Mat2, matrix_to_word
+from .sl2 import Mat2
 
 
 def twist_multiplicities(dec):
@@ -51,20 +47,20 @@ def twist_multiplicities(dec):
     return tuple(n // g for n in ns)
 
 
-def dehn_twist_action(dec, basis, pushed=None):
+def dehn_twist_action(dec, basis):
     """Matrix of the minimal multitwist of ``dec`` on the non-tautological part.
 
     ``dec`` is a cylinder decomposition of the basis's origami; it is
     twisted as given, not decomposed again.  Each core gamma_i meets
     the basis as its cellular row (:meth:`HomologyBasis.omega_against_cores`,
-    no core traced; ``pushed`` as there): omega(z, gamma_i) is z . row_i,
-    and the Gram solve of the row gives gamma_i's coordinates.  Columns
-    are the images of X and Y.  Entries must come out integral and the
-    determinant must be 1; violations raise instead of degrading to
-    rational output, since they would mean the {X, Y} pair is not a
-    basis of the kernel lattice.
+    no core traced): omega(z, gamma_i) is z . row_i, and the Gram solve
+    of the row gives gamma_i's coordinates.  Columns are the images of
+    X and Y.  Entries must come out integral and the determinant must
+    be 1; violations raise instead of degrading to rational output,
+    since they would mean the {X, Y} pair is not a basis of the kernel
+    lattice.
     """
-    rows = basis.omega_against_cores(dec, pushed)
+    rows = basis.omega_against_cores(dec)
     gammas = [express_in_basis(row, basis) for row in rows]
     ns = twist_multiplicities(dec)
     nt = nontaut_basis(basis)
@@ -103,17 +99,9 @@ def kz_generators(o, directions, basis=None):
 
     The basis defaults to :func:`origamikz.homology.default_basis`.  A
     direction the basis was built from is twisted as the basis holds it,
-    not decomposed again.  The directions are walked in the order of
-    their shear words' letters (:func:`_shear_letters`), so each word
-    shares its longest common prefix with the one before: the stages of
-    that prefix are kept, one :func:`origamikz.origami.act_word` call
-    applies the rest of the word, and :func:`decompose` is handed the
-    whole stage list.  The basis cycles are pushed on from the deepest
-    copy kept along the prefix, and a pushed copy is kept only at the
-    depths where later words resume.  Matrices come back in input
-    order; if twists fail, the error of the first failing direction in
-    input order is raised, and a direction too long to trace is refused
-    before any shear.
+    and every other one is decomposed and twisted on its own, in input
+    order, so the first failing direction's error is the one raised.  A
+    direction too long to trace is refused before any shear.
     """
     if basis is None:
         basis = default_basis(o)
@@ -122,61 +110,6 @@ def kz_generators(o, directions, basis=None):
         _check_trace_length(o, d)
     if directions and basis.origami != o:
         raise OrigamiError("decomposition and basis live on different origamis")
-    letters = [_shear_letters(d) for d in directions]
-    order = sorted(range(len(directions)), key=letters.__getitem__)
-    # resume[k]: the letters the k-th word of the walk shares with the one
-    # before; branch[k]: the depths later words resume from, increasing
-    resume = [0] + [len(commonprefix((letters[i], letters[j])))
-                    for i, j in zip(order, order[1:])]
-    branch = [[] for _ in order]
-    for k in range(len(order) - 1, 0, -1):
-        branch[k - 1] = [t for t in branch[k] if t < resume[k]] + [resume[k]]
     held = {dec.direction: dec for dec in basis.decompositions}
-    stages = []
-    saved = [(0, basis._cycles)]  # (depth, pushed cycles), depth increasing
-    out = [None] * len(directions)
-    failed = None
-    for k, i in enumerate(order):
-        dec = held.get(directions[i])
-        if dec is None:
-            stages = stages[:resume[k]]
-            stages += act_word(stages[-1][2] if stages else o,
-                               _letter_runs(letters[i][resume[k]:]))[1]
-            dec = decompose(o, directions[i], stages)
-        stages = dec._stages
-        depth, cycles = saved[-1] if resume[k] in branch[k] else saved.pop()
-        for t in branch[k]:
-            if t > depth:
-                cycles, depth = _push(o, stages, cycles, depth, t), t
-                saved.append((t, cycles))
-        pushed = _push(o, stages, cycles, depth, len(stages))
-        try:
-            out[i] = dehn_twist_action(dec, basis, pushed)
-        except OrigamiError as exc:
-            if failed is None or i < failed[0]:
-                failed = (i, exc)
-    if failed is not None:
-        raise failed[1]
-    return out
-
-
-def _push(o, stages, cycles, start, stop):
-    """Cellular cycles on ``o`` after ``stages[:start]``, pushed on to ``stop``."""
-    if start:
-        o = stages[start - 1][2]
-    return [push_forward_chain(o, islice(stages, start, stop), z) for z in cycles]
-
-
-def _shear_letters(direction):
-    """A direction's shear word as a string of its letters in the order they act.
-
-    One character per letter, lower case for an inverse.
-    """
-    word = matrix_to_word(shear_matrix(direction))
-    return "".join((g if e > 0 else g.lower()) * abs(e) for g, e in reversed(word))
-
-
-def _letter_runs(letters):
-    """The S/T word of a :func:`_shear_letters` string, one entry per run."""
-    runs = [(c, sum(1 for _ in run)) for c, run in groupby(letters)]
-    return [(c.upper(), n if c.isupper() else -n) for c, n in reversed(runs)]
+    return [dehn_twist_action(held[d] if d in held else decompose(o, d), basis)
+            for d in directions]

@@ -90,7 +90,9 @@ def check_family_case(n, odd, cap):
     The two twist directions and the two axes of the standard basis are
     each decomposed once; the basis is built from the axis
     decompositions and the twist directions' decompositions are twisted
-    as they are.  Returns a JSON-ready report with one entry per check.
+    as they are.  Returns a JSON-ready report with one entry per check;
+    an index check whose coset enumeration ran past ``cap`` fails with
+    ``"status": "index-exceeds-cap"``.
     """
     case = family_case(n, odd)
     o = make_l_origami(*case["lshape"])
@@ -140,6 +142,8 @@ def check_family_case(n, odd, cap):
     except IndexCapExceeded:
         idx = None
     add("index", case["index"], idx)
+    if idx is None:
+        checks[-1]["status"] = "index-exceeds-cap"
 
     return {
         "case": case["name"],

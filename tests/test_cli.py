@@ -5,8 +5,8 @@ import sys
 import pytest
 
 from origamikz import (Direction, OrigamiError, cli, decompose, default_basis,
-                       dehn_twist_action,
-                       format_origami, geometry, origami, paper, sl2)
+                       dehn_twist_action, format_origami, geometry, make_l_origami,
+                       origami, paper, primitive_directions, sl2)
 from origamikz.cli import main
 from origamikz.origami import MAX_DEGREE, MAX_TRACE_LENGTH
 from util import random_h2_origami
@@ -285,11 +285,36 @@ def test_conjecture_exits_3_when_an_index_passes_the_cap(capsys):
 
 def test_verify_paper_reports_an_index_past_the_cap(capsys):
     code, rep = run_json(capsys, ["verify-paper", "--n-max", "1", "--cap", "2"])
-    assert code == 1
+    assert code == 3
     assert rep["ok"] is False
-    index_checks = [c for case in rep["cases"] for c in case["checks"]
-                    if c["check"] == "index"]
-    assert [(c["got"], c["ok"]) for c in index_checks] == [(None, False)] * 2
+    failed = [c for case in rep["cases"] for c in case["checks"] if not c["ok"]]
+    assert [(c["check"], c["got"], c["status"]) for c in failed] == [
+        ("index", None, "index-exceeds-cap")] * 2
+
+
+def test_verify_paper_exits_1_when_a_check_past_the_cap_is_not_alone(monkeypatch, capsys):
+    real = paper.family_case
+
+    def wrong_matrix(n, odd):
+        case = real(n, odd)
+        case["matrices"] = (sl2.Mat2(1, 1, 0, 1),) + case["matrices"][1:]
+        return case
+
+    monkeypatch.setattr(paper, "family_case", wrong_matrix)
+    code, rep = run_json(capsys, ["verify-paper", "--n-max", "1", "--cap", "2"])
+    assert code == 1
+    failed = [c["check"] for case in rep["cases"] for c in case["checks"] if not c["ok"]]
+    assert failed == ["twist matrix (1,2)", "index", "twist matrix (3,5)", "index"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["monodromy", "L24", "--dirs", ""], ["index", "--gens", ";"],
+], ids=["dirs", "gens"])
+def test_empty_list_is_a_usage_error(capsys, l24_file, argv):
+    assert main([l24_file if a == "L24" else a for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "%s must list at least one chunk\n" % argv[-2]
 
 
 @pytest.mark.parametrize("argv, chunk", [
@@ -545,11 +570,22 @@ def test_verify_paper_tracer_work(monkeypatch, capsys):
 
 
 def test_conjecture_shear_and_push_work(monkeypatch, capsys):
-    # the 3 x 128 directions apply 4,209 shear letters one word at a time
-    # but hold only 332 distinct prefixes per case; the walk applies each
-    # once (one of them in the basis) and pushes the four basis cycles
-    # along it: 4 x 996 chain transports, plus 6 per case to build the
-    # basis, against 4,209 letters and 16,854 transports one at a time
+    # each direction is sheared once, along its whole word (the two axes
+    # for the basis, which then twists them as it holds them); each core
+    # of the basis and of every twisted direction is pulled back through
+    # its own word and pushed through the two basis shears, of 0 and 1
+    # letters on the standard basis
+    def word_length(d):
+        return sum(abs(e) for _, e in sl2.matrix_to_word(geometry.shear_matrix(d)))
+
+    dirs = primitive_directions(14)
+    letters = transports = 0
+    for n, m in ((3, 3), (3, 5), (5, 5)):
+        o = make_l_origami(n, m)
+        letters += sum(map(word_length, dirs))
+        for d in [Direction(1, 0), Direction(0, 1)] + dirs:
+            transports += len(decompose(o, d).cylinders) * (word_length(d) + 1)
+    assert (letters, transports) == (4209, 6211)
     counts = {"act_letter": 0, "transport_chain": 0}
     for name in counts:
         real = getattr(origami, name)
@@ -561,15 +597,15 @@ def test_conjecture_shear_and_push_work(monkeypatch, capsys):
         monkeypatch.setattr(origami, name, counting)
     assert main(["conjecture", "--max-dir-sum", "14"]) == 0
     capsys.readouterr()
-    assert counts == {"act_letter": 996, "transport_chain": 4002}
+    assert counts == {"act_letter": letters, "transport_chain": transports}
 
 
 @pytest.mark.parametrize("dirs", [
     "3,2;2,3;1,2;2,1;1,1;-1,1", "-1,1;1,1;2,1;1,2;2,3;3,2",
 ], ids=["forward", "reversed"])
 def test_monodromy_reports_the_first_failing_direction(capsys, tmp_path, dirs):
-    # the twists run in the order of the shear words; the error reported
-    # is still the one of the first failing direction in input order
+    # the error reported is the one of the first failing direction in
+    # input order
     rng = random.Random(1)
     failing = 0
     for k in range(10):

@@ -20,11 +20,8 @@ from origamikz import (
     standard_basis,
     twist_multiplicities,
 )
-from origamikz.geometry import shear_matrix
 from origamikz.homology import basis_from_directions
-from origamikz.monodromy import _shear_letters
-from origamikz.origami import act_word
-from origamikz.sl2 import Mat2, matrix_to_word
+from origamikz.sl2 import Mat2
 from util import random_direction, random_h2_origami
 
 D_THETA_ODD = Mat2(2, 1, -1, 0)
@@ -165,11 +162,10 @@ def _one_at_a_time(o, dirs, basis):
 
 
 def test_kz_generators_walk_matches_one_direction_at_a_time():
-    # the shared-prefix walk, in input, word and shuffled order and with
-    # repeats (a repeated word shares all its letters with the one before
-    # it, a repeated basis axis among them), against a fresh decomposition
-    # and a fresh push per direction; where twists fail, the first failure
-    # in input order is the one raised
+    # kz_generators in input, sorted and shuffled order and with repeats
+    # (a repeated basis axis among them), against a fresh decomposition per
+    # direction; where twists fail, the first failure in input order is
+    # the one raised
     rng = random.Random(59)
     errors = 0
     for o in _walk_surfaces():
@@ -178,7 +174,7 @@ def test_kz_generators_walk_matches_one_direction_at_a_time():
         shuffled = rng.sample(dirs, len(dirs))
         axis = basis.directions[1]
         repeated = [axis] + dirs[::4] + [axis] + dirs[::8] + [axis]
-        for order in (dirs, sorted(dirs, key=_shear_letters), shuffled, repeated):
+        for order in (dirs, sorted(dirs, key=lambda d: d.vector), shuffled, repeated):
             expected = _one_at_a_time(o, order, basis)
             failures = [m for m in expected if isinstance(m, OrigamiError)]
             if not failures:
@@ -191,27 +187,6 @@ def test_kz_generators_walk_matches_one_direction_at_a_time():
     assert errors > 0
 
 
-def test_decompose_takes_the_stages_it_is_handed():
-    # a shear made by act_word and handed over decomposes as a fresh one:
-    # the empty word of (1, 0), short words and a long one
-    assert matrix_to_word(shear_matrix(Direction(1, 0))) == []
-    rng = random.Random(61)
-    for _ in range(8):
-        o = random_h2_origami(rng)
-        dirs = [Direction(1, 0), Direction(0, 1), Direction(-300, 1)]
-        for d in dirs + [random_direction(rng, bound=10) for _ in range(6)]:
-            stages = act_word(o, matrix_to_word(shear_matrix(d)))[1]
-            fresh = decompose(o, d)
-            handed = decompose(o, d, stages)
-            assert handed._stages is stages
-            assert ([cyl.rows for cyl in handed.cylinders]
-                    == [cyl.rows for cyl in fresh.cylinders])
-            assert handed.f_values() == fresh.f_values()
-            assert handed.c_values() == fresh.c_values()
-            assert [s[:2] for s in handed._stages] == [s[:2] for s in fresh._stages]
-            assert handed.core_cycles() == fresh.core_cycles()
-
-
 def test_kz_generators_rejects_a_foreign_basis():
     basis = standard_basis(make_l_origami(2, 4))
     with pytest.raises(OrigamiError):
@@ -219,9 +194,9 @@ def test_kz_generators_rejects_a_foreign_basis():
 
 
 def test_kz_generators_keeps_no_pushed_copy_per_letter():
-    # one long direction shares a single letter with the other: the walk
-    # holds the long word's stages, as one fresh decomposition does, and
-    # no pushed cycles along it (a copy per letter would hold about four
+    # beside a short direction, one long direction costs what one fresh
+    # decomposition and twist of it cost: its stages are held once, and
+    # no pushed cycles along them (a copy per letter would hold about four
     # times what the stages hold)
     o = make_l_origami(2, 4)
     basis = standard_basis(o)
