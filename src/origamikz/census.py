@@ -7,22 +7,25 @@ runs over one canonical h per cycle type, all 3-cycles c whose product
 keeps the type, and the coset v0 Z(h) of conjugators taking h to c h.
 Of that coset only the v transitive with h are built: transitivity is
 tested once per assignment of h's cycles to cycles of the same length,
-before the rotations within the cycles are expanded.  Each transitive
-pair is reduced to its canonical form, and only a form seen for the
-first time is tested for primitivity.
+before the rotations within the cycles are expanded.  A permutation k of
+h's fixed points commutes with h, so (h, v) and (h, k v k^-1) are the
+same origami.  Each element gets a key that is equal exactly on such
+conjugates (:func:`_fixed_point_key`), and only an element whose key is
+new in its coset is reduced to its canonical form.  Only a form seen for
+the first time is built as an origami and tested for primitivity.
 
 This is exact for every degree, but the centralizer cosets blow up with
 the number of fixed points of h.  On 2 vCPUs with Python 3.11, with
-``bench/calibrate.py`` reading 0.021 s against its 0.016 s reference,
-degrees up to 8 take under half a second, 9 about 1.2 s, 10 about 7.5 s
-and 11 about 66 s, start-up included; 12 takes longer still.
+``bench/calibrate.py`` reading 0.012 s against its 0.016 s reference,
+degrees up to 8 take under a quarter of a second, 9 about 0.6 s, 10
+about 2.2 s and 11 about 24 s, start-up included; 12 takes longer still.
 """
 
 from itertools import chain, groupby, permutations, product
 from operator import itemgetter
 
 from .errors import OrigamiError
-from .origami import ORBIT_CAP, Origami, Perm, canonical_form, is_primitive, orbit
+from .origami import ORBIT_CAP, Perm, _pair_origami, canonical_form, is_primitive, orbit
 
 
 def _partitions(n, cap=None):
@@ -125,6 +128,28 @@ def _centralizer(perm, v0):
     return out
 
 
+def _fixed_point_key(v, m):
+    """A key equal exactly on the conjugates of v by permutations of m, m+1, ...
+
+    Rename the squares >= m in the order v reaches them, walking from each
+    square below m in increasing order until the walk is back below m.
+    For each square below m the key holds the square its walk ends at and
+    how many squares >= m it passes, which fixes the renamed v; a
+    conjugate renames the same walks.  Every v-cycle must meet a square
+    below m, as it does when v is transitive with an h that fixes exactly
+    the squares >= m.
+    """
+    key = []
+    for s in range(m):
+        x = v[s]
+        passed = 0
+        while x >= m:
+            x = v[x]
+            passed += 1
+        key.append(x + m * passed)
+    return tuple(key)
+
+
 def h2_origamis(degree, primitive_only=True):
     """All H(2) origamis of a degree up to equivalence, canonical forms.
 
@@ -138,24 +163,28 @@ def h2_origamis(degree, primitive_only=True):
     for ptype in _partitions(degree):
         h = Perm._trusted(_canonical_of_type(ptype))
         h_cycles = h.cycles(include_fixed=True)
+        m = degree - ptype.count(1)  # h fixes exactly the squares >= m
         # distinct 3-cycles c give distinct w = c h, none equal to h
         for cyc in _three_cycles(degree):
             w = Perm._trusted(_apply_cycle(h.images, cyc))
             if w.cycle_type() != ptype:
                 continue
             v0 = _conjugator(h_cycles, w.cycles(include_fixed=True))
+            keys = set()
             for z in _centralizer(h, v0):
                 v = tuple(v0[x] for x in z)
-                o = canonical_form(Origami._trusted(h, Perm._trusted(v)))
-                if o in found or o in rejected:
+                key = _fixed_point_key(v, m)
+                if key in keys:
                     continue
-                if primitive_only and not is_primitive(o):
-                    rejected.add(o)
+                keys.add(key)
+                form = canonical_form((h.images, v))
+                if form in found or form in rejected:
+                    continue
+                if primitive_only and not is_primitive(_pair_origami(form)):
+                    rejected.add(form)
                 else:
-                    found.add(o)
-    return sorted(
-        found, key=lambda o: (o.h.images, o.v.images)
-    )
+                    found.add(form)
+    return [_pair_origami(form) for form in sorted(found)]
 
 
 def orbit_partition(origamis, cap=ORBIT_CAP):

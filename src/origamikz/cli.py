@@ -240,7 +240,8 @@ def cmd_census(args):
     d = args.degree
     if d >= 10:
         print("census at degree %d enumerates large centralizer cosets; "
-              "expect seconds at degree 10 and over a minute beyond" % d,
+              "expect seconds at degree 10, half a minute at 11 and "
+              "longer beyond" % d,
               file=sys.stderr)
     origamis = h2_origamis(d)
     cap = args.cap

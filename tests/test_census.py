@@ -1,4 +1,6 @@
+import random
 from collections import Counter
+from itertools import permutations
 
 import pytest
 
@@ -13,7 +15,7 @@ from origamikz import (
 from origamikz import census as census_mod
 from origamikz.origami import Perm, _transitive, holonomy_lattice_index
 
-from util import centralizer
+from util import census_cosets, centralizer, reference_h2_forms
 
 
 def test_counts_small_degrees():
@@ -86,22 +88,11 @@ def test_exhaustive_cross_check_degree4():
         assert forms == set(h2_origamis(d))
 
 
-def _sweep_inputs(degree):
-    # (h, v0) for each cycle type h and each 3-cycle the census keeps
-    for ptype in census_mod._partitions(degree):
-        h = Perm._trusted(census_mod._canonical_of_type(ptype))
-        for cyc in census_mod._three_cycles(degree):
-            w = Perm._trusted(census_mod._apply_cycle(h.images, cyc))
-            if w.cycle_type() == ptype:
-                yield h, census_mod._conjugator(h.cycles(include_fixed=True),
-                                                w.cycles(include_fixed=True))
-
-
 def test_sweep_returns_exactly_the_transitive_coset_elements():
     # against the full centralizer, each element tested one at a time
     inputs = 0
     for d in range(3, 8):
-        for h, v0 in _sweep_inputs(d):
+        for h, v0 in census_cosets(d):
             inputs += 1
             swept = list(census_mod._centralizer(h, v0))
             assert len(swept) == len(set(swept))
@@ -112,10 +103,11 @@ def test_sweep_returns_exactly_the_transitive_coset_elements():
     assert inputs == 387
 
 
-def test_sweep_builds_one_element_per_canonical_form_call(monkeypatch):
-    # the sweep builds only transitive elements: at degrees 7 and 8 the
-    # full cosets hold 6,393 and 35,952, of which 1,757 and 6,716 are
-    # transitive, and each of those is reduced to a canonical form
+def test_sweep_builds_every_element_and_forms_one_per_key(monkeypatch):
+    # the sweep still builds every transitive coset element: at degrees 7
+    # and 8 the full cosets hold 6,393 and 35,952, of which 1,757 and
+    # 6,716 are transitive; only an element whose fixed-point key is new
+    # in its coset is reduced to a canonical form
     counts = {"built": 0, "forms": 0}
     real_sweep, real_form = census_mod._centralizer, census_mod.canonical_form
 
@@ -130,10 +122,70 @@ def test_sweep_builds_one_element_per_canonical_form_call(monkeypatch):
 
     monkeypatch.setattr(census_mod, "_centralizer", sweep)
     monkeypatch.setattr(census_mod, "canonical_form", form)
-    for d, built in ((7, 1757), (8, 6716)):
+    for d, built, forms in ((7, 1757, 1021), (8, 6716, 2110)):
         counts.update(built=0, forms=0)
         h2_origamis(d)
-        assert counts == {"built": built, "forms": built}
+        assert counts == {"built": built, "forms": forms}
+
+
+@pytest.mark.parametrize("primitive_only", [True, False])
+@pytest.mark.parametrize("d", range(3, 9))
+def test_census_matches_reference_without_keys(d, primitive_only):
+    assert h2_origamis(d, primitive_only) == reference_h2_forms(d, primitive_only)
+
+
+def _fixed_points(h):
+    # h's fixed points are its last squares; returns them and the first
+    fixed = [x for x in range(h.degree) if h(x) == x]
+    m = h.degree - len(fixed)
+    assert fixed == list(range(m, h.degree))
+    return fixed, m
+
+
+def _conjugate(v, k):
+    # k v k^-1, with k a dict on the squares it moves
+    out = [None] * len(v)
+    for x, y in enumerate(v):
+        out[k.get(x, x)] = k.get(y, y)
+    return tuple(out)
+
+
+def test_fixed_point_key_is_invariant_under_relabelling_fixed_points():
+    rng = random.Random(20)
+    checked = 0
+    for d in range(7, 10):
+        for h, v0 in census_cosets(d):
+            fixed, m = _fixed_points(h)
+            if len(fixed) < 2:
+                continue
+            swept = census_mod._centralizer(h, v0)
+            for z in rng.sample(swept, min(len(swept), 12)):
+                v = tuple(v0[x] for x in z)
+                key = census_mod._fixed_point_key(v, m)
+                for _ in range(3):
+                    k = dict(zip(fixed, rng.sample(fixed, len(fixed))))
+                    assert census_mod._fixed_point_key(_conjugate(v, k), m) == key
+                    checked += 1
+    assert checked > 1000
+
+
+def test_fixed_point_key_classes_are_the_conjugacy_classes():
+    # on each coset at degree 7, elements share a key iff a permutation of
+    # h's fixed points conjugates one into the other
+    cosets = 0
+    for h, v0 in census_cosets(7):
+        fixed, m = _fixed_points(h)
+        if len(fixed) < 2:
+            continue
+        cosets += 1
+        coset = {tuple(v0[x] for x in z) for z in census_mod._centralizer(h, v0)}
+        ks = [dict(zip(fixed, p)) for p in permutations(fixed)]
+        classes = {frozenset(_conjugate(v, k) for k in ks) & coset for v in coset}
+        by_key = {}
+        for v in coset:
+            by_key.setdefault(census_mod._fixed_point_key(v, m), set()).add(v)
+        assert {frozenset(c) for c in by_key.values()} == classes
+    assert cosets > 0
 
 
 def _primitive_count(n):

@@ -4,7 +4,8 @@ its curves built from Fraction segments, the reference Fraction intersection
 pairing, the reference Fraction determinant and solver for the Gram
 system, the traced Gram matrix and multitwist action, the reference
 all-starts and cone-starts canonical forms, a four-generator orbit
-search and the full centralizer of a permutation."""
+search, the full centralizer of a permutation, the census cosets and the
+reference census that reduces every transitive coset element."""
 
 from fractions import Fraction
 from itertools import permutations, product
@@ -20,16 +21,19 @@ from origamikz import (
     RankError,
     SaddleConnection,
     TracingError,
+    canonical_form,
     decompose,
+    is_primitive,
     make_l_origami,
     relabel,
     shear_matrix,
     singularity_data,
 )
+from origamikz import census
 from origamikz.geometry import _Corners, _max_steps, _separatrix_starts
 from origamikz.homology import _solve_gram, intersection_number, nontaut_basis
 from origamikz.monodromy import _in_span, twist_multiplicities
-from origamikz.origami import act_letter, act_word, pull_back_point
+from origamikz.origami import _transitive, act_letter, act_word, pull_back_point
 from origamikz.sl2 import Mat2, matrix_to_word
 
 F0 = Fraction(0)
@@ -508,3 +512,37 @@ def centralizer(perm):
                 yield from emit(block_idx + 1, z)
 
     yield from emit(0, [None] * d)
+
+
+def census_cosets(degree):
+    """``(h, v0)`` for each coset the census sweeps at ``degree``.
+
+    One h per cycle type, and for each 3-cycle c with c h of h's type a
+    v0 with v0 h v0^-1 = c h; the coset v0 Z(h) holds every such v.
+    """
+    for ptype in census._partitions(degree):
+        h = Perm._trusted(census._canonical_of_type(ptype))
+        for cyc in census._three_cycles(degree):
+            w = Perm._trusted(census._apply_cycle(h.images, cyc))
+            if w.cycle_type() == ptype:
+                yield h, census._conjugator(h.cycles(include_fixed=True),
+                                            w.cycles(include_fixed=True))
+
+
+def reference_h2_forms(degree, primitive_only=True):
+    """The H(2) census of ``degree`` with no coset element skipped.
+
+    Every v0 z over the full centralizer z of h (:func:`centralizer`)
+    that is transitive with h is reduced to its canonical form, with no
+    fixed-point key: the oracle for :func:`origamikz.h2_origamis`, in the
+    same order.
+    """
+    forms = set()
+    for h, v0 in census_cosets(degree):
+        for z in centralizer(h):
+            v = tuple(v0[x] for x in z)
+            if _transitive(h.images, v):
+                forms.add(canonical_form((h.images, v)))
+    origamis = [Origami._trusted(Perm._trusted(hf), Perm._trusted(vf))
+                for hf, vf in sorted(forms)]
+    return [o for o in origamis if not primitive_only or is_primitive(o)]
