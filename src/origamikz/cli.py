@@ -17,8 +17,8 @@ from .errors import IndexCapExceeded, OrbitCapExceeded, OrigamiError
 from .geometry import Direction, decompose, primitive_directions
 from .homology import default_basis, nontaut_basis, standard_basis
 from .monodromy import kz_generators
-from .origami import (MAX_TRACE_LENGTH, ORBIT_CAP, canonical_form, make_l_origami,
-                      orbit, parse_origami)
+from .origami import (MAX_DEGREE, MAX_TRACE_LENGTH, ORBIT_CAP, canonical_form,
+                      make_l_origami, orbit, parse_origami)
 from .paper import check_family_case, family_trace_length, matrix_json
 from .sl2 import COSET_CAP, Mat2, _index_and_minus_identity, index_in_sl2
 
@@ -321,6 +321,20 @@ def cmd_verify_paper(args):
 
 
 def cmd_conjecture(args):
+    # every representative is checked before any work; the longest
+    # direction has |p|+|q| = --max-dir-sum
+    s = args.max_dir_sum
+    for n, m in args.reps:
+        d = n + m - 1
+        if d > MAX_DEGREE:
+            problem = "has degree %d, above MAX_DEGREE = %d" % (d, MAX_DEGREE)
+        elif d * s > MAX_TRACE_LENGTH:
+            problem = ("needs d*(|p|+|q|) = %d at --max-dir-sum %d, above "
+                       "MAX_TRACE_LENGTH = %d" % (d * s, s, MAX_TRACE_LENGTH))
+        else:
+            continue
+        print("L(%d,%d) %s" % (n, m, problem), file=sys.stderr)
+        return EXIT_USAGE
     cases = []
     ok, capped = True, False
     dirs = primitive_directions(args.max_dir_sum)

@@ -30,13 +30,12 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import TracingError
-from .origami import (MAX_TRACE_LENGTH, _over_denominator, act_word, pull_back_chain,
-                      pull_back_point, push_forward_point)
+from .origami import (MAX_TRACE_LENGTH, Perm, act_word, pull_back_chain, pull_back_point,
+                      push_forward_chain, push_forward_point)
 from .sl2 import Mat2, matrix_to_word
 
 F0 = Fraction(0)
 F1 = Fraction(1)
-FHALF = Fraction(1, 2)
 
 
 class Direction:
@@ -243,10 +242,10 @@ def _max_steps(o, a, b):
     return 8 * o.degree * (abs(a) + abs(b) + 2) + 16
 
 
-def _on_grid(point, a, b):
-    """``(n, (square, X, Y))`` for the point ``(X / n, Y / n)``: a trace along
-    (a, b) from a point over D meets every edge on this grid."""
-    n, (sq, x, y) = _over_denominator(point)
+def _on_grid(start, a, b):
+    """A start ``(D, (square, X, Y))``, the point ``(X / D, Y / D)``, over the
+    grid n = D lcm(|a|, |b|) on which a trace along (a, b) meets every edge."""
+    n, (sq, x, y) = start
     k = lcm(a or 1, b or 1)  # lcm(0, k) is 0
     return n * k, (sq, x * k, y * k)
 
@@ -297,8 +296,8 @@ def _step(o, state, a, b, n):
 def _trace_closed(o, corners, start, direction):
     """Trace the closed geodesic through ``start``; it must avoid cone points.
 
-    One step from the start point, which may sit anywhere in a square,
-    reaches the first edge crossing.  Tracer states at edge crossings are
+    One step from the start (see :func:`_on_grid`), which may sit
+    anywhere in a square, reaches the first edge crossing.  Tracer states at edge crossings are
     canonical for a fixed direction, so the trace then runs until that
     exact state recurs; the loop's steps start and end there.  Returns
     ``(n, steps)`` for :class:`GeodesicLoop`.
@@ -318,7 +317,7 @@ def _trace_closed(o, corners, start, direction):
 
 
 def _trace_to_singularity(o, corners, start, direction):
-    """Trace a separatrix until it hits a cone point.
+    """Trace a separatrix from ``start`` (see :func:`_on_grid`) to a cone point.
 
     Returns ``(n, steps, anchor)`` with the anchor of the cone point's
     corner sector it arrives in (see :func:`_step`).
@@ -337,33 +336,31 @@ def _trace_to_singularity(o, corners, start, direction):
 def _separatrix_starts(o, corners, direction):
     """Start states of the outgoing separatrices, with their start turn.
 
-    Yields ``(vertex_cycle, turn, start_state)``; the start state feeds
-    straight into the tracer.  In every sign case the outgoing end at
-    turn t of a vertex sits in the corner sector anchored at the t-th
-    square of its corner cycle.
+    Yields ``(vertex_cycle, turn, start)``; the start, a corner over
+    n = 1, feeds straight into the tracer.  In every sign case the
+    outgoing end at turn t of a vertex sits in the corner sector anchored
+    at the t-th square of its corner cycle.
     """
     a, b = direction.vector
-    hinv = o.h.inverse()
     for cyc in corners.singular_cycles():
         for turn, j in enumerate(cyc):
-            if a < 0:
-                yield cyc, turn, (hinv(j), F1, F0)
-            else:
-                yield cyc, turn, (j, F0, F0)
+            yield cyc, turn, (1, (o.h.inverse()(j), 1, 0) if a < 0 else (j, 0, 0))
 
 
 def _raw_saddles(o, corners, direction):
     """Trace all saddle connections; also return their end data.
 
-    Returns a list of ``(SaddleConnection, out_end, in_end)`` where the
-    ends are ``(vertex_cycle, turn)`` pairs.
+    Returns a list of ``(SaddleConnection, out_end, in_end, mid)`` where
+    the ends are ``(vertex_cycle, turn)`` pairs and ``mid`` is the first
+    step's midpoint ``(2n, (square, X, Y))``.
     """
     out = []
     for cyc, turn, start in _separatrix_starts(o, corners, direction):
         n, steps, anchor = _trace_to_singularity(o, corners, start, direction)
         conn = SaddleConnection(o, direction, n, steps)
-        conn.start = start
+        conn.start = (steps[0][0],) + conn.segments[0][1]
         conn.end = (steps[-1][0],) + conn.segments[-1][2]
+        sq, x0, y0, x1, y1 = steps[0]
         in_end = (corners.cycle_of[anchor], corners.pos_in[anchor])
         hol = conn.holonomy()
         # holonomy must be a positive multiple of the direction vector
@@ -373,7 +370,7 @@ def _raw_saddles(o, corners, direction):
             raise TracingError(
                 "saddle holonomy %r is not along %r" % (hol, direction)
             )
-        out.append((conn, (cyc, turn), in_end))
+        out.append((conn, (cyc, turn), in_end, (2 * n, (sq, x0 + x1, y0 + y1))))
     return out
 
 
@@ -476,18 +473,19 @@ class CylinderDecomposition:
             out.append(z)
         return out
 
-    def omega_with_cores(self, pushed):
+    def omega_with_cores(self, cycle):
         """omega(cycle, core) for each cylinder, without tracing a core.
 
-        ``pushed`` is a cellular 1-cycle of the origami pushed through the
-        whole shear (:func:`origamikz.origami.push_forward_chain`).  In
+        ``cycle`` is a cellular 1-cycle of the origami, pushed here through
+        the whole shear (:func:`origamikz.origami.push_forward_chain`).  In
         the sheared frame each core runs along (1, 0) at mid-height of its
         rows, so the cycle meets a core only on the left edges l_i of the
         core's row, each once and upwards; such a crossing counts
         det[(0, 1), (1, 0)] = -1, as in
         :func:`origamikz.homology.intersection_number`.
         """
-        _, l = pushed
+        o = self.origami
+        _, l = push_forward_chain((o.h.images, o.v.images), self._stages, cycle)
         return tuple(-sum(l[sq] for sq in cyl.rows[0]) for cyl in self.cylinders)
 
     def __repr__(self):
@@ -498,15 +496,15 @@ class CylinderDecomposition:
         )
 
 
-def _row_chains(o):
-    """Group the h-cycles (rows) into cylinders.
+def _row_chains(pair):
+    """Group the h-cycles (rows) of an image pair into cylinders.
 
     Rows R and v(R) belong to the same cylinder iff v(h(i)) == h(v(i))
     for every i in R, i.e. no cone point sits on the line between them.
     Returns a list of row chains, each bottom to top.
     """
-    h, v = o.h.images, o.v.images
-    rows = [tuple(c) for c in o.h.cycles(include_fixed=True)]
+    h, v = pair
+    rows = Perm._trusted(h).cycles(include_fixed=True)
     row_of = {}
     for idx, r in enumerate(rows):
         for sq in r:
@@ -541,9 +539,9 @@ def _row_chains(o):
 def decompose(o, direction):
     """Cylinder decomposition of ``o`` in a rational direction.
 
-    Shears the origami until the direction is horizontal (a word in the
-    S/T action) and reads rows and heights there; the shear's stages
-    stay on the result.  Every rational direction on an origami is
+    Shears the origami's image pair until the direction is horizontal (a
+    word in the S/T action) and reads rows and heights there; the shear's
+    stages stay on the result.  Every rational direction on an origami is
     completely periodic, so this never fails.  Cylinders are sorted by
     (f, smallest square id).  No curve is traced here: a core is pulled
     back through the shear and traced on first access (see
@@ -551,7 +549,8 @@ def decompose(o, direction):
     labelled on first access (see :class:`CylinderDecomposition`).
     """
     _check_trace_length(o, direction)
-    sheared, stages = act_word(o, matrix_to_word(shear_matrix(direction)))
+    sheared, stages = act_word((o.h.images, o.v.images),
+                               matrix_to_word(shear_matrix(direction)))
     chains = _row_chains(sheared)
 
     heights = [len(chain) for chain in chains]
@@ -570,11 +569,10 @@ def decompose(o, direction):
 def _trace_core(cyl):
     """Pull a cylinder's mid-height point back through the shear and trace."""
     o, direction, stages = cyl._frame
-    # mid-height of the middle row is interior to the cylinder, so the
-    # core never meets a cone point
-    start_sq = min(cyl.rows[len(cyl.rows) // 2])
-    p0 = pull_back_point(stages, (start_sq, F0, FHALF))
-    core = GeodesicLoop(o, direction, *_trace_closed(o, _Corners(o), p0, direction))
+    # mid-height of the middle row, over 2, is interior to the cylinder,
+    # so the core never meets a cone point
+    p0 = pull_back_point(stages, (min(cyl.rows[len(cyl.rows) // 2]), 0, 1), 2)
+    core = GeodesicLoop(o, direction, *_trace_closed(o, _Corners(o), (2, p0), direction))
     if core.holonomy() != (cyl.f * direction.p, cyl.f * direction.q):
         raise TracingError("core holonomy is not f times the direction")
     return core
@@ -583,22 +581,23 @@ def _trace_core(cyl):
 def _label_saddles(dec):
     """Saddle connections of a decomposition and the cylinders' upper boundaries.
 
-    Pushes the midpoint of each saddle connection's first segment through
-    the kept shear stages into the sheared frame, where the connection
-    is horizontal: the point lies on the bottom edge of a square s, and
-    the connection bounds from above the cylinder whose top row holds
-    v^-1(s).  Returns ``(saddles, upper_boundaries)``.
+    Pushes the midpoint of each saddle connection's first step, in
+    integers, through the kept shear stages into the sheared frame, where
+    the connection is horizontal: the point lies on the bottom edge of a
+    square s, and the connection bounds from above the cylinder whose top
+    row holds v^-1(s).  Returns ``(saddles, upper_boundaries)``.
     """
     o, direction, stages = dec.origami, dec.direction, dec._stages
-    sheared = stages[-1][2] if stages else o
+    pair = (o.h.images, o.v.images)
+    sheared_v = (stages[-1][2] if stages else pair)[1]
     top_row_of = {sq: k for k, cyl in enumerate(dec.cylinders) for sq in cyl.rows[-1]}
-    saddles = tuple(r[0] for r in _raw_saddles(o, _Corners(o), direction))
+    raw = _raw_saddles(o, _Corners(o), direction)
+    saddles = tuple(r[0] for r in raw)
     upper = [[] for _ in dec.cylinders]
-    for i, s in enumerate(saddles):
-        sq, (x0, y0), (x1, y1) = s.segments[0]
-        top_sq, _, y = push_forward_point(o, stages, (sq, (x0 + x1) / 2, (y0 + y1) / 2))
-        k = top_row_of.get(sheared.v.inverse()(top_sq))
-        if y != F0 or k is None:
+    for i, (_, _, _, (n, mid)) in enumerate(raw):
+        top_sq, _, y = push_forward_point(pair, stages, mid, n)
+        k = top_row_of.get(sheared_v.index(top_sq))
+        if y or k is None:
             raise TracingError("saddle connection %d is on no upper boundary" % i)
         upper[k].append(i)
     # each saddle is on one upper boundary by construction; with cone
@@ -747,8 +746,8 @@ def separatrix_diagram(o, direction):
     vertices = corners.singular_cycles()
     vindex = {cyc: i for i, cyc in enumerate(vertices)}
     edges = [r[0] for r in raw]
-    edge_out = [(vindex[cyc], t) for _, (cyc, t), _ in raw]
-    edge_in = [(vindex[cyc], t) for _, _, (cyc, t) in raw]
+    edge_out = [(vindex[cyc], t) for _, (cyc, t), _, _ in raw]
+    edge_in = [(vindex[cyc], t) for _, _, (cyc, t), _ in raw]
     return SeparatrixDiagram(vertices, edges, edge_out, edge_in)
 
 

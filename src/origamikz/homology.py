@@ -37,7 +37,7 @@ from .geometry import (
     decompose,
     primitive_directions,
 )
-from .origami import push_forward_chain, singularity_data
+from .origami import singularity_data
 
 
 def intersection_number(alpha, beta):
@@ -166,16 +166,15 @@ class HomologyBasis:
 
         Each core is taken as its cellular cycle
         (:meth:`CylinderDecomposition.core_cycles`, pulled back through
-        ``dec``'s shear), pushed through the shear of each basis
-        decomposition and paired with that decomposition's cores there;
-        omega(basis_j, core) is -omega(core, basis_j).  One 4-tuple per
+        ``dec``'s shear), and each basis decomposition's
+        :meth:`CylinderDecomposition.omega_with_cores` pushes it through
+        its shear and pairs it with its cores there; omega(basis_j, core)
+        is -omega(core, basis_j).  One 4-tuple per
         cylinder, in ``dec``'s order.
         """
         if dec.origami != self.origami:
             raise OrigamiError("decomposition and basis live on different origamis")
-        o = self.origami
-        return [tuple(-w for b in self.decompositions
-                      for w in b.omega_with_cores(push_forward_chain(o, b._stages, z)))
+        return [tuple(-w for b in self.decompositions for w in b.omega_with_cores(z))
                 for z in dec.core_cycles()]
 
     def __repr__(self):

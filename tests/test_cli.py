@@ -383,6 +383,15 @@ def test_malformed_input_fails_on_one_line(capsys, tmp_path, text):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_degree_header_below_one_fails_on_its_own_line(capsys, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("d=-3\nh=\nv=\n")
+    assert main(["orbit", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: d=-3: the degree must be at least 1\n"
+
+
 def test_monodromy_rejects_non_h2(capsys, tmp_path):
     # two simple cone points: stratum H(1,1), cone orders (1, 1)
     path = tmp_path / "h11.txt"
@@ -409,6 +418,36 @@ def test_max_dir_sum_is_bounded(monkeypatch, capsys):
     monkeypatch.setattr(cli, "MAX_DIR_SUM", 4)
     assert main(["conjecture", "--reps", "3,3", "--max-dir-sum", "4"]) == 0
     assert main(["conjecture", "--reps", "3,3", "--max-dir-sum", "5"]) == 2
+
+
+@pytest.mark.parametrize("reps, dir_sum, err", [
+    ("3,3;3,3001", "50", "L(3,3001) needs d*(|p|+|q|) = 150150 at --max-dir-sum 50, "
+                         "above MAX_TRACE_LENGTH = 120000\n"),
+    ("3,3;3,10001", "5", "L(3,10001) has degree 10003, above MAX_DEGREE = 10000\n"),
+], ids=["trace-length", "degree"])
+def test_conjecture_checks_every_representative_first(monkeypatch, capsys, reps,
+                                                      dir_sum, err):
+    # a representative past a bound is a usage error before any work, even
+    # on the valid L(3,3) listed before it
+    def boom(*args):
+        raise RuntimeError("a representative was computed")
+
+    monkeypatch.setattr(cli, "standard_basis", boom)
+    assert main(["conjecture", "--reps", reps, "--max-dir-sum", dir_sum]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err
+
+
+def test_conjecture_trace_length_bound_is_exact(monkeypatch, capsys):
+    # L(3,3) has degree 5: at --max-dir-sum 4 its longest direction has
+    # d*(|p|+|q|) = 20, and every decomposition passes a bound of 20
+    monkeypatch.setattr(cli, "MAX_TRACE_LENGTH", 20)
+    monkeypatch.setattr(geometry, "MAX_TRACE_LENGTH", 20)
+    assert main(["conjecture", "--reps", "3,3", "--max-dir-sum", "4"]) == 0
+    assert main(["conjecture", "--reps", "3,3", "--max-dir-sum", "5"]) == 2
+    assert capsys.readouterr().err.endswith(
+        "L(3,3) needs d*(|p|+|q|) = 25 at --max-dir-sum 5, above MAX_TRACE_LENGTH = 20\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -537,8 +576,10 @@ def test_verify_paper_tracer_work(monkeypatch, capsys):
     # Fractions per crossing (its exit point) plus one for its first entry
     # point: 19,680 in all.  Counted over the whole run, Fraction
     # constructions fell from 80,116 with the Fraction stepper to 21,296,
-    # and to 19,960 once the cores' start points were pulled back through
-    # the shear in integers, with two Fractions per point.
+    # to 19,960 once the cores' start points were pulled back through the
+    # shear in integers, with two Fractions per point, and to the 19,680
+    # of the segments alone once those points stayed integers into the
+    # tracer.
     # From Python 3.12 on, Fraction arithmetic builds its results without
     # calling __new__, so that total is pinned on earlier versions only.
     from fractions import Fraction
@@ -566,7 +607,7 @@ def test_verify_paper_tracer_work(monkeypatch, capsys):
     assert counts["crossings"] == 9910
     assert counts["segment_fractions"] == 19680
     if sys.version_info < (3, 12):
-        assert counts["fractions"] == 19960
+        assert counts["fractions"] == 19680
 
 
 def test_conjecture_shear_and_push_work(monkeypatch, capsys):

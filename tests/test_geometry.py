@@ -26,6 +26,7 @@ from origamikz.geometry import _Corners, _trace_closed
 from origamikz.sl2 import Mat2
 from util import (
     curve_from_segments,
+    over_denominator,
     random_direction,
     random_h2_origami,
     random_transitive_pair,
@@ -411,7 +412,8 @@ def test_integer_tracer_matches_fraction_tracer_through_regular_vertices():
         corners = _Corners(o)
         for d in primitive_directions(5):
             for pt in row_boundary_starts(o, d):
-                loop = geometry.GeodesicLoop(o, d, *_trace_closed(o, corners, pt, d))
+                start = over_denominator(pt)
+                loop = geometry.GeodesicLoop(o, d, *_trace_closed(o, corners, start, d))
                 ref = curve_from_segments(geometry.GeodesicLoop, o, d,
                                           reference_trace_closed(o, corners, pt, d))
                 assert_same_curve(loop, ref)

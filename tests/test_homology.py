@@ -32,6 +32,7 @@ from origamikz.geometry import _Corners, _trace_closed
 from origamikz.homology import _pfaffian, _search_basis, _solve_gram
 from util import (
     curve_from_segments,
+    over_denominator,
     random_direction,
     random_h2_origami,
     reference_det4,
@@ -123,7 +124,8 @@ def row_boundary_loops(o, direction):
     :func:`util.row_boundary_starts`); core curves meet none.
     """
     corners = _Corners(o)
-    return [GeodesicLoop(o, direction, *_trace_closed(o, corners, pt, direction))
+    return [GeodesicLoop(o, direction,
+                         *_trace_closed(o, corners, over_denominator(pt), direction))
             for pt in row_boundary_starts(o, direction)]
 
 

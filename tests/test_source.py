@@ -49,8 +49,9 @@ def test_cli_import_skips_dataclasses_and_inspect():
 
 
 def test_homology_pipeline_does_not_import_fractions():
-    # the Gram system and the pairing are solved in integers
-    for name in ("homology.py", "monodromy.py"):
+    # the Gram system and the pairing are solved in integers, and the
+    # action layer carries points as integers over one denominator
+    for name in ("homology.py", "monodromy.py", "origami.py"):
         path = SRC / name
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
@@ -111,15 +112,17 @@ def test_no_unread_module_names():
 
 
 def test_tracer_does_no_fraction_arithmetic():
-    # the square-crossing stepper and the two tracers run on integers over
-    # one common denominator; Fractions are built only for a traced curve's
+    # the square-crossing stepper, the two tracers and the start points
+    # and label points they are handed or return run on integers over one
+    # common denominator; Fractions are built only for a traced curve's
     # segments, once per point
     path = SRC / "geometry.py"
     tree = ast.parse(path.read_text(), str(path))
     funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     banned = {"Fraction", "F0", "F1", "FHALF"}
     found = []
-    for name in ("_on_grid", "_step", "_trace_closed", "_trace_to_singularity"):
+    for name in ("_on_grid", "_step", "_trace_closed", "_trace_to_singularity",
+                 "_separatrix_starts", "_trace_core", "_label_saddles"):
         for node in ast.walk(funcs[name]):
             ref = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
             if ref in banned:

@@ -1,6 +1,8 @@
 """Shared helpers for the test suite: seeded random surfaces and directions,
-the reference Fraction point transport, the reference Fraction tracer and
-its curves built from Fraction segments, the reference Fraction intersection
+the image pair of an origami, a Fraction point as integers over its
+denominator and back, the reference action on origamis, the reference
+Fraction point transport through a stage list, the reference Fraction
+tracer and its curves built from Fraction segments, the reference Fraction intersection
 pairing, the reference Fraction determinant and solver for the Gram
 system, the traced Gram matrix and multitwist action, the reference
 all-starts and cone-starts canonical forms, a four-generator orbit
@@ -33,7 +35,7 @@ from origamikz import census
 from origamikz.geometry import _Corners, _max_steps, _separatrix_starts
 from origamikz.homology import _solve_gram, intersection_number, nontaut_basis
 from origamikz.monodromy import _in_span, twist_multiplicities
-from origamikz.origami import _transitive, act_letter, act_word, pull_back_point
+from origamikz.origami import _transitive, act_word
 from origamikz.sl2 import Mat2, matrix_to_word
 
 F0 = Fraction(0)
@@ -66,7 +68,7 @@ def random_h2_origami(rng, dmin=4, dmax=12):
     m = rng.randrange(max(2, dmin + 1 - n), min(7, dmax + 1 - n) + 1)
     o = make_l_origami(n, m)
     for _ in range(rng.randrange(1, 7)):
-        o = act_letter(o, *rng.choice(GENS))
+        o = reference_act_letter(o, *rng.choice(GENS))
     g = list(range(o.degree))
     rng.shuffle(g)
     return relabel(o, Perm(g))
@@ -94,6 +96,84 @@ def random_direction(rng, bound=7):
             d = Direction(p, q)
             if abs(d.p) <= bound and abs(d.q) <= bound:
                 return d
+
+
+def pair_of(x):
+    """``(h, v)`` as image tuples, of an origami or of an image pair."""
+    h, v = (x.h.images, x.v.images) if isinstance(x, Origami) else x
+    return tuple(h), tuple(v)
+
+
+def over_denominator(point):
+    """``(n, (square, X, Y))`` for a Fraction point ``(square, X / n, Y / n)``."""
+    sq, x, y = point
+    n = lcm(x.denominator, y.denominator)
+    return n, (sq, x.numerator * (n // x.denominator), y.numerator * (n // y.denominator))
+
+
+def from_denominator(n, point):
+    """The Fraction point ``(square, X / n, Y / n)`` of ``(square, X, Y)`` over ``n``."""
+    sq, x, y = point
+    return sq, Fraction(x, n), Fraction(y, n)
+
+
+def reference_act_letter(o, gen, exp):
+    """Apply a single S/T letter, or U = S T with exponent 1, to an origami.
+
+    The origami route that :func:`origamikz.origami.act_letter` dropped
+    for image pairs alone, kept as the reference action of the orbit and
+    transport oracles: (h, v) goes to (h, v h^-1) under T, (v^-1, h)
+    under S, their inverses accordingly, and (h v^-1, h) under U.
+    """
+    h, v = o.h, o.v
+    if gen == "T":
+        return Origami._trusted(h, v * (h.inverse() if exp > 0 else h))
+    if gen == "S":
+        if exp > 0:
+            return Origami._trusted(v.inverse(), h)
+        return Origami._trusted(v, h.inverse())
+    if gen == "U" and exp == 1:
+        return Origami._trusted(h * v.inverse(), h)
+    raise ValueError("unknown letter %r with exponent %r" % (gen, exp))
+
+
+def reference_act_word(o, word):
+    """Apply ``(gen, exp)`` runs to an origami, rightmost run first, a
+    :func:`reference_act_letter` step per letter."""
+    for gen, exp in reversed(word):
+        for _ in range(abs(exp)):
+            o = reference_act_letter(o, gen, 1 if exp > 0 else -1)
+    return o
+
+
+def reference_stages(o, stages):
+    """The origami after each stage of ``stages`` (from ``act_word`` on the
+    pair of ``o``) by :func:`reference_act_letter`; each must have the
+    stage's pair."""
+    out = []
+    for gen, exp, after in stages:
+        o = reference_act_letter(o, gen, exp)
+        if pair_of(o) != pair_of(after):
+            raise AssertionError("stage %s%+d differs from the reference action" % (gen, exp))
+        out.append(o)
+    return out
+
+
+def reference_push_forward(o, stages, point):
+    """Apply ``stages`` (from ``act_word`` on the pair of ``o``) to a Fraction
+    point, a :func:`transport_letter` step per stage."""
+    for (gen, exp, _), after in zip(stages, reference_stages(o, stages)):
+        point = transport_letter(o, gen, exp, point)
+        o = after
+    return point
+
+
+def reference_pull_back(o, stages, point):
+    """Undo ``stages`` (from ``act_word`` on the pair of ``o``) on a Fraction
+    point, a :func:`transport_letter` step per stage."""
+    for (gen, exp, _), after in zip(reversed(stages), reversed(reference_stages(o, stages))):
+        point = transport_letter(after, gen, -exp, point)
+    return point
 
 
 def transport_letter(o, gen, exp, point):
@@ -224,7 +304,7 @@ def curve_from_segments(cls, o, direction, segments):
 def reference_core(cyl):
     """The core of ``cyl`` traced in Fractions from the package's start point."""
     o, direction, stages = cyl._frame
-    start = pull_back_point(stages, (min(cyl.rows[len(cyl.rows) // 2]), F0, FHALF))
+    start = reference_pull_back(o, stages, (min(cyl.rows[len(cyl.rows) // 2]), F0, FHALF))
     segments = reference_trace_closed(o, _Corners(o), start, direction)
     return curve_from_segments(GeodesicLoop, o, direction, segments)
 
@@ -234,7 +314,8 @@ def reference_saddles(o, direction):
     package's order."""
     corners = _Corners(o)
     out = []
-    for _, _, start in _separatrix_starts(o, corners, direction):
+    for _, _, (n, start) in _separatrix_starts(o, corners, direction):
+        start = from_denominator(n, start)
         segments, (exit_sq, (cx, cy), _) = reference_trace_to_singularity(
             o, corners, start, direction)
         conn = curve_from_segments(SaddleConnection, o, direction, segments)
@@ -250,8 +331,8 @@ def row_boundary_starts(o, direction):
     the point meets only regular vertices, and it meets at least one;
     core curves meet none.
     """
-    _, stages = act_word(o, matrix_to_word(shear_matrix(direction)))
-    return [pull_back_point(stages, (cyl.rows[1][0], FHALF, F0))
+    _, stages = act_word(pair_of(o), matrix_to_word(shear_matrix(direction)))
+    return [reference_pull_back(o, stages, (cyl.rows[1][0], FHALF, F0))
             for cyl in decompose(o, direction).cylinders if cyl.height_rows > 1]
 
 
@@ -461,7 +542,7 @@ def reference_orbit(o):
         nxt = []
         for cur in frontier:
             for gen, exp in (("S", 1), ("S", -1), ("T", 1), ("T", -1)):
-                img = reference_canonical_form(act_letter(cur, gen, exp))
+                img = reference_canonical_form(reference_act_letter(cur, gen, exp))
                 if img not in seen:
                     seen.add(img)
                     nxt.append(img)
