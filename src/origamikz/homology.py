@@ -192,10 +192,13 @@ def standard_basis(o):
 
 
 def default_basis(o):
-    """The standard basis, else the first basis of the direction search.
+    """First pair of 2-cylinder directions with a nondegenerate form.
 
     The 4-curve basis is built for H(2) only; other strata are rejected
-    up front, naming their cone orders.
+    up front, naming their cone orders.  Directions are tried in the
+    deterministic (|p|+|q|, q, p) order up to |p|+|q| = 12, so the axes
+    (1, 0) and (0, 1) come first.  Each is decomposed once, and a pair
+    whose form is degenerate is skipped.
     """
     sing = singularity_data(o)
     if not sing.is_h2:
@@ -203,24 +206,9 @@ def default_basis(o):
             "the 4-curve basis needs a surface in H(2); this one has cone "
             "orders %r" % (sing.cone_orders,)
         )
-    axes = {d: decompose(o, d) for d in (Direction(1, 0), Direction(0, 1))}
-    try:
-        return HomologyBasis(*axes.values())
-    except BasisUnavailableError:
-        return _search_basis(o, axes)
-
-
-def _search_basis(o, held):
-    """First pair of 2-cylinder directions with a nondegenerate form.
-
-    Directions are tried in the deterministic (|p|+|q|, q, p) order up to
-    |p|+|q| = 12.  Each is decomposed once; candidate pairs reuse the
-    decompositions already made, and those in ``held`` (direction ->
-    decomposition of ``o``) are not made again.
-    """
     good = []
     for d in primitive_directions(12):
-        dec = held[d] if d in held else decompose(o, d)
+        dec = decompose(o, d)
         if len(dec.cylinders) != 2:
             continue
         for prior in good:

@@ -85,11 +85,13 @@ class Perm:
     def from_cycles(cls, cycles, degree=None):
         """Build from 1-based cycles, e.g. ``[(1, 2), (3, 5, 4)]``.
 
-        The degree may not exceed :data:`MAX_DEGREE`.
+        The degree must be at least 1 and may not exceed :data:`MAX_DEGREE`.
         """
         symbols = [s for c in cycles for s in c]
         top = max(symbols, default=0)
         d = degree if degree is not None else top
+        if d < 1:
+            raise ValueError("degree %d: the degree must be at least 1" % d)
         if top > d:
             raise ValueError("cycle mentions %d but degree is %d" % (top, d))
         if d > MAX_DEGREE:

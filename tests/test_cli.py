@@ -111,6 +111,26 @@ def test_homology_search_report_pinned(capsys, tmp_path):
     }
 
 
+# both axes have 2 cylinders, but their four cores pair degenerately, so
+# the basis search moves on to (-2, 1)
+DEGENERATE_AXES = ("d=12\nh=(1 2 3 5 8 11)(4 6 9)(7 10 12)\n"
+                   "v=(1 3 6 10 5 9 12 8)(2 4 7 11)\n")
+
+
+def test_degenerate_axes_report_pinned(capsys, tmp_path):
+    path = tmp_path / "degenerate.txt"
+    path.write_text(DEGENERATE_AXES)
+    code, rep = run_json(capsys, ["homology", str(path)])
+    assert code == 0
+    assert rep["basis_directions"] == [[1, 0], [-2, 1]]
+    assert rep["f_values"] == [3, 6, 1, 9]
+    code, rep = run_json(capsys, ["monodromy", str(path), "--dirs", "1,0;-2,1",
+                                  "--cap", "50"])
+    assert code == 3
+    assert rep["matrices"] == [[[1, 6], [0, 1]], [[1, 0], [-3, 1]]]
+    assert rep["status"] == "index-exceeds-cap"
+
+
 def test_decompose_text(capsys, l24_file):
     code = main(["decompose", l24_file, "--dir", "0,1", "--format", "text"])
     out = capsys.readouterr().out
@@ -478,14 +498,20 @@ def test_max_dir_sum_must_be_positive(capsys, value):
     # the horizontal axis has one cylinder, so the basis comes from the
     # direction search, which starts with both axes
     ["homology", "H1234"],
-], ids=["verify-paper", "conjecture", "monodromy", "homology-search"])
+    # both axes have 2 cylinders and pair degenerately
+    ["homology", "DEGENERATE"],
+], ids=["verify-paper", "conjecture", "monodromy", "homology-search",
+        "homology-degenerate-axes"])
 def test_each_direction_decomposed_once(monkeypatch, capsys, tmp_path,
                                         l24_file, argv):
     # decompositions are handed down to the basis and the twists, never
     # recomputed for the same surface and direction
     h1234 = tmp_path / "h1234.txt"
-    h1234.write_text("h=(1 2 3 4)\nv=(1 2)\n")
-    argv = [{"L24": l24_file, "H1234": str(h1234)}.get(a, a) for a in argv]
+    h1234.write_text(H1234)
+    degenerate = tmp_path / "degenerate.txt"
+    degenerate.write_text(DEGENERATE_AXES)
+    argv = [{"L24": l24_file, "H1234": str(h1234), "DEGENERATE": str(degenerate)}.get(a, a)
+            for a in argv]
     real = geometry.decompose
     calls = []
 

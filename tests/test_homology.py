@@ -20,6 +20,7 @@ from origamikz import (
     decompose,
     default_basis,
     express_in_basis,
+    h2_origamis,
     intersection_number,
     make_l_origami,
     nontaut_basis,
@@ -29,7 +30,7 @@ from origamikz import (
 )
 from origamikz import geometry
 from origamikz.geometry import _Corners, _trace_closed
-from origamikz.homology import _pfaffian, _search_basis, _solve_gram
+from origamikz.homology import _pfaffian, _solve_gram
 from util import (
     curve_from_segments,
     over_denominator,
@@ -284,14 +285,57 @@ def test_class_pushforward_reads_the_traced_holonomy(monkeypatch):
 
 
 def test_basis_search_starts_with_the_axes():
-    # the search from scratch, with no axis decomposition held
-    basis = _search_basis(make_l_origami(2, 4), {})
+    basis = default_basis(make_l_origami(2, 4))
     assert tuple(d.vector for d in basis.directions) == ((1, 0), (0, 1))
     # oracle for L(3,3): both axis decompositions really have 2 cylinders
     o = make_l_origami(3, 3)
     assert len(decompose(o, Direction(1, 0)).cylinders) == 2
     assert len(decompose(o, Direction(0, 1)).cylinders) == 2
-    assert tuple(d.vector for d in _search_basis(o, {}).directions) == ((1, 0), (0, 1))
+    assert tuple(d.vector for d in default_basis(o).directions) == ((1, 0), (0, 1))
+
+
+# both axes have 2 cylinders, but their four cores pair degenerately
+DEGENERATE_AXES = [
+    # a torus cover of degree 9
+    (Origami(Perm.from_cycles([(1, 2, 3, 5, 8, 7), (4, 6, 9)], degree=9),
+             Perm.from_cycles([(1, 3, 6, 5, 9, 8), (2, 4, 7)], degree=9)),
+     (-2, 1), (3, 6, 1, 2)),
+    # primitive, in the orbit of L(2,11)
+    (Origami(Perm.from_cycles([(1, 2, 3, 5, 8, 11), (4, 6, 9), (7, 10, 12)], degree=12),
+             Perm.from_cycles([(1, 3, 6, 10, 5, 9, 12, 8), (2, 4, 7, 11)], degree=12)),
+     (-2, 1), (3, 6, 1, 9)),
+]
+
+
+@pytest.mark.parametrize("o, second, f_values", DEGENERATE_AXES, ids=["d9", "d12"])
+def test_basis_search_skips_a_degenerate_axis_pair(o, second, f_values):
+    x, y = decompose(o, Direction(1, 0)), decompose(o, Direction(0, 1))
+    assert len(x.cylinders) == len(y.cylinders) == 2
+    with pytest.raises(RankError):
+        HomologyBasis(x, y)
+    basis = default_basis(o)
+    assert tuple(d.vector for d in basis.directions) == ((1, 0), second)
+    assert basis.f_values == f_values
+
+
+def test_basis_search_takes_every_nondegenerate_axis_pair():
+    # every H(2) surface of degree 3..9, primitive or not: the search
+    # never lets a degenerate pair escape, and it returns the axes
+    # whenever they give a basis
+    degenerate = 0
+    for degree in range(3, 10):
+        for o in h2_origamis(degree, primitive_only=False):
+            basis = default_basis(o)
+            axes = [decompose(o, Direction(1, 0)), decompose(o, Direction(0, 1))]
+            if any(len(dec.cylinders) != 2 for dec in axes):
+                continue
+            try:
+                HomologyBasis(*axes)
+            except RankError:
+                degenerate += 1
+                continue
+            assert tuple(d.vector for d in basis.directions) == ((1, 0), (0, 1))
+    assert degenerate == 2
 
 
 def test_basis_search_exhausted(monkeypatch):
@@ -320,7 +364,7 @@ def test_basis_search_propagates_bugs(monkeypatch):
 
         monkeypatch.setattr(homology, "decompose", broken)
         with pytest.raises(error):
-            _search_basis(make_l_origami(2, 4), {})
+            default_basis(make_l_origami(2, 4))
 
 
 def test_class_table_rows_via_combination():

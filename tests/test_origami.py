@@ -607,6 +607,16 @@ def test_from_cycles_rejects_repeated_symbols(cycles, message):
         Perm.from_cycles(cycles, degree=3)
 
 
+@pytest.mark.parametrize("cycles, degree", [
+    ([], -3), ([], 0), ([(1, 2)], 0), ([], None),
+], ids=["negative", "zero", "zero-with-a-cycle", "no-cycles-no-degree"])
+def test_from_cycles_rejects_a_degree_below_one(cycles, degree):
+    # checked before the cycles are compared with the degree
+    with pytest.raises(ValueError, match=r"^degree %d: the degree must be at least 1$"
+                       % (0 if degree is None else degree)):
+        Perm.from_cycles(cycles, degree=degree)
+
+
 def test_degree_above_max_rejected():
     with pytest.raises(ValueError, match="MAX_DEGREE"):
         parse_origami("d=%d\nh=()\nv=()" % (MAX_DEGREE + 1))
