@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: decompose, homology, monodromy, index, orbit, census,
-verify-paper, conjecture.  Global flag: --format json|text; every command
-but decompose and homology also takes --cap N.
+verify-paper, conjecture.  Every subcommand takes --format json|text
+after its name (``origamikz orbit FILE --format text``); every one but
+decompose and homology also takes --cap N.
 
 Exit codes: 0 success, 1 failed checks or pipeline errors, 2 usage,
 3 a cap was exceeded (orbit or coset enumeration) and no check failed.

@@ -17,8 +17,8 @@ Action conventions (fixed once, validated by the cylinder-data tests):
   (0, x) in square v^-1(i) for y = 0.
 * Inverses accordingly: T^-1: (h, v o h), point (x - y, y) / square
   h^-1(i); S^-1: (v, h^-1), point (y, 1 - x) / square h^-1(i) at x = 0.
-* ``U`` = S T, T first: on pairs (h, v) -> (h o v^-1, h), one inverse and
-  one composition.  :func:`act_letter` takes it with exponent 1 only, for
+* ``U`` = S T, T first: on pairs (h, v) -> (h o v^-1, h), one pass that
+  sends v(i) to h(i).  :func:`act_letter` takes it with exponent 1 only, for
   the cycle walk of :func:`orbit`; words and point and chain transport
   are over S/T.
 
@@ -316,7 +316,10 @@ def act_letter(pair, gen, exp):
     if gen == "S":
         return (_inverse(v), h) if exp > 0 else (v, _inverse(h))
     if gen == "U" and exp == 1:
-        return [h[j] for j in _inverse(v)], h
+        hv = [0] * len(h)
+        for i, j in zip(v, h):
+            hv[i] = j
+        return hv, h
     raise ValueError("unknown letter %r with exponent %r" % (gen, exp))
 
 
@@ -551,22 +554,77 @@ def _inverse(images):
     return inv
 
 
-def _close_cycle(table, gen, order, x):
-    """Enter the cycle of class ``x`` under the letter ``gen`` into ``table``.
+def _orbit_graph(o, cap):
+    """The S and U tables of the SL2(Z) orbit graph of ``o``.
 
-    ``gen`` is "S" or "U", applied with exponent 1.  ``order`` is a
-    multiple of every cycle length, so all edges but the last are computed
-    and the last one goes back to ``x``; a shorter cycle, a fixed point
-    included, closes when it comes back.
+    Returns ``(forms, s_table, u_table)``: the classes as canonical image
+    pairs, numbered 0, 1, 2, ... in the order their forms are found, and
+    the ids of their images under S and U = S T, as integer lists over
+    those ids.  The walk and its cost are those of :func:`orbit`; raises
+    :class:`OrbitCapExceeded` as it does.
     """
-    cur = x
-    for _ in range(order - 1):
-        img = canonical_form(act_letter(cur, gen, 1))
-        table[cur] = img
-        if img == x:
-            return
-        cur = img
-    table[cur] = x
+    h, v = o.h.images, o.v.images
+    start = canonical_form((h, v))
+    if canonical_form((_inverse(h), _inverse(v))) == start:
+        s_order, u_order = 2, 3
+    else:
+        s_order, u_order = 4, 6
+    forms = [start]
+    ids = {start: 0}
+    s_table, u_table = [-1], [-1]
+    seen = bytearray([1])  # reached by the BFS, by id
+
+    def close_cycle(table, gen, order, x):
+        # enter the cycle of class x under gen (exponent 1) into table;
+        # order is a multiple of every cycle length, so all edges but the
+        # last are computed and the last one goes back to x; a shorter
+        # cycle, a fixed point included, closes when it comes back
+        cur = x
+        for _ in range(order - 1):
+            form = canonical_form(act_letter(forms[cur], gen, 1))
+            img = ids.get(form)
+            if img is None:
+                img = ids[form] = len(forms)
+                forms.append(form)
+                s_table.append(-1)
+                u_table.append(-1)
+                seen.append(0)
+            table[cur] = img
+            if img == x:
+                return
+            cur = img
+        table[cur] = x
+
+    reached = 1
+    frontier = [0]
+    depth = 0
+    while frontier:
+        nxt = []
+        for pos, cur in enumerate(frontier):
+            if s_table[cur] < 0:
+                close_cycle(s_table, "S", s_order, cur)
+            if u_table[cur] < 0:
+                close_cycle(u_table, "U", u_order, cur)
+            # T(cur) = S^-1(U(cur))
+            t_img = u_table[cur]
+            if s_table[t_img] < 0:
+                close_cycle(s_table, "S", s_order, t_img)
+            for _ in range(s_order - 1):
+                t_img = s_table[t_img]
+            for img in (s_table[cur], t_img):
+                if not seen[img]:
+                    if reached >= cap:
+                        raise OrbitCapExceeded(
+                            "orbit exceeded cap of %d" % cap,
+                            (_pair_origami(f) for f, r in zip(forms, seen) if r),
+                            depth, len(frontier) - pos + len(nxt),
+                        )
+                    seen[img] = 1
+                    reached += 1
+                    nxt.append(img)
+        frontier = nxt
+        depth += 1
+    return forms, s_table, u_table
 
 
 def orbit(o, cap=ORBIT_CAP):
@@ -576,8 +634,13 @@ def orbit(o, cap=ORBIT_CAP):
     is closed under S and T; both act injectively, so they map it onto
     itself and it is closed under their inverses too.
 
-    The edges come from two tables filled a cycle at a time, S and
-    U = S T, read as T = S^-1 U, so T has no canonical form of its own.
+    The walk is :func:`_orbit_graph`.  It numbers the classes 0, 1, 2, ...
+    in the order their forms are found, keeps each form once, in a list
+    with one form -> id dict, and keeps the edges as two integer lists
+    over the ids, S and U = S T, both whole at the end; T is read as
+    S^-1 U, so it has no canonical form of its own.  The BFS frontier and
+    the reached flags are over ids too, so each form computed is hashed
+    once, to look up its id.  The tables are filled a cycle at a time.
     S^2 = -I acts as (h, v) -> (h^-1, v^-1).  -I is central in SL2(Z), so
     if it fixes the class of ``o`` (one extra canonical form to check), it
     fixes every class in the orbit: on the classes, S has order 2 and
@@ -596,42 +659,7 @@ def orbit(o, cap=ORBIT_CAP):
     and the frontier: the forms found but not yet fully expanded,
     counting that one.
     """
-    h, v = o.h.images, o.v.images
-    start = canonical_form((h, v))
-    if canonical_form((_inverse(h), _inverse(v))) == start:
-        s_order, u_order = 2, 3
-    else:
-        s_order, u_order = 4, 6
-    s_map, u_map = {}, {}
-    seen = {start}
-    frontier = [start]
-    depth = 0
-    while frontier:
-        nxt = []
-        for pos, cur in enumerate(frontier):
-            if cur not in s_map:
-                _close_cycle(s_map, "S", s_order, cur)
-            if cur not in u_map:
-                _close_cycle(u_map, "U", u_order, cur)
-            # U(cur) is read once: T(cur) = S^-1(U(cur))
-            t_img = u_map.pop(cur)
-            if t_img not in s_map:
-                _close_cycle(s_map, "S", s_order, t_img)
-            for _ in range(s_order - 1):
-                t_img = s_map[t_img]
-            for img in (s_map[cur], t_img):
-                if img not in seen:
-                    if len(seen) >= cap:
-                        raise OrbitCapExceeded(
-                            "orbit exceeded cap of %d" % cap,
-                            map(_pair_origami, seen),
-                            depth, len(frontier) - pos + len(nxt),
-                        )
-                    seen.add(img)
-                    nxt.append(img)
-        frontier = nxt
-        depth += 1
-    return frozenset(map(_pair_origami, seen))
+    return frozenset(map(_pair_origami, _orbit_graph(o, cap)[0]))
 
 
 def holonomy_lattice_index(o):
@@ -704,7 +732,8 @@ def parse_origami(text):
     One line ``h=<cycles>`` and one line ``v=<cycles>``, cycles 1-based
     with fixed points omitted; an optional ``d=<int>`` line pins the
     degree, otherwise the largest symbol mentioned is used.  Degrees
-    below 1 or above :data:`MAX_DEGREE` are rejected.
+    below 1 or above :data:`MAX_DEGREE` are rejected, and so is a second
+    line with the same key.
     """
     d = None
     raw = {}
@@ -714,14 +743,16 @@ def parse_origami(text):
             continue
         key, _, rest = line.partition("=")
         key = key.strip().lower()
+        if key not in ("d", "h", "v"):
+            raise ValueError("unrecognised line %r" % line)
+        if key in raw:
+            raise ValueError("line %r: a second %s= line" % (line, key))
         if key == "d":
-            d = int(rest)
+            d = raw[key] = int(rest)
             if d < 1:
                 raise ValueError("d=%d: the degree must be at least 1" % d)
-        elif key in ("h", "v"):
-            raw[key] = _parse_cycles(rest, line)
         else:
-            raise ValueError("unrecognised line %r" % line)
+            raw[key] = _parse_cycles(rest, line)
     if "h" not in raw or "v" not in raw:
         raise ValueError("need both an h= line and a v= line")
     if d is None:

@@ -403,6 +403,15 @@ def test_malformed_input_fails_on_one_line(capsys, tmp_path, text):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_repeated_key_fails_on_one_line(capsys, tmp_path):
+    bad = tmp_path / "bad.txt"
+    bad.write_text("h=(1 2)\nv=(1 3)\nv=(2 3)\n")
+    assert main(["orbit", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 'v=(2 3)': a second v= line\n"
+
+
 def test_degree_header_below_one_fails_on_its_own_line(capsys, tmp_path):
     bad = tmp_path / "bad.txt"
     bad.write_text("d=-3\nh=\nv=\n")

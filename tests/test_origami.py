@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -22,8 +23,8 @@ from origamikz import (
     singularity_data,
 )
 from origamikz import origami as origami_module
-from origamikz.origami import (MAX_DEGREE, act_letter, act_word, pull_back_point,
-                               push_forward_point)
+from origamikz.origami import (MAX_DEGREE, ORBIT_CAP, _orbit_graph, _pair_origami,
+                               act_letter, act_word, pull_back_point, push_forward_point)
 from origamikz.sl2 import matrix_to_word
 from util import (
     GENS,
@@ -560,6 +561,38 @@ def test_orbit_cap_reports_depth_and_frontier_where_minus_identity_acts():
     _check_every_cap(o, 84)
 
 
+@pytest.mark.parametrize("o", [
+    make_l_origami(2, 20),
+    make_l_origami(2, 21),
+    parse_origami(H6),
+], ids=["L(2,20)", "L(2,21)", "H(6)"])
+def test_orbit_graph_tables(o):
+    # the forms are distinct canonical classes, those of the reference
+    # orbit; each table entry is the class of its letter's image, S and U
+    # have the orders orbit reads off -I, and T = S^-1 U permutes the ids
+    forms, s_table, u_table = _orbit_graph(o, ORBIT_CAP)
+    n = len(forms)
+    assert len(set(forms)) == n == len(s_table) == len(u_table)
+    assert all(canonical_form(f) == f for f in forms)
+    assert set(map(_pair_origami, forms)) == {canonical_form(r) for r in reference_orbit(o)}
+    for table, word in ((s_table, [("S", 1)]), (u_table, [("S", 1), ("T", 1)])):
+        assert [pair_of(canonical_form(reference_act_word(_pair_origami(f), word)))
+                for f in forms] == [forms[i] for i in table]
+    if canonical_form(_minus_identity(o)) == canonical_form(o):
+        s_order, u_order = 2, 3
+    else:
+        s_order, u_order = 4, 6
+    for table, order in ((s_table, s_order), (u_table, u_order)):
+        ids = list(range(n))
+        for _ in range(order):
+            ids = [table[i] for i in ids]
+        assert ids == list(range(n))
+    s_inverse = [0] * n
+    for i, j in enumerate(s_table):
+        s_inverse[j] = i
+    assert sorted(s_inverse[j] for j in u_table) == list(range(n))
+
+
 def test_primitivity():
     # unit holonomy loops exist: square 3 is h-fixed and square 2 v-fixed
     o24 = make_l_origami(2, 4)
@@ -594,6 +627,19 @@ def test_text_format_rejects_garbage():
     # disconnected surface
     with pytest.raises(ValueError):
         parse_origami("d=4\nh=(1 2)\nv=(3 4)")
+
+
+@pytest.mark.parametrize("text, line, key", [
+    ("h=(1 2)\nv=(1 3)\nh=(1 3)", "h=(1 3)", "h"),
+    ("h=(1 2)\nV=(1 3)\nv=(1 3)", "v=(1 3)", "v"),
+    ("d=3\nh=(1 2)\nd=4\nv=(1 3)", "d=4", "d"),
+], ids=["h", "v", "d"])
+def test_text_format_rejects_a_repeated_key(text, line, key):
+    # keeping either line would hide a typo in the other; keys are read
+    # case-blind
+    message = "line %r: a second %s= line" % (line, key)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        parse_origami(text)
 
 
 @pytest.mark.parametrize("cycles,message", [
