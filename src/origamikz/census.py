@@ -21,7 +21,7 @@ degrees up to 8 take under a quarter of a second, 9 about 0.6 s, 10
 about 2.2 s and 11 about 24 s, start-up included; 12 takes longer still.
 """
 
-from itertools import chain, groupby, permutations, product
+from itertools import chain, combinations, groupby, permutations, product
 from operator import itemgetter
 
 from .errors import OrigamiError
@@ -51,11 +51,9 @@ def _canonical_of_type(ptype):
 
 
 def _three_cycles(d):
-    for a in range(d):
-        for b in range(a + 1, d):
-            for c in range(b + 1, d):
-                yield (a, b, c)
-                yield (a, c, b)
+    for a, b, c in combinations(range(d), 3):
+        yield (a, b, c)
+        yield (a, c, b)
 
 
 def _apply_cycle(images, cyc):
@@ -67,18 +65,10 @@ def _apply_cycle(images, cyc):
 
 def _conjugator(h_cycles, w_cycles):
     """Some g with g h g^-1 = w, matching cycles of equal length in order."""
-    d = sum(len(c) for c in h_cycles)
-    by_len_h, by_len_w = {}, {}
-    for c in h_cycles:
-        by_len_h.setdefault(len(c), []).append(c)
-    for c in w_cycles:
-        by_len_w.setdefault(len(c), []).append(c)
-    g = [None] * d
-    for length, hs in by_len_h.items():
-        ws = by_len_w[length]
-        for hc, wc in zip(hs, ws):
-            for hx, wx in zip(hc, wc):
-                g[hx] = wx
+    g = [None] * sum(len(c) for c in h_cycles)
+    for hc, wc in zip(sorted(h_cycles, key=len), sorted(w_cycles, key=len)):
+        for hx, wx in zip(hc, wc):
+            g[hx] = wx
     return tuple(g)
 
 

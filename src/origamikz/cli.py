@@ -327,7 +327,9 @@ def cmd_conjecture(args):
     s = args.max_dir_sum
     for n, m in args.reps:
         d = n + m - 1
-        if d > MAX_DEGREE:
+        if n % 2 == 0 or m % 2 == 0 or n < 3 or m < 3:
+            problem = "must have n, m odd and >= 3"
+        elif d > MAX_DEGREE:
             problem = "has degree %d, above MAX_DEGREE = %d" % (d, MAX_DEGREE)
         elif d * s > MAX_TRACE_LENGTH:
             problem = ("needs d*(|p|+|q|) = %d at --max-dir-sum %d, above "
@@ -341,12 +343,6 @@ def cmd_conjecture(args):
     dirs = primitive_directions(args.max_dir_sum)
     for n, m in args.reps:
         entry = {"case": "L(%d,%d)" % (n, m)}
-        if n % 2 == 0 or m % 2 == 0 or n < 3 or m < 3:
-            entry["error"] = "representatives must have n, m odd and >= 3"
-            entry["ok"] = False
-            ok = False
-            cases.append(entry)
-            continue
         try:
             o = make_l_origami(n, m)
             # kz_generators twists the basis axes as the basis holds them

@@ -75,16 +75,13 @@ def primitive_directions(max_sum):
     """
     out = []
     for s in range(1, max_sum + 1):
-        bucket = []
         for q in range(0, s + 1):
             p_abs = s - q
             for p in sorted({p_abs, -p_abs}):
                 if q == 0 and p <= 0:
                     continue
                 if gcd(abs(p), q) == 1:
-                    bucket.append(Direction(p, q))
-        bucket.sort(key=lambda d: (d.q, d.p))
-        out.extend(bucket)
+                    out.append(Direction(p, q))
     return out
 
 
@@ -554,9 +551,7 @@ def decompose(o, direction):
     chains = _row_chains(sheared)
 
     heights = [len(chain) for chain in chains]
-    g = 0
-    for hgt in heights:
-        g = gcd(g, hgt)
+    g = gcd(*heights)
     frame = (o, direction, stages)
     cylinders = [Cylinder(chain, len(chain[0]), hgt, hgt // g, frame)
                  for chain, hgt in zip(chains, heights)]

@@ -37,13 +37,9 @@ def twist_multiplicities(dec):
     """
     fs = dec.f_values()
     cs = dec.c_values()
-    s = 1
-    for f, c in zip(fs, cs):
-        s = lcm(s, f // gcd(c, f))
+    s = lcm(*(f // gcd(c, f) for f, c in zip(fs, cs)))
     ns = [s * c // f for f, c in zip(fs, cs)]
-    g = 0
-    for n in ns:
-        g = gcd(g, n)
+    g = gcd(*ns)
     return tuple(n // g for n in ns)
 
 

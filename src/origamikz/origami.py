@@ -687,10 +687,7 @@ def holonomy_lattice_index(o):
         for i, (x, y) in pos.items()
         for j, dx, dy in ((h[i], 1, 0), (v[i], 0, 1))
     }
-    g = 0
-    for (a, b), (c, d) in combinations(periods, 2):
-        g = gcd(g, a * d - b * c)
-    return g
+    return gcd(*(a * d - b * c for (a, b), (c, d) in combinations(periods, 2)))
 
 
 def is_primitive(o):
@@ -711,6 +708,13 @@ def format_origami(o):
     )
 
 
+def _parse_int(text, line):
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError("line %r: %r is not an integer" % (line, text.strip())) from None
+
+
 def _parse_cycles(text, line):
     text = text.strip()
     cycles = []
@@ -722,7 +726,7 @@ def _parse_cycles(text, line):
         syms = chunk.replace(",", " ").split()
         if not syms:
             continue
-        cycles.append(tuple(int(s) for s in syms))
+        cycles.append(tuple(_parse_int(s, line) for s in syms))
     return cycles
 
 
@@ -748,7 +752,7 @@ def parse_origami(text):
         if key in raw:
             raise ValueError("line %r: a second %s= line" % (line, key))
         if key == "d":
-            d = raw[key] = int(rest)
+            d = raw[key] = _parse_int(rest, line)
             if d < 1:
                 raise ValueError("d=%d: the degree must be at least 1" % d)
         else:

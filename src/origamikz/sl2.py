@@ -9,10 +9,11 @@ Words over S and T are lists of ``(letter, exponent)`` pairs with letter in
 ``{"S", "T"}`` and a nonzero integer exponent; the empty list is the
 identity.  Index computations rewrite everything over the amalgam
 presentation ``< a, b | a^4, a^2 b^-3 >`` with a = S and b = ST (so
-T = a^-1 b) and run an HLT-style coset enumeration.  Todd-Coxeter can
-certify a finite index but never infiniteness, so running past the
-live-coset cap raises :class:`IndexCapExceeded` instead of claiming
-anything.
+T = a^-1 b) and run one pass of HLT coset enumeration, which leaves the
+table closed (Holt, Eick and O'Brien, *Handbook of Computational Group
+Theory*, 2005, section 5.1).  Todd-Coxeter can certify a finite index
+but never infiniteness, so running past the live-coset cap raises
+:class:`IndexCapExceeded` instead of claiming anything.
 """
 
 from collections import deque
@@ -243,32 +244,30 @@ class _CosetTable:
 
 
 def _enumerate(subgroup_words, cap):
-    """Run HLT until the table is closed; return the finished table."""
+    """One HLT pass, which closes the table (Holt, Eick and O'Brien, 2005, 5.1).
+
+    The subgroup words are scanned at coset 0; then each coset still live
+    when its turn comes scans every relator and fills its row.  A merge
+    reopens nothing a processed coset closed, so at the end every live row
+    is complete and every relator closes at every live coset.
+    """
     t = _CosetTable(cap)
     for w in subgroup_words:
         if w:
             t.scan_and_fill(t.rep(0), w)
-    # Sweep until a full pass defines nothing and coincides nothing.
-    while True:
-        dirty = False
-        alpha = 0
-        while alpha < len(t.tab):
+    alpha = 0
+    while alpha < len(t.tab):
+        if t.rep(alpha) == alpha:
+            for rel in _RELATORS:
+                t.scan_and_fill(alpha, rel)
+                if t.rep(alpha) != alpha:
+                    break
             if t.rep(alpha) == alpha:
-                for rel in _RELATORS:
-                    before = t.n_live
-                    t.scan_and_fill(alpha, rel)
-                    if before != t.n_live:
-                        dirty = True
-                    if t.rep(alpha) != alpha:
-                        break
-                if t.rep(alpha) == alpha:
-                    for x in range(4):
-                        if t.tab[alpha][x] is None:
-                            t.define(alpha, x)
-                            dirty = True
-            alpha += 1
-        if not dirty:
-            return t
+                for x in range(4):
+                    if t.tab[alpha][x] is None:
+                        t.define(alpha, x)
+        alpha += 1
+    return t
 
 
 def coset_action(gens, cap=COSET_CAP):

@@ -4,9 +4,9 @@ import sys
 
 import pytest
 
-from origamikz import (Direction, OrigamiError, cli, decompose, default_basis,
-                       dehn_twist_action, format_origami, geometry, make_l_origami,
-                       origami, paper, primitive_directions, sl2)
+from origamikz import (Direction, IntegralityError, OrigamiError, cli, decompose,
+                       default_basis, dehn_twist_action, format_origami, geometry,
+                       make_l_origami, origami, paper, primitive_directions, sl2)
 from origamikz.cli import main
 from origamikz.origami import MAX_DEGREE, MAX_TRACE_LENGTH
 from util import random_h2_origami
@@ -250,6 +250,14 @@ def test_census_command(capsys):
     assert families == {"A", "B"}
 
 
+def test_census_exits_3_when_an_orbit_passes_the_cap(capsys):
+    assert main(["census", "--degree", "5", "--cap", "2"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("an orbit exceeds cap of 2; 2 forms reached at BFS "
+                            "depth 0, frontier 2\n")
+
+
 def test_census_usage_error(capsys):
     assert main(["census", "--degree", "2"]) == 2
     assert main(["census", "--degree", "13"]) == 2
@@ -358,9 +366,48 @@ def test_index_rejects_a_generator_of_determinant_other_than_1(capsys):
 
 
 def test_conjecture_rejects_even_parameters(capsys):
-    code, rep = run_json(capsys, ["conjecture", "--reps", "2,4"])
+    assert main(["conjecture", "--reps", "2,4"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "L(2,4) must have n, m odd and >= 3\n"
+
+
+def test_verify_paper_reports_a_pipeline_error_per_case(monkeypatch, capsys):
+    real = cli.check_family_case
+
+    def failing(n, odd, cap):
+        if (n, odd) == (1, False):
+            raise OrigamiError("planted failure")
+        return real(n, odd, cap)
+
+    monkeypatch.setattr(cli, "check_family_case", failing)
+    code, rep = run_json(capsys, ["verify-paper", "--n-max", "1"])
     assert code == 1
-    assert rep["cases"][0]["ok"] is False
+    assert rep["ok"] is False
+    assert rep["cases"][0]["ok"] is True
+    assert rep["cases"][1] == {"case": "n=1 even", "error": "planted failure",
+                               "ok": False, "checks": []}
+    assert main(["verify-paper", "--n-max", "1", "--format", "text"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[-3:] == ["n=1 even  [FAILED]", "  ! error: planted failure",
+                        "verify-paper: MISMATCHES FOUND"]
+
+
+def test_conjecture_reports_a_pipeline_error_per_case(monkeypatch, capsys):
+    real = cli.kz_generators
+
+    def failing(o, dirs, basis):
+        if o.degree == 7:
+            raise IntegralityError("planted failure")
+        return real(o, dirs, basis)
+
+    monkeypatch.setattr(cli, "kz_generators", failing)
+    code, rep = run_json(capsys, ["conjecture", "--reps", "3,3;3,5",
+                                  "--max-dir-sum", "4"])
+    assert code == 1
+    assert rep["cases"][0]["ok"] is True
+    assert rep["cases"][1] == {"case": "L(3,5)", "error": "planted failure",
+                               "ok": False}
 
 
 def test_bad_file(capsys, tmp_path):
@@ -401,6 +448,22 @@ def test_malformed_input_fails_on_one_line(capsys, tmp_path, text):
     assert main(["orbit", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("line, symbol", [
+    ("d=abc", "abc"),
+    ("d=", ""),
+    ("h=(1 x)", "x"),
+    ("h=(1 2.0)", "2.0"),
+    ("h=(1 2) (3 4)", "2)"),
+], ids=["degree-word", "degree-empty", "letter", "decimal", "spaced-cycles"])
+def test_non_integer_fails_on_its_own_line(capsys, tmp_path, line, symbol):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(line + ("\nh=(1 2)" if line.startswith("d") else "") + "\nv=(1 3)\n")
+    assert main(["orbit", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line %r: %r is not an integer\n" % (line, symbol)
 
 
 def test_repeated_key_fails_on_one_line(capsys, tmp_path):
@@ -453,7 +516,9 @@ def test_max_dir_sum_is_bounded(monkeypatch, capsys):
     ("3,3;3,3001", "50", "L(3,3001) needs d*(|p|+|q|) = 150150 at --max-dir-sum 50, "
                          "above MAX_TRACE_LENGTH = 120000\n"),
     ("3,3;3,10001", "5", "L(3,10001) has degree 10003, above MAX_DEGREE = 10000\n"),
-], ids=["trace-length", "degree"])
+    ("3,3;4,5", "4", "L(4,5) must have n, m odd and >= 3\n"),
+    ("3,3;1,3", "4", "L(1,3) must have n, m odd and >= 3\n"),
+], ids=["trace-length", "degree", "even", "below-3"])
 def test_conjecture_checks_every_representative_first(monkeypatch, capsys, reps,
                                                       dir_sum, err):
     # a representative past a bound is a usage error before any work, even

@@ -629,6 +629,20 @@ def test_text_format_rejects_garbage():
         parse_origami("d=4\nh=(1 2)\nv=(3 4)")
 
 
+@pytest.mark.parametrize("line, symbol", [
+    ("d=abc", "abc"),
+    ("d=", ""),
+    ("h=(1 x)", "x"),
+    ("h=(1 2.0)", "2.0"),
+    ("h=(1 2) (3 4)", "2)"),
+], ids=["degree-word", "degree-empty", "letter", "decimal", "spaced-cycles"])
+def test_text_format_names_the_line_of_a_non_integer(line, symbol):
+    text = line + ("\nh=(1 2)" if line.startswith("d") else "") + "\nv=(1 3)"
+    message = "line %r: %r is not an integer" % (line, symbol)
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        parse_origami(text)
+
+
 @pytest.mark.parametrize("text, line, key", [
     ("h=(1 2)\nv=(1 3)\nh=(1 3)", "h=(1 3)", "h"),
     ("h=(1 2)\nV=(1 3)\nv=(1 3)", "v=(1 3)", "v"),

@@ -11,7 +11,13 @@ from origamikz import (
     contains_minus_identity,
     coset_action,
     index_in_sl2,
+    kz_generators,
+    make_l_origami,
     matrix_to_word,
+    paper,
+    primitive_directions,
+    sl2,
+    standard_basis,
     word_to_matrix,
 )
 
@@ -153,3 +159,71 @@ def test_mat2_is_immutable():
     with pytest.raises(AttributeError):
         m.extra = 1
     assert m == Mat2(1, 1, 0, 1)
+
+
+def random_stabilizer(rng, n):
+    """Generators of a random subgroup of index n that contains -I.
+
+    a acts on n points as a random involution and b as a random
+    permutation of order 1 or 3, so both relators act trivially; redrawn
+    until the action is transitive.  The subgroup is the stabilizer of
+    point 0, generated by the Schreier generators R_x g R_y^-1 of a BFS
+    tree, where R_y = R_x g on tree edges x -g-> y.
+    """
+    letters = ((0, S), (1, S * T))  # a = S, b = ST
+    while True:
+        act = [list(range(n)), list(range(n))]
+        pts = rng.sample(range(n), n)
+        for i in range(rng.randrange(n // 2 + 1)):
+            x, y = pts[2 * i:2 * i + 2]
+            act[0][x], act[0][y] = y, x
+        pts = rng.sample(range(n), n)
+        for i in range(rng.randrange(n // 3 + 1)):
+            x, y, z = pts[3 * i:3 * i + 3]
+            act[1][x], act[1][y], act[1][z] = y, z, x
+        rep = {0: IDENTITY}
+        order = [0]
+        for x in order:
+            for k, g in letters:
+                if act[k][x] not in rep:
+                    rep[act[k][x]] = rep[x] * g
+                    order.append(act[k][x])
+        if len(order) == n:
+            break
+    gens = (rep[x] * g * rep[act[k][x]].inverse() for x in range(n) for k, g in letters)
+    return list(dict.fromkeys(m for m in gens if m != IDENTITY))
+
+
+def _generator_sets():
+    for n in range(1, 11):
+        for odd in (True, False):
+            name = "verify-paper n=%d %s" % (n, "odd" if odd else "even")
+            yield name, paper.family_case(n, odd)["matrices"], None
+    dirs = primitive_directions(14)
+    for n, m in ((3, 3), (3, 5), (5, 5)):
+        o = make_l_origami(n, m)
+        yield "conjecture L(%d,%d)" % (n, m), kz_generators(o, dirs, standard_basis(o)), None
+    rng = random.Random(24)
+    for k in range(200):
+        n = rng.randrange(1, 41)
+        yield "random %d" % k, random_stabilizer(rng, n), n
+
+
+def test_one_hlt_pass_closes_the_table():
+    # every live row is complete, and every relator (and every subgroup
+    # word, at coset 0) closes
+    for name, gens, index in _generator_sets():
+        words = [sl2._amalgam_letters(matrix_to_word(g)) for g in gens]
+        t = sl2._enumerate(words, sl2.COSET_CAP)
+        live = [k for k in range(len(t.tab)) if t.rep(k) == k]
+
+        def scan(k, word):
+            for x in word:
+                k = t.rep(t.tab[k][x])
+            return k
+
+        assert all(None not in t.tab[k] for k in live), name
+        assert all(scan(k, rel) == k for k in live for rel in sl2._RELATORS), name
+        assert all(scan(0, w) == 0 for w in words), name
+        if index is not None:
+            assert len(live) == index, name
