@@ -5,9 +5,9 @@ single 3-cycle.  Writing w = v h v^-1, that means w = c h for some
 3-cycle c with w of the same cycle type as h.  The enumeration therefore
 runs over one canonical h per cycle type, all 3-cycles c whose product
 keeps the type, and the coset v0 Z(h) of conjugators taking h to c h.
-Of that coset only the v transitive with h are built: transitivity is
-tested once per assignment of h's cycles to cycles of the same length,
-before the rotations within the cycles are expanded.  A permutation k of
+Of that coset only the v transitive with h are built: h's fixed points
+are threaded as chains between its other cycles, whose connectivity is
+found once per assignment (:func:`_centralizer`).  A permutation k of
 h's fixed points commutes with h, so (h, v) and (h, k v k^-1) are the
 same origami.  Each element gets a key that is equal exactly on such
 conjugates (:func:`_fixed_point_key`), and only an element whose key is
@@ -16,12 +16,13 @@ the first time is built as an origami and tested for primitivity.
 
 This is exact for every degree, but the centralizer cosets blow up with
 the number of fixed points of h.  On 2 vCPUs with Python 3.11, with
-``bench/calibrate.py`` reading 0.012 s against its 0.016 s reference,
-degrees up to 8 take under a quarter of a second, 9 about 0.6 s, 10
-about 2.2 s and 11 about 24 s, start-up included; 12 takes longer still.
+``bench/calibrate.py`` reading 0.011-0.012 s against its 0.016 s
+reference, degrees up to 9 take about a quarter of a second, 10 about
+0.9 s and 11 about 7 s, start-up included; 12 takes longer still.
 """
 
-from itertools import chain, combinations, groupby, permutations, product
+from itertools import (chain, combinations, combinations_with_replacement, groupby, permutations,
+                       product)
 from operator import itemgetter
 
 from .errors import OrigamiError
@@ -73,10 +74,7 @@ def _conjugator(h_cycles, w_cycles):
 
 
 def _assignments(blocks):
-    """One permutation of each block, laid end to end, one choice at a time.
-
-    Lazily, as a block of fixed points has factorially many.
-    """
+    """One permutation of each block, laid end to end, one choice at a time."""
     if not blocks:
         yield ()
         return
@@ -85,36 +83,78 @@ def _assignments(blocks):
             yield rest + head
 
 
+def _merge(label, edges):
+    """The component labels of the nodes once ``edges`` join them."""
+    for a, b in edges:
+        old, new = label[a], label[b]
+        label = [new if x == old else x for x in label]
+    return label
+
+
+def _chains(entries, inners, ends, fed, fixed):
+    """Lists of the images of ``fixed``, one per way to chain ``inners`` to ``ends``.
+
+    Each ordering of the inner points is cut into one run per entry: the
+    chain of entry i runs through its run onto exit ``ends[i]``, and each
+    point goes onto the fixed target that feeds the next one.
+    """
+    onto_next = {x: fed[x] for x in inners}
+    onto_next.update(zip(entries[1:], ends))  # an entry closes the chain before it
+    for run in permutations(inners):
+        for cuts in combinations_with_replacement(range(len(run) + 1), len(entries[1:])):
+            order = list(run)  # the points after the first entry, in chain order
+            for c, x in reversed(list(zip(cuts, entries[1:]))):
+                order.insert(c, x)
+            onto = dict(zip(entries[:1] + order, [*map(onto_next.__getitem__, order), *ends[-1:]]))
+            yield list(map(onto.__getitem__, fixed))
+
+
 def _centralizer(perm, v0):
     """The z commuting with ``perm`` that make v0 z transitive with it, as a list.
 
     Such a z sends each cycle of ``perm`` onto a cycle of the same length,
-    rotated.  Whether <perm, v0 z> is transitive depends only on where the
-    cycles go: cycle k is joined to the cycles that v0 reaches from the
-    cycle k is sent to.  So each assignment of cycles (one permutation
-    per block of equal-length cycles) is tested once for connectivity,
-    and only a connected one is expanded over the rotations.  The list
-    holds only the transitive elements of one coset: at most 1,440 at
-    degree 9, 10,080 at 10 and 80,640 at 11.
+    rotated, and cycle k is joined to the cycles that v0 reaches from the
+    cycle k is sent to.  So a fixed point x has one edge in and one out:
+    x is an entry if v0^-1(x) is not fixed, else an inner point, and a
+    fixed target j is an exit if v0(j) is not fixed.  In a transitive z
+    the fixed points form chains from an entry through inner points to an
+    exit.  For each assignment of the moved cycles (one permutation per
+    block of equal-length cycles) and each entry -> exit bijection whose
+    links join their components, every chaining of the inner points is
+    expanded over the rotations.  At most 1,440 elements at degree 9,
+    10,080 at 10 and 80,640 at 11, in an order :func:`h2_origamis` does
+    not depend on: a fixed-point key class has one canonical form.
+    ``perm`` must move some square, as every census h does.
     """
     cycles = sorted(perm.cycles(include_fixed=True), key=len, reverse=True)
     cycle_of = {x: k for k, c in enumerate(cycles) for x in c}
-    reach = [{cycle_of[v0[x]] for x in c} for c in cycles]
-    rotated = [[c[r:] + c[:r] for r in range(len(c))] for c in cycles]
-    blocks = [list(ks) for _, ks in groupby(range(len(cycles)), lambda k: len(cycles[k]))]
+    n = sum(len(c) > 1 for c in cycles)  # cycles n, n+1, ... are fixed points
+    if not n:
+        raise ValueError("the sweep needs a permutation that moves some square")
+    reach = [{cycle_of[v0[x]] for x in c} for c in cycles[:n]]
+    rotated = [[c[r:] + c[:r] for r in range(len(c))] for c in cycles[:n]]
+    blocks = [list(ks) for _, ks in groupby(range(n), lambda k: len(cycles[k]))]
+    fixed = [c[0] for c in cycles[n:]]
+    fed = sorted(range(perm.degree), key=v0.__getitem__)  # v0^-1
+    entries = [x for x in fixed if cycle_of[fed[x]] < n]
+    inners = [x for x in fixed if cycle_of[fed[x]] >= n]
+    exits = [j for j in fixed if cycle_of[v0[j]] < n]
+    if inners and not entries:
+        return []  # every fixed point lies on a closed loop
     # z is read off the rotated targets laid end to end in cycle order
     by_square = itemgetter(*sorted(range(perm.degree), key=list(chain(*cycles)).__getitem__))
     out = []
-    for tau in _assignments(blocks):  # cycle k goes onto cycle tau[k]
-        seen, stack = {0}, [0]
-        while stack:
-            for j in reach[tau[stack.pop()]]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        if len(seen) == len(cycles):
-            out.extend(by_square(tuple(chain.from_iterable(parts)))
-                       for parts in product(*[rotated[j] for j in tau]))
+    for tau in _assignments(blocks):  # moved cycle k goes onto cycle tau[k]
+        comp = _merge(range(n), [(k, j) for k in range(n) for j in reach[tau[k]] if j < n])
+        # entry x is reached from the moved cycle sent onto the one feeding x
+        hang = [comp[tau.index(cycle_of[fed[x]])] for x in entries]
+        for ends in permutations(exits):
+            if len(set(_merge(comp, zip(hang, [comp[cycle_of[v0[j]]] for j in ends])))) > 1:
+                continue
+            # lists: freed tuples of the tails' sizes pile up on the tuple free lists
+            heads = [list(chain(*parts)) for parts in product(*[rotated[j] for j in tau])]
+            out.extend(by_square(head + tail) for tail in _chains(entries, inners, ends, fed, fixed)
+                       for head in heads)
     return out
 
 

@@ -241,7 +241,7 @@ def cmd_census(args):
     d = args.degree
     if d >= 10:
         print("census at degree %d enumerates large centralizer cosets; "
-              "expect seconds at degree 10, half a minute at 11 and "
+              "expect a second at degree 10, several at 11 and "
               "longer beyond" % d,
               file=sys.stderr)
     origamis = h2_origamis(d)

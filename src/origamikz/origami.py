@@ -709,6 +709,8 @@ def format_origami(o):
 
 
 def _parse_int(text, line):
+    if len(text.strip()) > 4300:  # the digits int() converts by default
+        raise ValueError("line %r...: a number longer than 4300 digits" % line[:20])
     try:
         return int(text)
     except ValueError:

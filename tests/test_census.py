@@ -88,26 +88,67 @@ def test_exhaustive_cross_check_degree4():
         assert forms == set(h2_origamis(d))
 
 
-def test_sweep_returns_exactly_the_transitive_coset_elements():
-    # against the full centralizer, each element tested one at a time
+def _brute_force(h, v0):
+    # the full centralizer, each element tested for transitivity one at a time
+    return sorted(z for z in centralizer(h) if _transitive(h.images, tuple(v0[x] for x in z)))
+
+
+def _assert_sweeps_match_brute_force(degrees):
     inputs = 0
-    for d in range(3, 8):
+    for d in degrees:
         for h, v0 in census_cosets(d):
             inputs += 1
-            swept = list(census_mod._centralizer(h, v0))
-            assert len(swept) == len(set(swept))
-            assert set(swept) == {
-                z for z in centralizer(h)
-                if _transitive(h.images, tuple(v0[x] for x in z))
-            }
-    assert inputs == 387
+            assert sorted(census_mod._centralizer(h, v0)) == _brute_force(h, v0)
+    return inputs
 
 
-def test_sweep_builds_every_element_and_forms_one_per_key(monkeypatch):
-    # the sweep still builds every transitive coset element: at degrees 7
-    # and 8 the full cosets hold 6,393 and 35,952, of which 1,757 and
-    # 6,716 are transitive; only an element whose fixed-point key is new
-    # in its coset is reduced to a canonical form
+def test_sweep_returns_exactly_the_transitive_coset_elements():
+    assert _assert_sweeps_match_brute_force(range(3, 9)) == 387 + 462
+
+
+@pytest.mark.slow
+def test_sweep_returns_exactly_the_transitive_coset_elements_at_degree9():
+    assert _assert_sweeps_match_brute_force([9]) == 882
+
+
+def _perm(*cycles, degree):
+    return Perm.from_cycles([[x + 1 for x in c] for c in cycles], degree=degree)
+
+
+def test_sweep_of_fixed_points_on_closed_loops_is_empty():
+    # v0 sends h's fixed points 3, 4, 5 among themselves: no entry, so
+    # each fixed point stays on a loop and no element is transitive
+    h, v0 = _perm((0, 1, 2), degree=6), _perm((0, 1), (3, 4, 5), degree=6).images
+    assert census_mod._centralizer(h, v0) == [] == _brute_force(h, v0)
+
+
+def test_sweep_links_each_entry_to_an_exit_that_joins_the_moved_cycles():
+    # h = (0 1)(2 3) fixes 4 and 5; v0 = (0 4 1)(2 5 3) makes both fixed
+    # points entries and exits.  With the 2-cycles kept in place, the
+    # bijection 4 -> 4, 5 -> 5 leaves two components, and only 4 -> 5,
+    # 5 -> 4 joins them
+    h, v0 = _perm((0, 1), (2, 3), degree=6), _perm((0, 4, 1), (2, 5, 3), degree=6).images
+    swept = census_mod._centralizer(h, v0)
+    assert sorted(swept) == _brute_force(h, v0)
+    kept = [z for z in swept if z[:4] == (0, 1, 2, 3)]
+    assert [z[4:] for z in kept] == [(5, 4)]
+
+
+def test_sweep_without_fixed_points_tests_the_moved_cycles_alone():
+    h, v0 = _perm((0, 1), (2, 3), degree=4), _perm((1, 2), degree=4).images
+    swept = census_mod._centralizer(h, v0)
+    assert sorted(swept) == _brute_force(h, v0)
+    assert len(swept) == 8
+
+
+def test_sweep_rejects_the_identity():
+    # with no moved cycle every fixed point would be on one loop
+    with pytest.raises(ValueError, match="moves some square"):
+        census_mod._centralizer(_perm(degree=3), (1, 2, 0))
+
+
+def _sweep_counts(monkeypatch, d):
+    # coset elements the sweep builds and canonical forms it computes
     counts = {"built": 0, "forms": 0}
     real_sweep, real_form = census_mod._centralizer, census_mod.canonical_form
 
@@ -122,10 +163,23 @@ def test_sweep_builds_every_element_and_forms_one_per_key(monkeypatch):
 
     monkeypatch.setattr(census_mod, "_centralizer", sweep)
     monkeypatch.setattr(census_mod, "canonical_form", form)
+    h2_origamis(d)
+    monkeypatch.undo()
+    return counts
+
+
+def test_sweep_builds_every_element_and_forms_one_per_key(monkeypatch):
+    # the sweep still builds every transitive coset element: at degrees 7
+    # and 8 the full cosets hold 6,393 and 35,952, of which 1,757 and
+    # 6,716 are transitive; only an element whose fixed-point key is new
+    # in its coset is reduced to a canonical form
     for d, built, forms in ((7, 1757, 1021), (8, 6716, 2110)):
-        counts.update(built=0, forms=0)
-        h2_origamis(d)
-        assert counts == {"built": built, "forms": forms}
+        assert _sweep_counts(monkeypatch, d) == {"built": built, "forms": forms}
+
+
+@pytest.mark.slow
+def test_sweep_builds_every_element_and_forms_one_per_key_at_degree9(monkeypatch):
+    assert _sweep_counts(monkeypatch, 9) == {"built": 36356, "forms": 5060}
 
 
 @pytest.mark.parametrize("primitive_only", [True, False])

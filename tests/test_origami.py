@@ -643,6 +643,16 @@ def test_text_format_names_the_line_of_a_non_integer(line, symbol):
         parse_origami(text)
 
 
+@pytest.mark.parametrize("line", ["d=" + "1" * 5000, "h=(1 %s)" % ("2" * 5000)],
+                         ids=["degree", "symbol"])
+def test_text_format_shortens_a_number_past_the_digit_limit(line):
+    # int() refuses more than 4,300 digits; the line is named once, cut short
+    text = line + ("\nh=(1 2)" if line.startswith("d") else "") + "\nv=(1 3)"
+    message = "line %r...: a number longer than 4300 digits" % line[:20]
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        parse_origami(text)
+
+
 @pytest.mark.parametrize("text, line, key", [
     ("h=(1 2)\nv=(1 3)\nh=(1 3)", "h=(1 3)", "h"),
     ("h=(1 2)\nV=(1 3)\nv=(1 3)", "v=(1 3)", "v"),
