@@ -2,27 +2,32 @@
 
 A degree-d origami lies in H(2) iff the commutator v h v^-1 h^-1 is a
 single 3-cycle.  Writing w = v h v^-1, that means w = c h for some
-3-cycle c with w of the same cycle type as h.  The enumeration therefore
-runs over one canonical h per cycle type, all 3-cycles c whose product
-keeps the type, and the coset v0 Z(h) of conjugators taking h to c h.
-Of that coset only the v transitive with h are built: h's fixed points
-are threaded as chains between its other cycles, whose connectivity is
-found once per assignment (:func:`_centralizer`).  A permutation k of
-h's fixed points commutes with h, so (h, v) and (h, k v k^-1) are the
-same origami.  Each element gets a key that is equal exactly on such
+3-cycle c with w of the same cycle type as h.  As (p q r) = (p r)(p q),
+c h keeps h's type in exactly two shapes: (i) p, q and r on one cycle of
+h, in its order, or (ii) p and q = h^(L1-L2)(p) on a cycle of length L1
+and r on another cycle of length L2 < L1; any other c merges or splits
+cycles.  The enumeration runs over one canonical h per cycle type, the
+3-cycles of those shapes, listed directly (:func:`_type_keeping_cycles`),
+and the coset v0 Z(h) of conjugators taking h to c h.  Only c of shape
+(ii) with L2 = 1 moves a fixed point of h, so v0 feeds at most one fixed
+point of h from a moved square.  Of the coset only the v transitive with
+h are built: h's fixed points are threaded as one chain from that entry,
+and v is transitive exactly when h's other cycles are joined, which is
+found once per assignment of them (:func:`_centralizer`).  A permutation
+k of h's fixed points commutes with h, so (h, v) and (h, k v k^-1) are
+the same origami.  Each element gets a key that is equal exactly on such
 conjugates (:func:`_fixed_point_key`), and only an element whose key is
 new in its coset is reduced to its canonical form.  Only a form seen for
 the first time is built as an origami and tested for primitivity.
 
 This is exact for every degree, but the centralizer cosets blow up with
 the number of fixed points of h.  On 2 vCPUs with Python 3.11, with
-``bench/calibrate.py`` reading 0.011-0.012 s against its 0.016 s
-reference, degrees up to 9 take about a quarter of a second, 10 about
-0.9 s and 11 about 7 s, start-up included; 12 takes longer still.
+``bench/calibrate.py`` reading 0.010 s against its 0.016 s reference,
+degrees up to 9 take about a quarter of a second, 10 about 0.75 s and 11
+about 5.5 s, start-up included; 12 takes longer still.
 """
 
-from itertools import (chain, combinations, combinations_with_replacement, groupby, permutations,
-                       product)
+from itertools import chain, combinations, groupby, permutations, product
 from operator import itemgetter
 
 from .errors import OrigamiError
@@ -51,10 +56,18 @@ def _canonical_of_type(ptype):
     return tuple(images)
 
 
-def _three_cycles(d):
-    for a, b, c in combinations(range(d), 3):
-        yield (a, b, c)
-        yield (a, c, b)
+def _type_keeping_cycles(cycles):
+    """Each 3-cycle c with c h of h's cycle type once, given h's cycles.
+
+    Shape (i) is written from its first point on h's cycle, shape (ii)
+    with its same-cycle pair first (see the module docstring).
+    """
+    for cyc in cycles:
+        yield from combinations(cyc, 3)
+    for one, other in product(cycles, repeat=2):
+        shift = len(one) - len(other)
+        if shift > 0:
+            yield from ((p, q, r) for p, q in zip(one, one[shift:] + one[:shift]) for r in other)
 
 
 def _apply_cycle(images, cyc):
@@ -83,30 +96,25 @@ def _assignments(blocks):
             yield rest + head
 
 
-def _merge(label, edges):
-    """The component labels of the nodes once ``edges`` join them."""
+def _joined(n, edges):
+    """Whether ``edges`` join the nodes 0, 1, ..., n-1 into one component."""
+    label = list(range(n))
     for a, b in edges:
         old, new = label[a], label[b]
         label = [new if x == old else x for x in label]
-    return label
+    return len(set(label)) == 1
 
 
-def _chains(entries, inners, ends, fed, fixed):
-    """Lists of the images of ``fixed``, one per way to chain ``inners`` to ``ends``.
+def _chains(entries, inners, exits, fed, fixed):
+    """Lists of the images of ``fixed``, one per ordering of ``inners``.
 
-    Each ordering of the inner points is cut into one run per entry: the
-    chain of entry i runs through its run onto exit ``ends[i]``, and each
-    point goes onto the fixed target that feeds the next one.
+    The chain runs from the entry through the inner points onto the exit,
+    and each point goes onto the fixed target that feeds the next one.
+    With no fixed point the one list is empty.
     """
-    onto_next = {x: fed[x] for x in inners}
-    onto_next.update(zip(entries[1:], ends))  # an entry closes the chain before it
     for run in permutations(inners):
-        for cuts in combinations_with_replacement(range(len(run) + 1), len(entries[1:])):
-            order = list(run)  # the points after the first entry, in chain order
-            for c, x in reversed(list(zip(cuts, entries[1:]))):
-                order.insert(c, x)
-            onto = dict(zip(entries[:1] + order, [*map(onto_next.__getitem__, order), *ends[-1:]]))
-            yield list(map(onto.__getitem__, fixed))
+        onto = dict(zip((*entries, *run), [*map(fed.__getitem__, run), *exits]))
+        yield list(map(onto.__getitem__, fixed))
 
 
 def _centralizer(perm, v0):
@@ -116,15 +124,19 @@ def _centralizer(perm, v0):
     rotated, and cycle k is joined to the cycles that v0 reaches from the
     cycle k is sent to.  So a fixed point x has one edge in and one out:
     x is an entry if v0^-1(x) is not fixed, else an inner point, and a
-    fixed target j is an exit if v0(j) is not fixed.  In a transitive z
-    the fixed points form chains from an entry through inner points to an
-    exit.  For each assignment of the moved cycles (one permutation per
-    block of equal-length cycles) and each entry -> exit bijection whose
-    links join their components, every chaining of the inner points is
-    expanded over the rotations.  At most 1,440 elements at degree 9,
-    10,080 at 10 and 80,640 at 11, in an order :func:`h2_origamis` does
-    not depend on: a fixed-point key class has one canonical form.
-    ``perm`` must move some square, as every census h does.
+    fixed target j is an exit if v0(j) is not fixed.  A census coset has
+    at most one entry (c moves at most one fixed point of ``perm``); more
+    raise ``ValueError``, as the identity does.  With one entry every
+    fixed point of a transitive z lies on its chain to the exit, and the
+    v-walk from the exit's target back to the square feeding the entry
+    crosses moved squares only, so that link joins nothing the moved
+    cycles leave apart: z is transitive exactly when its moved cycles are
+    joined.  For each assignment of the moved cycles (one permutation per
+    block of equal-length cycles) that joins them, every ordering of the
+    inner points is expanded over the rotations.  At most 1,440 elements
+    at degree 9, 10,080 at 10 and 80,640 at 11, in an order
+    :func:`h2_origamis` does not depend on: a fixed-point key class has
+    one canonical form.
     """
     cycles = sorted(perm.cycles(include_fixed=True), key=len, reverse=True)
     cycle_of = {x: k for k, c in enumerate(cycles) for x in c}
@@ -137,24 +149,22 @@ def _centralizer(perm, v0):
     fixed = [c[0] for c in cycles[n:]]
     fed = sorted(range(perm.degree), key=v0.__getitem__)  # v0^-1
     entries = [x for x in fixed if cycle_of[fed[x]] < n]
-    inners = [x for x in fixed if cycle_of[fed[x]] >= n]
-    exits = [j for j in fixed if cycle_of[v0[j]] < n]
-    if inners and not entries:
+    if len(entries) > 1:
+        raise ValueError("the sweep needs at most one fixed point fed from a moved cycle")
+    if fixed and not entries:
         return []  # every fixed point lies on a closed loop
+    inners = [x for x in fixed if x not in entries]
+    exits = [j for j in fixed if cycle_of[v0[j]] < n]
     # z is read off the rotated targets laid end to end in cycle order
     by_square = itemgetter(*sorted(range(perm.degree), key=list(chain(*cycles)).__getitem__))
     out = []
     for tau in _assignments(blocks):  # moved cycle k goes onto cycle tau[k]
-        comp = _merge(range(n), [(k, j) for k in range(n) for j in reach[tau[k]] if j < n])
-        # entry x is reached from the moved cycle sent onto the one feeding x
-        hang = [comp[tau.index(cycle_of[fed[x]])] for x in entries]
-        for ends in permutations(exits):
-            if len(set(_merge(comp, zip(hang, [comp[cycle_of[v0[j]]] for j in ends])))) > 1:
-                continue
-            # lists: freed tuples of the tails' sizes pile up on the tuple free lists
-            heads = [list(chain(*parts)) for parts in product(*[rotated[j] for j in tau])]
-            out.extend(by_square(head + tail) for tail in _chains(entries, inners, ends, fed, fixed)
-                       for head in heads)
+        if not _joined(n, [(k, j) for k in range(n) for j in reach[tau[k]] if j < n]):
+            continue
+        # lists: freed tuples of the tails' sizes pile up on the tuple free lists
+        heads = [list(chain(*parts)) for parts in product(*[rotated[j] for j in tau])]
+        out.extend(by_square(head + tail) for tail in _chains(entries, inners, exits, fed, fixed)
+                   for head in heads)
     return out
 
 
@@ -195,10 +205,8 @@ def h2_origamis(degree, primitive_only=True):
         h_cycles = h.cycles(include_fixed=True)
         m = degree - ptype.count(1)  # h fixes exactly the squares >= m
         # distinct 3-cycles c give distinct w = c h, none equal to h
-        for cyc in _three_cycles(degree):
+        for cyc in _type_keeping_cycles(h_cycles):
             w = Perm._trusted(_apply_cycle(h.images, cyc))
-            if w.cycle_type() != ptype:
-                continue
             v0 = _conjugator(h_cycles, w.cycles(include_fixed=True))
             keys = set()
             for z in _centralizer(h, v0):

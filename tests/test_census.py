@@ -15,7 +15,7 @@ from origamikz import (
 from origamikz import census as census_mod
 from origamikz.origami import Perm, _transitive, holonomy_lattice_index
 
-from util import census_cosets, centralizer, reference_h2_forms
+from util import census_cosets, centralizer, reference_h2_forms, type_keeping_three_cycles
 
 
 def test_counts_small_degrees():
@@ -88,6 +88,48 @@ def test_exhaustive_cross_check_degree4():
         assert forms == set(h2_origamis(d))
 
 
+def _smallest_first(cyc):
+    i = cyc.index(min(cyc))
+    return tuple(cyc[i:] + cyc[:i])
+
+
+def _census_hs(d):
+    for ptype in census_mod._partitions(d):
+        yield Perm._trusted(census_mod._canonical_of_type(ptype))
+
+
+def test_type_keeping_cycles_are_the_trial_filter_without_repeats():
+    # for every cycle type of degree 3..11, the two shapes give each
+    # 3-cycle that keeps the type once, up to rotation
+    types = 0
+    for d in range(3, 12):
+        for h in _census_hs(d):
+            types += 1
+            cycles = census_mod._type_keeping_cycles(h.cycles(include_fixed=True))
+            got = [_smallest_first(c) for c in cycles]
+            assert len(set(got)) == len(got)
+            assert set(got) == set(type_keeping_three_cycles(h))
+    assert types == 191  # the partitions of 3..11
+
+
+def test_type_keeping_cycles_count_the_census_cosets():
+    for d, cosets in ((7, 231), (8, 462), (9, 882)):
+        assert sum(len(list(census_mod._type_keeping_cycles(h.cycles(include_fixed=True))))
+                   for h in _census_hs(d)) == cosets
+
+
+def test_every_census_coset_has_at_most_one_entry():
+    # c moves at most one fixed point of h, so v0 feeds at most one fixed
+    # point of h from a square h moves; read straight from h and v0
+    cosets = Counter()
+    for d in range(3, 12):
+        for h, v0 in census_cosets(d):
+            fed = sorted(range(d), key=v0.__getitem__)  # v0^-1
+            entries = [x for x in range(d) if h(x) == x and h(fed[x]) != fed[x]]
+            cosets[len(entries)] += 1
+    assert max(cosets) == 1 and sum(cosets.values()) == 6099
+
+
 def _brute_force(h, v0):
     # the full centralizer, each element tested for transitivity one at a time
     return sorted(z for z in centralizer(h) if _transitive(h.images, tuple(v0[x] for x in z)))
@@ -122,16 +164,21 @@ def test_sweep_of_fixed_points_on_closed_loops_is_empty():
     assert census_mod._centralizer(h, v0) == [] == _brute_force(h, v0)
 
 
-def test_sweep_links_each_entry_to_an_exit_that_joins_the_moved_cycles():
-    # h = (0 1)(2 3) fixes 4 and 5; v0 = (0 4 1)(2 5 3) makes both fixed
-    # points entries and exits.  With the 2-cycles kept in place, the
-    # bijection 4 -> 4, 5 -> 5 leaves two components, and only 4 -> 5,
-    # 5 -> 4 joins them
+def test_sweep_rejects_a_coset_with_two_entries():
+    # h = (0 1)(2 3) fixes 4 and 5; v0 = (0 4 1)(2 5 3) feeds both fixed
+    # points from moved squares, which no census coset does
     h, v0 = _perm((0, 1), (2, 3), degree=6), _perm((0, 4, 1), (2, 5, 3), degree=6).images
+    with pytest.raises(ValueError, match="at most one fixed point"):
+        census_mod._centralizer(h, v0)
+
+
+def test_sweep_of_one_entry_threads_every_fixed_point_on_its_chain():
+    # v0 = (0 4 5 2) feeds 4 from 0 and leaves 5 for 2: the chain 4 -> 5 is
+    # the only one, and z swapping 4 and 5 would close 5 on a loop
+    h, v0 = _perm((0, 1), (2, 3), degree=6), _perm((0, 4, 5, 2), degree=6).images
     swept = census_mod._centralizer(h, v0)
     assert sorted(swept) == _brute_force(h, v0)
-    kept = [z for z in swept if z[:4] == (0, 1, 2, 3)]
-    assert [z[4:] for z in kept] == [(5, 4)]
+    assert swept and all(z[4:] == (4, 5) for z in swept)
 
 
 def test_sweep_without_fixed_points_tests_the_moved_cycles_alone():

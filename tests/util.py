@@ -6,11 +6,12 @@ tracer and its curves built from Fraction segments, the reference Fraction inter
 pairing, the reference Fraction determinant and solver for the Gram
 system, the traced Gram matrix and multitwist action, the reference
 all-starts and cone-starts canonical forms, a four-generator orbit
-search, the full centralizer of a permutation, the census cosets and the
-reference census that reduces every transitive coset element."""
+search, the full centralizer of a permutation, the type-keeping 3-cycles
+found by trial, the census cosets and the reference census that reduces
+every transitive coset element."""
 
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import lcm
 
 from origamikz import (
@@ -595,19 +596,31 @@ def centralizer(perm):
     yield from emit(0, [None] * d)
 
 
+def type_keeping_three_cycles(h):
+    """Every 3-cycle c with c h of h's cycle type, smallest point first.
+
+    All 3-cycles are tried, each as one product: the oracle for
+    ``census._type_keeping_cycles``.
+    """
+    ptype = h.cycle_type()
+    for a, b, c in combinations(range(h.degree), 3):
+        for cyc in ((a, b, c), (a, c, b)):
+            if Perm._trusted(census._apply_cycle(h.images, cyc)).cycle_type() == ptype:
+                yield cyc
+
+
 def census_cosets(degree):
     """``(h, v0)`` for each coset the census sweeps at ``degree``.
 
-    One h per cycle type, and for each 3-cycle c with c h of h's type a
-    v0 with v0 h v0^-1 = c h; the coset v0 Z(h) holds every such v.
+    One h per cycle type, and for each 3-cycle c with c h of h's type
+    (:func:`type_keeping_three_cycles`) a v0 with v0 h v0^-1 = c h; the
+    coset v0 Z(h) holds every such v.
     """
     for ptype in census._partitions(degree):
         h = Perm._trusted(census._canonical_of_type(ptype))
-        for cyc in census._three_cycles(degree):
+        for cyc in type_keeping_three_cycles(h):
             w = Perm._trusted(census._apply_cycle(h.images, cyc))
-            if w.cycle_type() == ptype:
-                yield h, census._conjugator(h.cycles(include_fixed=True),
-                                            w.cycles(include_fixed=True))
+            yield h, census._conjugator(h.cycles(include_fixed=True), w.cycles(include_fixed=True))
 
 
 def reference_h2_forms(degree, primitive_only=True):
