@@ -31,7 +31,8 @@ from itertools import chain, combinations, groupby, permutations, product
 from operator import itemgetter
 
 from .errors import OrigamiError
-from .origami import ORBIT_CAP, Perm, _pair_origami, canonical_form, is_primitive, orbit
+from .origami import (ORBIT_CAP, Perm, _cycles, _pair_origami, canonical_form, is_primitive,
+                      orbit)
 
 
 def _partitions(n, cap=None):
@@ -138,7 +139,7 @@ def _centralizer(perm, v0):
     :func:`h2_origamis` does not depend on: a fixed-point key class has
     one canonical form.
     """
-    cycles = sorted(perm.cycles(include_fixed=True), key=len, reverse=True)
+    cycles = sorted(_cycles(perm.images), key=len, reverse=True)
     cycle_of = {x: k for k, c in enumerate(cycles) for x in c}
     n = sum(len(c) > 1 for c in cycles)  # cycles n, n+1, ... are fixed points
     if not n:
@@ -202,12 +203,11 @@ def h2_origamis(degree, primitive_only=True):
     found, rejected = set(), set()
     for ptype in _partitions(degree):
         h = Perm._trusted(_canonical_of_type(ptype))
-        h_cycles = h.cycles(include_fixed=True)
+        h_cycles = _cycles(h.images)
         m = degree - ptype.count(1)  # h fixes exactly the squares >= m
         # distinct 3-cycles c give distinct w = c h, none equal to h
         for cyc in _type_keeping_cycles(h_cycles):
-            w = Perm._trusted(_apply_cycle(h.images, cyc))
-            v0 = _conjugator(h_cycles, w.cycles(include_fixed=True))
+            v0 = _conjugator(h_cycles, _cycles(_apply_cycle(h.images, cyc)))
             keys = set()
             for z in _centralizer(h, v0):
                 v = tuple(v0[x] for x in z)

@@ -480,8 +480,9 @@ def main(argv=None):
         print("--%s must be %s, got %d" % (flag.replace("_", "-"), rule, value),
               file=sys.stderr)
         return EXIT_USAGE
-    # an empty list would spend the whole coset cap on the trivial group
-    for flag in ("dirs", "gens"):
+    # an empty --dirs or --gens would spend the whole coset cap on the
+    # trivial group, and an empty --reps would compute nothing
+    for flag in ("dirs", "gens", "reps"):
         if getattr(args, flag, None) == []:
             print("--%s must list at least one chunk" % flag, file=sys.stderr)
             return EXIT_USAGE

@@ -30,8 +30,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import TracingError
-from .origami import (MAX_TRACE_LENGTH, Perm, act_word, pull_back_chain, pull_back_point,
-                      push_forward_chain, push_forward_point)
+from .origami import (MAX_TRACE_LENGTH, _cycles, _vertex_cycles, act_word, pull_back_chain,
+                      pull_back_point, push_forward_chain, push_forward_point)
 from .sl2 import Mat2, matrix_to_word
 
 F0 = Fraction(0)
@@ -113,15 +113,14 @@ class _Corners:
     """Vertex classes of an origami, keyed by bottom-left corner squares.
 
     The vertex at the bottom-left corner of square i is the class of the
-    corner-permutation cycle through i; its cone angle is 2*pi times the
+    vertex cycle through i; its cone angle is 2*pi times the
     cycle length and it is singular iff that length exceeds 1.
     """
 
     __slots__ = ("cycles", "cycle_of", "pos_in")
 
     def __init__(self, o):
-        cperm = o.corner_perm()
-        self.cycles = tuple(cperm.cycles(include_fixed=True))
+        self.cycles = tuple(_vertex_cycles(o.h.images, o.v.images))
         self.cycle_of = {}
         self.pos_in = {}
         for cyc in self.cycles:
@@ -501,7 +500,7 @@ def _row_chains(pair):
     Returns a list of row chains, each bottom to top.
     """
     h, v = pair
-    rows = Perm._trusted(h).cycles(include_fixed=True)
+    rows = _cycles(h)
     row_of = {}
     for idx, r in enumerate(rows):
         for sq in r:
@@ -752,23 +751,9 @@ def trace_boundaries(diag):
     Walking a boundary: follow an edge to its incoming end at turn t,
     then continue along the outgoing end at turn t+1 of the same vertex
     (the cylinder below spans exactly the angle pi between the two).
-    Each orbit is the upper boundary of one cylinder.
+    Each cycle of the walk is the upper boundary of one cylinder.
     """
     out_at = {end: e for e, end in enumerate(diag.edge_out)}
-    parts = []
-    seen = set()
-    for e0 in range(diag.n_edges):
-        if e0 in seen:
-            continue
-        part = []
-        e = e0
-        while e not in seen:
-            seen.add(e)
-            part.append(e)
-            vi, t = diag.edge_in[e]
-            ell = len(diag.vertices[vi])
-            e = out_at[(vi, (t + 1) % ell)]
-        if e != e0:
-            raise TracingError("boundary walk re-entered a foreign orbit")
-        parts.append(frozenset(part))
-    return tuple(sorted(parts, key=min))
+    # a permutation: SeparatrixDiagram checks one out- and one in-end per slot
+    walk = [out_at[vi, (t + 1) % len(diag.vertices[vi])] for vi, t in diag.edge_in]
+    return tuple(map(frozenset, _cycles(walk)))

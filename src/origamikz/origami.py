@@ -130,25 +130,10 @@ class Perm:
 
     def cycles(self, include_fixed=False):
         """Cycles as 0-based tuples, each starting at its minimum."""
-        out = []
-        seen = [False] * len(self.images)
-        for i in range(len(self.images)):
-            if seen[i]:
-                continue
-            c = [i]
-            seen[i] = True
-            j = self.images[i]
-            while j != i:
-                c.append(j)
-                seen[j] = True
-                j = self.images[j]
-            if len(c) > 1 or include_fixed:
-                out.append(tuple(c))
-        return out
+        return [c for c in _cycles(self.images) if include_fixed or len(c) > 1]
 
     def cycle_type(self):
-        lens = sorted((len(c) for c in self.cycles(include_fixed=True)), reverse=True)
-        return tuple(lens)
+        return tuple(sorted(map(len, _cycles(self.images)), reverse=True))
 
     def __eq__(self, other):
         return isinstance(other, Perm) and self.images == other.images
@@ -194,16 +179,6 @@ class Origami:
     def degree(self):
         return self.h.degree
 
-    def corner_perm(self):
-        """The permutation v h v^-1 h^-1 whose long cycles are the cone points.
-
-        One full counterclockwise turn around the bottom-left vertex of
-        square i ends at the bottom-left vertex of square
-        v(h(v^-1(h^-1(i)))); a cycle of length l is a cone point of angle
-        2*pi*l.
-        """
-        return self.v * self.h * self.v.inverse() * self.h.inverse()
-
     def __eq__(self, other):
         return (
             isinstance(other, Origami)
@@ -227,17 +202,44 @@ def _transitive(h, v):
     if d == 0:
         return False
     seen = [False] * d
-    stack = [0]
     seen[0] = True
-    count = 1
-    while stack:
-        i = stack.pop()
+    order = [0]
+    for i in order:
         for j in (h[i], v[i]):
             if not seen[j]:
                 seen[j] = True
-                count += 1
-                stack.append(j)
-    return count == d
+                order.append(j)
+    return len(order) == d
+
+
+def _cycles(images):
+    """Every cycle of a permutation's images, fixed points included: tuples
+    from their minima, in order of those minima."""
+    out = []
+    seen = [False] * len(images)
+    for i in range(len(images)):
+        if not seen[i]:
+            c = []
+            j = i
+            while not seen[j]:
+                seen[j] = True
+                c.append(j)
+                j = images[j]
+            out.append(tuple(c))
+    return out
+
+
+def _vertex_cycles(h, v):
+    """The cycles of i -> v h v^-1 h^-1 i, read from the image pair (h, v).
+
+    One full counterclockwise turn around the bottom-left vertex of
+    square i = h(v(x)) ends at that of square v(h(x)) = v(h(v^-1(h^-1(i))));
+    a cycle of length l is a cone point of angle 2*pi*l.
+    """
+    turn = [0] * len(h)
+    for hx, vx in zip(h, v):
+        turn[h[vx]] = v[hx]
+    return _cycles(turn)
 
 
 class SingularityData:
@@ -268,11 +270,11 @@ class SingularityData:
 
 
 def singularity_data(o):
-    """Cone orders from the corner permutation, genus from their sum.
+    """Cone orders from the vertex cycles, genus from their sum.
 
     The sum of the cone orders is 2*genus - 2 (a torus has none).
     """
-    orders = [len(c) - 1 for c in o.corner_perm().cycles()]
+    orders = [len(c) - 1 for c in _vertex_cycles(o.h.images, o.v.images) if len(c) > 1]
     total = sum(orders)
     if total % 2:
         raise OrigamiError("cone orders %r have an odd sum" % (orders,))
@@ -572,15 +574,16 @@ def _orbit_graph(o, cap):
     forms = [start]
     ids = {start: 0}
     s_table, u_table = [-1], [-1]
-    seen = bytearray([1])  # reached by the BFS, by id
+    order = [0]  # the ids reached by the BFS, in BFS order
+    dist = [0]  # S/T distance from the seed by id, -1 until reached
 
-    def close_cycle(table, gen, order, x):
+    def close_cycle(table, gen, n, x):
         # enter the cycle of class x under gen (exponent 1) into table;
-        # order is a multiple of every cycle length, so all edges but the
-        # last are computed and the last one goes back to x; a shorter
-        # cycle, a fixed point included, closes when it comes back
+        # gen's order n is a multiple of every cycle length, so all edges
+        # but the last are computed and the last one goes back to x; a
+        # shorter cycle, a fixed point included, closes when it comes back
         cur = x
-        for _ in range(order - 1):
+        for _ in range(n - 1):
             form = canonical_form(act_letter(forms[cur], gen, 1))
             img = ids.get(form)
             if img is None:
@@ -588,42 +591,34 @@ def _orbit_graph(o, cap):
                 forms.append(form)
                 s_table.append(-1)
                 u_table.append(-1)
-                seen.append(0)
+                dist.append(-1)
             table[cur] = img
             if img == x:
                 return
             cur = img
         table[cur] = x
 
-    reached = 1
-    frontier = [0]
-    depth = 0
-    while frontier:
-        nxt = []
-        for pos, cur in enumerate(frontier):
-            if s_table[cur] < 0:
-                close_cycle(s_table, "S", s_order, cur)
-            if u_table[cur] < 0:
-                close_cycle(u_table, "U", u_order, cur)
-            # T(cur) = S^-1(U(cur))
-            t_img = u_table[cur]
-            if s_table[t_img] < 0:
-                close_cycle(s_table, "S", s_order, t_img)
-            for _ in range(s_order - 1):
-                t_img = s_table[t_img]
-            for img in (s_table[cur], t_img):
-                if not seen[img]:
-                    if reached >= cap:
-                        raise OrbitCapExceeded(
-                            "orbit exceeded cap of %d" % cap,
-                            (_pair_origami(f) for f, r in zip(forms, seen) if r),
-                            depth, len(frontier) - pos + len(nxt),
-                        )
-                    seen[img] = 1
-                    reached += 1
-                    nxt.append(img)
-        frontier = nxt
-        depth += 1
+    for pos, cur in enumerate(order):
+        if s_table[cur] < 0:
+            close_cycle(s_table, "S", s_order, cur)
+        if u_table[cur] < 0:
+            close_cycle(u_table, "U", u_order, cur)
+        # T(cur) = S^-1(U(cur))
+        t_img = u_table[cur]
+        if s_table[t_img] < 0:
+            close_cycle(s_table, "S", s_order, t_img)
+        for _ in range(s_order - 1):
+            t_img = s_table[t_img]
+        for img in (s_table[cur], t_img):
+            if dist[img] < 0:
+                if len(order) >= cap:
+                    raise OrbitCapExceeded(
+                        "orbit exceeded cap of %d" % cap,
+                        (_pair_origami(forms[i]) for i in order),
+                        dist[cur], len(order) - pos,
+                    )
+                dist[img] = dist[cur] + 1
+                order.append(img)
     return forms, s_table, u_table
 
 
@@ -638,9 +633,9 @@ def orbit(o, cap=ORBIT_CAP):
     in the order their forms are found, keeps each form once, in a list
     with one form -> id dict, and keeps the edges as two integer lists
     over the ids, S and U = S T, both whole at the end; T is read as
-    S^-1 U, so it has no canonical form of its own.  The BFS frontier and
-    the reached flags are over ids too, so each form computed is hashed
-    once, to look up its id.  The tables are filled a cycle at a time.
+    S^-1 U, so it has no canonical form of its own.  The BFS keeps its
+    reached ids in one list, with an S/T distance each, so each form is
+    hashed once, to look up its id.  The tables are filled a cycle at a time.
     S^2 = -I acts as (h, v) -> (h^-1, v^-1).  -I is central in SL2(Z), so
     if it fixes the class of ``o`` (one extra canonical form to check), it
     fixes every class in the orbit: on the classes, S has order 2 and

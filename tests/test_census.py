@@ -26,6 +26,12 @@ def test_counts_small_degrees():
     assert len(h2_origamis(6)) == 36
 
 
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_no_h2_origami_below_degree_3(degree):
+    # H(2) has genus 2, and a cone angle of 6 pi needs three squares
+    assert h2_origamis(degree) == [] == h2_origamis(degree, primitive_only=False)
+
+
 def test_members_are_h2_primitive_canonical():
     for o in h2_origamis(5):
         assert singularity_data(o).is_h2

@@ -337,7 +337,9 @@ def test_verify_paper_exits_1_when_a_check_past_the_cap_is_not_alone(monkeypatch
 
 @pytest.mark.parametrize("argv", [
     ["monodromy", "L24", "--dirs", ""], ["index", "--gens", ";"],
-], ids=["dirs", "gens"])
+    ["conjecture", "--reps", ""], ["conjecture", "--reps", ";"],
+    ["conjecture", "--format", "text", "--reps", ""],
+], ids=["dirs", "gens", "reps", "reps-semicolon", "reps-text"])
 def test_empty_list_is_a_usage_error(capsys, l24_file, argv):
     assert main([l24_file if a == "L24" else a for a in argv]) == 2
     captured = capsys.readouterr()
@@ -408,6 +410,9 @@ def test_conjecture_reports_a_pipeline_error_per_case(monkeypatch, capsys):
     assert rep["cases"][0]["ok"] is True
     assert rep["cases"][1] == {"case": "L(3,5)", "error": "planted failure",
                                "ok": False}
+    assert main(["conjecture", "--reps", "3,3;3,5", "--max-dir-sum", "4",
+                 "--format", "text"]) == 1
+    assert capsys.readouterr().out.splitlines()[-1] == "L(3,5): error planted failure"
 
 
 def test_bad_file(capsys, tmp_path):
@@ -430,12 +435,6 @@ def test_module_entry_point():
     assert proc.stdout.strip() == "1"
 
 
-def test_conjecture_empty_reps(capsys):
-    code, rep = run_json(capsys, ["conjecture", "--reps", ""])
-    assert code == 0
-    assert rep["cases"] == []
-
-
 @pytest.mark.parametrize("text", [
     "h=(1 1)\nv=(1 2)\n",
     "h=(1 2 1)\nv=(1 3)\n",
@@ -448,6 +447,19 @@ def test_malformed_input_fails_on_one_line(capsys, tmp_path, text):
     assert main(["orbit", str(bad)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text, message", [
+    ("d=3\nh=(1 5)\nv=(1 2)\n", "cycle mentions 5 but degree is 3"),
+    ("x=(1 2)\nh=(1 2)\nv=(1 3)\n", "unrecognised line 'x=(1 2)'"),
+], ids=["symbol-above-degree", "unknown-key"])
+def test_bad_line_fails_with_its_message(capsys, tmp_path, text, message):
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text)
+    assert main(["orbit", str(bad)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: %s\n" % message
 
 
 @pytest.mark.parametrize("line, symbol", [

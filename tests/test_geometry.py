@@ -199,6 +199,23 @@ def test_boundary_tracing_single_loop_diagram():
     assert trace_boundaries(diag) == (frozenset({0}),)
 
 
+def test_boundary_tracing_orders_parts_by_minimum():
+    # vertices of 3 turns and of 1; the in-end of an edge at turn t goes on
+    # along the out-end at turn t + 1 of its vertex
+    diag = SeparatrixDiagram(
+        vertices=[(0, 1, 2), (3,)], edges=["e0", "e1", "e2", "e3"],
+        edge_out=[(0, 0), (0, 1), (1, 0), (0, 2)],
+        edge_in=[(0, 2), (1, 0), (0, 0), (0, 1)],
+    )
+    assert trace_boundaries(diag) == (frozenset({0}), frozenset({1, 2}), frozenset({3}))
+
+
+def test_separatrix_diagram_rejects_a_slot_used_twice():
+    with pytest.raises(ValueError, match="edge ends do not fill the vertex slots"):
+        SeparatrixDiagram(vertices=[(0, 1)], edges=["a", "b"],
+                          edge_out=[(0, 0), (0, 0)], edge_in=[(0, 0), (0, 1)])
+
+
 def test_boundary_tracing_matches_decompose_randomised():
     rng = random.Random(19)
     draws = [(random_h2_origami(rng, dmax=9), random_direction(rng, bound=5))

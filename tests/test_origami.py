@@ -11,6 +11,7 @@ from origamikz import (
     OrbitCapExceeded,
     Origami,
     Perm,
+    SingularityData,
     canonical_form,
     format_origami,
     h2_origamis,
@@ -24,7 +25,8 @@ from origamikz import (
 )
 from origamikz import origami as origami_module
 from origamikz.origami import (MAX_DEGREE, ORBIT_CAP, _orbit_graph, _pair_origami,
-                               act_letter, act_word, pull_back_point, push_forward_point)
+                               _vertex_cycles, act_letter, act_word, pull_back_point,
+                               push_forward_point)
 from origamikz.sl2 import matrix_to_word
 from util import (
     GENS,
@@ -40,6 +42,7 @@ from util import (
     reference_orbit,
     reference_pull_back,
     reference_push_forward,
+    reference_vertex_cycles,
     torus_cover,
 )
 
@@ -92,6 +95,29 @@ def test_singularity_sum_rule_on_random_pairs():
         o = random_transitive_pair(rng)
         sd = singularity_data(o)
         assert sum(sd.cone_orders) == 2 * sd.genus - 2
+
+
+def test_vertex_cycles_match_the_commutator_by_perm_algebra():
+    rng = random.Random(28)
+    degrees = set()
+    for _ in range(1000):
+        o = random_transitive_pair(rng, dmin=1, dmax=9)
+        degrees.add(o.degree)
+        cycles = reference_vertex_cycles(o)
+        assert _vertex_cycles(o.h.images, o.v.images) == cycles
+        orders = [len(c) - 1 for c in cycles if len(c) > 1]
+        assert singularity_data(o) == SingularityData(orders, sum(orders) // 2 + 1)
+    assert degrees == set(range(1, 10))
+
+
+def test_perm_rejects_a_repeated_image():
+    with pytest.raises(ValueError, match=re.escape("not a permutation of 0..1: (0, 0)")):
+        Perm([0, 0])
+
+
+def test_origami_rejects_perms_of_two_degrees():
+    with pytest.raises(ValueError, match="h and v must have the same degree"):
+        Origami(Perm.identity(2), Perm.identity(3))
 
 
 def test_action_inverses():

@@ -99,6 +99,17 @@ def random_direction(rng, bound=7):
                 return d
 
 
+def reference_vertex_cycles(o):
+    """The cycles of v h v^-1 h^-1 by ``Perm`` algebra, fixed points included.
+
+    One full counterclockwise turn around the bottom-left vertex of square
+    i ends at the bottom-left vertex of square v(h(v^-1(h^-1(i)))): the
+    product of three compositions and two inverses that
+    ``origami._vertex_cycles`` reads straight from the image pair.
+    """
+    return (o.v * o.h * o.v.inverse() * o.h.inverse()).cycles(include_fixed=True)
+
+
 def pair_of(x):
     """``(h, v)`` as image tuples, of an origami or of an image pair."""
     h, v = (x.h.images, x.v.images) if isinstance(x, Origami) else x
