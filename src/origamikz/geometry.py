@@ -106,33 +106,21 @@ def shear_matrix(direction):
 
 
 # ---------------------------------------------------------------------------
-# Corner bookkeeping
+# Vertices
 # ---------------------------------------------------------------------------
 
-class _Corners:
-    """Vertex classes of an origami, keyed by bottom-left corner squares.
+def _vertex_of(o):
+    """Entry i is the vertex cycle through the bottom-left corner of square i.
 
-    The vertex at the bottom-left corner of square i is the class of the
-    vertex cycle through i; its cone angle is 2*pi times the
-    cycle length and it is singular iff that length exceeds 1.
+    The vertex's cone angle is 2*pi times the cycle's length, so it is
+    singular iff that length exceeds 1; a corner's turn is its square's
+    position in the cycle.
     """
-
-    __slots__ = ("cycles", "cycle_of", "pos_in")
-
-    def __init__(self, o):
-        self.cycles = tuple(_vertex_cycles(o.h.images, o.v.images))
-        self.cycle_of = {}
-        self.pos_in = {}
-        for cyc in self.cycles:
-            for t, sq in enumerate(cyc):
-                self.cycle_of[sq] = cyc
-                self.pos_in[sq] = t
-
-    def singular(self, anchor):
-        return len(self.cycle_of[anchor]) > 1
-
-    def singular_cycles(self):
-        return tuple(c for c in self.cycles if len(c) > 1)
+    vertex_of = [None] * o.degree
+    for cyc in _vertex_cycles(o.h.images, o.v.images):
+        for sq in cyc:
+            vertex_of[sq] = cyc
+    return vertex_of
 
 
 # ---------------------------------------------------------------------------
@@ -289,7 +277,7 @@ def _step(o, state, a, b, n):
     return step, None, (o.h.inverse()(sq), n, ny)
 
 
-def _trace_closed(o, corners, start, direction):
+def _trace_closed(o, vertex_of, start, direction):
     """Trace the closed geodesic through ``start``; it must avoid cone points.
 
     One step from the start (see :func:`_on_grid`), which may sit
@@ -304,7 +292,7 @@ def _trace_closed(o, corners, start, direction):
     steps = []
     for _ in range(_max_steps(o, a, b)):
         step, anchor, state = _step(o, state, a, b, n)
-        if anchor is not None and corners.singular(anchor):
+        if anchor is not None and len(vertex_of[anchor]) > 1:
             raise TracingError("closed trace ran into a cone point")
         steps.append(step)
         if state == first:
@@ -312,61 +300,43 @@ def _trace_closed(o, corners, start, direction):
     raise TracingError("trace failed to close (step budget exhausted)")
 
 
-def _trace_to_singularity(o, corners, start, direction):
-    """Trace a separatrix from ``start`` (see :func:`_on_grid`) to a cone point.
-
-    Returns ``(n, steps, anchor)`` with the anchor of the cone point's
-    corner sector it arrives in (see :func:`_step`).
-    """
-    a, b = direction.vector
-    n, state = _on_grid(start, a, b)
-    steps = []
-    for _ in range(_max_steps(o, a, b)):
-        step, anchor, state = _step(o, state, a, b, n)
-        steps.append(step)
-        if anchor is not None and corners.singular(anchor):
-            return n, steps, anchor
-    raise TracingError("separatrix failed to terminate (no cone point hit)")
-
-
-def _separatrix_starts(o, corners, direction):
-    """Start states of the outgoing separatrices, with their start turn.
-
-    Yields ``(vertex_cycle, turn, start)``; the start, a corner over
-    n = 1, feeds straight into the tracer.  In every sign case the
-    outgoing end at turn t of a vertex sits in the corner sector anchored
-    at the t-th square of its corner cycle.
-    """
-    a, b = direction.vector
-    for cyc in corners.singular_cycles():
-        for turn, j in enumerate(cyc):
-            yield cyc, turn, (1, (o.h.inverse()(j), 1, 0) if a < 0 else (j, 0, 0))
-
-
-def _raw_saddles(o, corners, direction):
+def _raw_saddles(o, direction):
     """Trace all saddle connections; also return their end data.
 
-    Returns a list of ``(SaddleConnection, out_end, in_end, mid)`` where
-    the ends are ``(vertex_cycle, turn)`` pairs and ``mid`` is the first
-    step's midpoint ``(2n, (square, X, Y))``.
+    The outgoing separatrix at turn t of a cone point starts, in every
+    sign case, in the corner sector anchored at the t-th square j of its
+    vertex cycle: at the corner (j, 0, 0), or (h^-1(j), 1, 0) when the
+    direction points left.  It is stepped to the first cone point it
+    reaches.  Returns a list of ``(SaddleConnection, out_end, in_end,
+    mid)``, by vertex cycle and turn, where the ends are ``(vertex_cycle,
+    turn)`` pairs and ``mid`` is the first step's midpoint ``(2n,
+    (square, X, Y))``.
     """
+    a, b = direction.vector
+    vertex_of = _vertex_of(o)
     out = []
-    for cyc, turn, start in _separatrix_starts(o, corners, direction):
-        n, steps, anchor = _trace_to_singularity(o, corners, start, direction)
-        conn = SaddleConnection(o, direction, n, steps)
-        conn.start = (steps[0][0],) + conn.segments[0][1]
-        conn.end = (steps[-1][0],) + conn.segments[-1][2]
-        sq, x0, y0, x1, y1 = steps[0]
-        in_end = (corners.cycle_of[anchor], corners.pos_in[anchor])
-        hol = conn.holonomy()
-        # holonomy must be a positive multiple of the direction vector
-        a, b = direction.vector
-        mult = hol[1] // b if b else hol[0] // a
-        if mult <= 0 or hol != (mult * a, mult * b):
-            raise TracingError(
-                "saddle holonomy %r is not along %r" % (hol, direction)
-            )
-        out.append((conn, (cyc, turn), in_end, (2 * n, (sq, x0 + x1, y0 + y1))))
+    for cyc in dict.fromkeys(c for c in vertex_of if len(c) > 1):
+        for turn, j in enumerate(cyc):
+            n, state = _on_grid((1, (o.h.inverse()(j), 1, 0) if a < 0 else (j, 0, 0)), a, b)
+            steps = []
+            for _ in range(_max_steps(o, a, b)):
+                step, anchor, state = _step(o, state, a, b, n)
+                steps.append(step)
+                if anchor is not None and len(vertex_of[anchor]) > 1:
+                    break
+            else:
+                raise TracingError("separatrix failed to terminate (no cone point hit)")
+            conn = SaddleConnection(o, direction, n, steps)
+            conn.start = (steps[0][0],) + conn.segments[0][1]
+            conn.end = (steps[-1][0],) + conn.segments[-1][2]
+            sq, x0, y0, x1, y1 = steps[0]
+            in_end = (vertex_of[anchor], vertex_of[anchor].index(anchor))
+            hol = conn.holonomy()
+            # holonomy must be a positive multiple of the direction vector
+            mult = hol[1] // b if b else hol[0] // a
+            if mult <= 0 or hol != (mult * a, mult * b):
+                raise TracingError("saddle holonomy %r is not along %r" % (hol, direction))
+            out.append((conn, (cyc, turn), in_end, (2 * n, (sq, x0 + x1, y0 + y1))))
     return out
 
 
@@ -566,7 +536,7 @@ def _trace_core(cyl):
     # mid-height of the middle row, over 2, is interior to the cylinder,
     # so the core never meets a cone point
     p0 = pull_back_point(stages, (min(cyl.rows[len(cyl.rows) // 2]), 0, 1), 2)
-    core = GeodesicLoop(o, direction, *_trace_closed(o, _Corners(o), (2, p0), direction))
+    core = GeodesicLoop(o, direction, *_trace_closed(o, _vertex_of(o), (2, p0), direction))
     if core.holonomy() != (cyl.f * direction.p, cyl.f * direction.q):
         raise TracingError("core holonomy is not f times the direction")
     return core
@@ -585,7 +555,7 @@ def _label_saddles(dec):
     pair = (o.h.images, o.v.images)
     sheared_v = (stages[-1][2] if stages else pair)[1]
     top_row_of = {sq: k for k, cyl in enumerate(dec.cylinders) for sq in cyl.rows[-1]}
-    raw = _raw_saddles(o, _Corners(o), direction)
+    raw = _raw_saddles(o, direction)
     saddles = tuple(r[0] for r in raw)
     upper = [[] for _ in dec.cylinders]
     for i, (_, _, _, (n, mid)) in enumerate(raw):
@@ -607,13 +577,13 @@ def _label_saddles(dec):
 # Point membership
 # ---------------------------------------------------------------------------
 
-def _encodings_in_square(o, corners, point, sq):
+def _encodings_in_square(o, vertex_of, point, sq):
     """Closed-square coordinates of a surface point within square ``sq``."""
     psq, x, y = point
     h, v = o.h, o.v
     out = []
     if x == F0 and y == F0:
-        cyc = corners.cycle_of[psq]
+        cyc = vertex_of[psq]
         if sq in cyc:
             out.append((F0, F0))
         if h(sq) in cyc:
@@ -634,10 +604,10 @@ def _encodings_in_square(o, corners, point, sq):
 
 def contains_point(o, curve, point):
     """Whether a traced curve passes through a surface point (exactly)."""
-    corners = _Corners(o)
+    vertex_of = _vertex_of(o)
     for seg in curve.segments:
         sq, (x0, y0), (x1, y1) = seg
-        for ex, ey in _encodings_in_square(o, corners, point, sq):
+        for ex, ey in _encodings_in_square(o, vertex_of, point, sq):
             dx, dy = x1 - x0, y1 - y0
             rx, ry = ex - x0, ey - y0
             if dx * ry - dy * rx != 0:
@@ -735,9 +705,9 @@ def separatrix_diagram(o, direction):
     precede incoming ones within a turn for canonical directions.
     """
     _check_trace_length(o, direction)
-    corners = _Corners(o)
-    raw = _raw_saddles(o, corners, direction)
-    vertices = corners.singular_cycles()
+    raw = _raw_saddles(o, direction)
+    # every cone point has an outgoing separatrix at turn 0
+    vertices = tuple(dict.fromkeys(cyc for _, (cyc, _), _, _ in raw))
     vindex = {cyc: i for i, cyc in enumerate(vertices)}
     edges = [r[0] for r in raw]
     edge_out = [(vindex[cyc], t) for _, (cyc, t), _, _ in raw]

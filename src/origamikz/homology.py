@@ -33,7 +33,7 @@ from .errors import (
 )
 from .geometry import (
     Direction,
-    _Corners,
+    _vertex_of,
     decompose,
     primitive_directions,
 )
@@ -76,7 +76,7 @@ def intersection_number(alpha, beta):
         for sq, segs in beta_segs.items()
     }
     h, v = o.h.images, o.v.images
-    corners = None
+    vertex_of = None
     crossings = set()
     for sq in alpha_segs.keys() & beta_by_square.keys():
         cands = beta_by_square[sq]
@@ -99,9 +99,9 @@ def intersection_number(alpha, beta):
                 if cy == n:
                     csq, cy = v[csq], 0
                 if cx == 0 and cy == 0:
-                    if corners is None:
-                        corners = _Corners(o)
-                    if corners.singular(csq):
+                    if vertex_of is None:
+                        vertex_of = _vertex_of(o)
+                    if len(vertex_of[csq]) > 1:
                         raise DegenerateConfigurationError(
                             "curves cross at a cone point (square %d)" % (csq + 1)
                         )

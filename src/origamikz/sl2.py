@@ -23,6 +23,14 @@ from .errors import IndexCapExceeded
 # Default cap on the live cosets of an enumeration.
 COSET_CAP = 10000
 
+# Cap on a generator's word, the sum of |exponent| over its S/T runs,
+# checked before any word is expanded: T^k expands to 2|k| amalgam
+# letters, all held at once, so memory grows linearly with it (T^(10^6)
+# takes about 46 MB peak RSS on 2 vCPUs with Python 3.11).  The longest
+# twist measured within MAX_TRACE_LENGTH, L(2,2) along (1, 39998) in the
+# standard basis, is a word of 79,995 letters.
+MAX_WORD_LENGTH = 10**6
+
 
 class Mat2:
     """Row-major integer 2x2 matrix [[a, b], [c, d]]; immutable and hashable."""
@@ -274,10 +282,17 @@ def coset_action(gens, cap=COSET_CAP):
     """Permutation action of (a, b) on the cosets of <gens> in SL2(Z).
 
     Returns a pair of image lists (one per letter a, b) over cosets
-    relabelled 0..index-1, with coset 0 the subgroup itself.
+    relabelled 0..index-1, with coset 0 the subgroup itself.  A generator
+    whose S/T word is longer than :data:`MAX_WORD_LENGTH` raises
+    ``ValueError`` before any word is expanded.
     """
-    words = [_amalgam_letters(matrix_to_word(g)) for g in gens]
-    t = _enumerate(words, cap)
+    words = [matrix_to_word(g) for g in gens]
+    for g, word in zip(gens, words):
+        length = sum(abs(e) for _, e in word)
+        if length > MAX_WORD_LENGTH:
+            raise ValueError("generator %r is a word of %d S/T letters, above "
+                             "MAX_WORD_LENGTH = %d" % (g, length, MAX_WORD_LENGTH))
+    t = _enumerate([_amalgam_letters(w) for w in words], cap)
     live = [k for k in range(len(t.tab)) if t.rep(k) == k]
     number = {k: i for i, k in enumerate(live)}
     act_a = [number[t.rep(t.tab[k][_A])] for k in live]

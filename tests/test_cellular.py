@@ -19,7 +19,7 @@ from origamikz import (
     shear_matrix,
     standard_basis,
 )
-from origamikz.geometry import _Corners
+from origamikz.geometry import _vertex_of
 from origamikz.origami import (act_letter, act_word, pull_back_chain,
                                push_forward_chain, transport_chain)
 from origamikz.sl2 import matrix_to_word, word_to_matrix
@@ -78,12 +78,12 @@ def face_coefficients(o, chain):
 
 def vertex_boundary(o, chain):
     """The boundary of a 1-chain, by vertex class (one per corner cycle)."""
-    corners = _Corners(o)
-    out = dict.fromkeys(corners.cycles, 0)
+    vertex_of = _vertex_of(o)
+    out = dict.fromkeys(vertex_of, 0)
     for i in range(o.degree):
         for coeff, end in ((chain[0][i], o.h(i)), (chain[1][i], o.v(i))):
-            out[corners.cycle_of[end]] += coeff
-            out[corners.cycle_of[i]] -= coeff
+            out[vertex_of[end]] += coeff
+            out[vertex_of[i]] -= coeff
     return out
 
 

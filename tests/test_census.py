@@ -295,6 +295,28 @@ def test_fixed_point_key_classes_are_the_conjugacy_classes():
     assert cosets > 0
 
 
+def test_fixed_point_key_classes_are_the_parts_on_the_moved_squares():
+    # the lemma a census keyed by z's part on h's moved squares 0..m-1
+    # would rest on: on every census coset of degree 3 to 9, two swept
+    # elements share a fixed-point key exactly when they agree there.  z
+    # permutes the moved squares, so any m - 1 of its values there fix the
+    # part; m - 2 of them need not
+    cosets = elements = classes = 0
+    for d in range(3, 10):
+        for h, v0 in census_cosets(d):
+            _, m = _fixed_points(h)
+            swept = census_mod._centralizer(h, v0)
+            assert all(sorted(z[:m]) == list(range(m)) for z in swept)
+            pairs = {(census_mod._fixed_point_key(tuple(v0[x] for x in z), m), z[:m])
+                     for z in swept}
+            assert len({key for key, _ in pairs}) == len(pairs)
+            assert len({part for _, part in pairs}) == len(pairs)
+            cosets += 1
+            elements += len(swept)
+            classes += len(pairs)
+    assert (cosets, elements, classes) == (1731, 45470, 8713)
+
+
 def _primitive_count(n):
     # Eskin-Masur-Schmoll: (3/8)(n-2) n^2 prod_{p | n} (1 - p^-2)
     if n < 3:

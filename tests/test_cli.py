@@ -258,6 +258,19 @@ def test_census_exits_3_when_an_orbit_passes_the_cap(capsys):
                             "depth 0, frontier 2\n")
 
 
+@pytest.mark.parametrize("degree, note", [(9, False), (10, True), (12, True)])
+def test_census_notes_its_cost_from_degree_10(monkeypatch, capsys, degree, note):
+    # the enumeration is stubbed out: only the note on stderr is read
+    monkeypatch.setattr(cli, "h2_origamis", lambda d: [])
+    monkeypatch.setattr(cli, "orbit_partition", lambda origamis, cap: [])
+    assert main(["census", "--degree", str(degree)]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["count"] == 0
+    assert captured.err == (note and "census at degree %d enumerates large centralizer "
+                            "cosets; expect a second at degree 10, several at 11 and "
+                            "longer beyond\n" % degree or "")
+
+
 def test_census_usage_error(capsys):
     assert main(["census", "--degree", "2"]) == 2
     assert main(["census", "--degree", "13"]) == 2
@@ -365,6 +378,20 @@ def test_bad_list_chunk_is_named(capsys, l24_file, argv, chunk):
 def test_index_rejects_a_generator_of_determinant_other_than_1(capsys):
     assert main(["index", "--gens", "1,0,0,1;1,1,0,2"]) == 1
     assert capsys.readouterr().err == "error: Mat2(1, 1, 0, 2) has determinant 2, not 1\n"
+
+
+def test_index_refuses_a_generator_word_past_the_cap(monkeypatch, capsys):
+    # T^2000001 is a word of 2,000,001 letters, over MAX_WORD_LENGTH: one
+    # line names it, and no amalgam word is built
+    def boom(word):
+        raise AssertionError("amalgam word built")
+
+    monkeypatch.setattr(sl2, "_amalgam_letters", boom)
+    assert main(["index", "--gens", "1,2000001,0,1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: generator Mat2(1, 2000001, 0, 1) is a word of 2000001 "
+                            "S/T letters, above MAX_WORD_LENGTH = 1000000\n")
 
 
 def test_conjecture_rejects_even_parameters(capsys):

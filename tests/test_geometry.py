@@ -15,14 +15,16 @@ from origamikz import (
     dehn_twist_action,
     lattice_points,
     make_l_origami,
+    nontaut_basis,
     primitive_directions,
     separatrix_diagram,
     shear_matrix,
+    singularity_data,
     standard_basis,
     trace_boundaries,
 )
 from origamikz import geometry
-from origamikz.geometry import _Corners, _trace_closed
+from origamikz.geometry import _trace_closed, _vertex_of
 from origamikz.sl2 import Mat2
 from util import (
     curve_from_segments,
@@ -366,13 +368,8 @@ def test_core_loops_close_under_gluings():
 
 
 def test_saddle_endpoints_are_cone_points():
-    from origamikz.geometry import _Corners
-
     o = make_l_origami(2, 4)
-    corners = _Corners(o)
-    singular = set()
-    for cyc in corners.singular_cycles():
-        singular.update(cyc)
+    singular = {sq for sq, cyc in enumerate(_vertex_of(o)) if len(cyc) > 1}
     for s in decompose(o, Direction(2, 3)).saddle_connections:
         sq, x, y = s.start
         anchor = sq if (x, y) == (0, 0) else o.h(sq)
@@ -426,13 +423,13 @@ def test_integer_tracer_matches_fraction_tracer_through_regular_vertices():
     through_vertex = 0
     for o in [make_l_origami(2, 4), make_l_origami(3, 3)] + [
             random_h2_origami(rng, dmax=8) for _ in range(3)]:
-        corners = _Corners(o)
+        vertex_of = _vertex_of(o)
         for d in primitive_directions(5):
             for pt in row_boundary_starts(o, d):
                 start = over_denominator(pt)
-                loop = geometry.GeodesicLoop(o, d, *_trace_closed(o, corners, start, d))
+                loop = geometry.GeodesicLoop(o, d, *_trace_closed(o, vertex_of, start, d))
                 ref = curve_from_segments(geometry.GeodesicLoop, o, d,
-                                          reference_trace_closed(o, corners, pt, d))
+                                          reference_trace_closed(o, vertex_of, pt, d))
                 assert_same_curve(loop, ref)
                 through_vertex += any(x in (0, 1) and y in (0, 1)
                                       for _, _, (x, y) in loop.segments)
@@ -466,3 +463,38 @@ def test_shear_and_separatrix_routes_agree_on_long_directions():
         for cyl, upper in zip(dec.cylinders, dec.upper_boundaries):
             assert (sum(hol[i][0] for i in upper), sum(hol[i][1] for i in upper)) == (
                 cyl.f * d.p, cyl.f * d.q)
+
+
+def _repr_cases():
+    o = make_l_origami(2, 4)
+    d = Direction(2, 3)
+    dec = decompose(o, d)
+    basis = standard_basis(o)
+    return {
+        "Perm": (o.h, "Perm.from_cycles([(1, 2)], degree=5)"),
+        "Origami": (o, "Origami(h=(1 2), v=(1 3 4 5), d=5)"),
+        "SingularityData": (singularity_data(o), "SingularityData(cone_orders=(2,), genus=2)"),
+        "Direction": (d, "Direction(2, 3)"),
+        "CylinderDecomposition": (dec, "CylinderDecomposition(dir=Direction(2, 3), "
+                                       "f=(2, 3), c=(1, 1))"),
+        "Cylinder": (dec.cylinders[0], "Cylinder(f=2, height=1, c=1)"),
+        "GeodesicLoop": (dec.cylinders[0].core,
+                         "GeodesicLoop(dir=Direction(2, 3), 10 segments)"),
+        "SaddleConnection": (dec.saddle_connections[0],
+                             "SaddleConnection(dir=Direction(2, 3), holonomy=(4, 6))"),
+        "SeparatrixDiagram": (separatrix_diagram(o, d),
+                              "SeparatrixDiagram(1 vertices, 3 edges)"),
+        "HomologyBasis": (basis, "HomologyBasis(dirs=(Direction(1, 0), Direction(0, 1)), "
+                                 "f=(1, 2, 1, 4))"),
+        "NonTautBasis": (nontaut_basis(basis), "NonTautBasis(x=(-2, 1, 0, 0), "
+                                               "y=(0, 0, -4, 1))"),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_repr_cases()))
+def test_repr_of_public_class(name):
+    # every public class with its own __repr__ but Mat2 (test_sl2), on L(2,4)
+    # along (2, 3)
+    obj, text = _repr_cases()[name]
+    assert type(obj).__name__ == name
+    assert repr(obj) == text

@@ -29,7 +29,7 @@ from origamikz import (
     standard_basis,
 )
 from origamikz import geometry
-from origamikz.geometry import _Corners, _trace_closed
+from origamikz.geometry import _trace_closed, _vertex_of
 from origamikz.homology import _pfaffian, _solve_gram
 from util import (
     curve_from_segments,
@@ -124,9 +124,9 @@ def row_boundary_loops(o, direction):
     They meet only regular vertices, and at least one (see
     :func:`util.row_boundary_starts`); core curves meet none.
     """
-    corners = _Corners(o)
+    vertex_of = _vertex_of(o)
     return [GeodesicLoop(o, direction,
-                         *_trace_closed(o, corners, over_denominator(pt), direction))
+                         *_trace_closed(o, vertex_of, over_denominator(pt), direction))
             for pt in row_boundary_starts(o, direction)]
 
 
@@ -427,3 +427,10 @@ def test_gram_solve_matches_fraction_elimination():
             with pytest.raises(IntegralityError):
                 _solve_gram(g, b)
     assert min(outcomes.values()) >= 40, outcomes
+
+
+def test_intersection_of_loops_on_two_origamis_raises():
+    alpha = decompose(make_l_origami(2, 4), Direction(1, 0)).cylinders[0].core
+    beta = decompose(make_l_origami(3, 3), Direction(0, 1)).cylinders[0].core
+    with pytest.raises(OrigamiError, match="loops live on different origamis"):
+        intersection_number(alpha, beta)

@@ -1,13 +1,16 @@
 import random
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
 from origamikz import (
     Direction,
+    IntegralityError,
     Origami,
     OrigamiError,
     Perm,
+    UnimodularityError,
     class_pushforward,
     decompose,
     default_basis,
@@ -20,6 +23,7 @@ from origamikz import (
     standard_basis,
     twist_multiplicities,
 )
+from origamikz import monodromy
 from origamikz.homology import basis_from_directions
 from origamikz.sl2 import Mat2
 from util import random_direction, random_h2_origami
@@ -213,3 +217,23 @@ def test_kz_generators_keeps_no_pushed_copy_per_letter():
     alone = peak(lambda: dehn_twist_action(decompose(o, long_dir), basis))
     walked = peak(lambda: kz_generators(o, [long_dir, Direction(1, 1)], basis))
     assert walked < 1.1 * alone
+
+
+def test_twist_of_determinant_other_than_1_raises(monkeypatch):
+    # integral columns of determinant 2 mean {X, Y} is not a basis of the
+    # kernel lattice; the matrix is refused, not returned
+    cols = iter([(1, 0), (0, 2)])
+    monkeypatch.setattr(monodromy, "_in_span", lambda w, nt: next(cols))
+    o = make_l_origami(2, 4)
+    with pytest.raises(UnimodularityError, match=r"Mat2\(1, 0, 0, 2\) has determinant 2"):
+        dehn_twist_action(decompose(o, Direction(2, 3)), standard_basis(o))
+
+
+def test_in_span_refuses_a_fractional_or_outside_image():
+    nt = SimpleNamespace(x=(-2, 2, 0, 0), y=(0, 0, -4, 1))
+    with pytest.raises(IntegralityError, match="is not integral over"):
+        monodromy._in_span([0, 1, 0, 0], nt)
+    # integral on X's and Y's own coordinates, but off their span
+    with pytest.raises(IntegralityError, match="does not lie in the span"):
+        monodromy._in_span([0, 2, 0, 0], nt)
+    assert monodromy._in_span([-2, 2, 4, -1], nt) == (1, -1)

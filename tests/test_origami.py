@@ -640,7 +640,22 @@ def test_text_format_round_trip():
     assert parse_origami(format_origami(o)) == o
     assert parse_origami("h=(1 2)\nv=(1 3 4 5)\n") == o
     assert parse_origami("d=1\nh=()\nv=()") == TORUS
+    # an identity is written as the empty cycle
+    assert format_origami(TORUS) == "d=1\nh=()\nv=()\n"
+    assert parse_origami(format_origami(TORUS)) == TORUS
+    assert parse_origami("h=(1 2)()\nv=(1 3)") == parse_origami("h=(1 2)\nv=(1 3)")
+    # from_cycles would ignore an empty cycle too, so read the parsed list
+    assert origami_module._parse_cycles("(1 2)()", "h=(1 2)()") == [(1, 2)]
     assert parse_origami("# comment\nd=6\nh=(1 2 3)\nv=(3 4 5 6)").degree == 6
+
+
+def test_perm_equality_and_hash_follow_the_images():
+    p = Perm.from_cycles([(1, 2)], degree=3)
+    q = Perm([1, 0, 2])
+    assert p == q and hash(p) == hash(q)
+    assert p != Perm.from_cycles([(1, 2)], degree=2)
+    assert p != (1, 0, 2)
+    assert len({p, q, Perm.identity(3)}) == 2
 
 
 def test_text_format_rejects_garbage():

@@ -4,12 +4,15 @@ import pytest
 
 from origamikz import (
     IDENTITY,
+    Direction,
     IndexCapExceeded,
     Mat2,
     S,
     T,
     contains_minus_identity,
     coset_action,
+    decompose,
+    dehn_twist_action,
     index_in_sl2,
     kz_generators,
     make_l_origami,
@@ -96,6 +99,38 @@ def test_parabolic_subgroup_exceeds_cap():
     # the live cosets at the cap are those defined less those merged away
     assert err.value.defined - err.value.coincidences == 2000
     assert err.value.coincidences > 0
+
+
+def test_too_long_generator_is_refused_before_its_word_is_built(monkeypatch):
+    # T^k expands to 2|k| amalgam letters; past MAX_WORD_LENGTH the
+    # generator is named and no letter is written
+    def boom(word):
+        raise AssertionError("amalgam word built")
+
+    monkeypatch.setattr(sl2, "_amalgam_letters", boom)
+    k = sl2.MAX_WORD_LENGTH + 1
+    with pytest.raises(ValueError, match=r"generator Mat2\(1, %d, 0, 1\) is a word of %d "
+                       % (k, k)):
+        index_in_sl2([S, T, Mat2(1, k, 0, 1)])
+
+
+def test_generator_at_the_word_cap_is_enumerated(monkeypatch):
+    monkeypatch.setattr(sl2, "MAX_WORD_LENGTH", 5)
+    assert index_in_sl2([S, T, Mat2(1, 5, 0, 1)]) == 1
+    with pytest.raises(ValueError, match="is a word of 6 S/T letters"):
+        index_in_sl2([S, T, Mat2(1, 6, 0, 1)])
+
+
+def test_longest_twist_within_the_trace_length_is_enumerated():
+    # L(2,2) along (1, 39998): d*(|p|+|q|) = 119,997, within MAX_TRACE_LENGTH,
+    # and a word of 79,995 S/T letters; one parabolic generates an
+    # infinite-index group, so the enumeration runs into its cap
+    o = make_l_origami(2, 2)
+    m = dehn_twist_action(decompose(o, Direction(1, 39998)), standard_basis(o))
+    assert m == Mat2(20000, 1, -399960001, -19998)
+    assert sum(abs(e) for _, e in matrix_to_word(m)) == 79995
+    with pytest.raises(IndexCapExceeded):
+        index_in_sl2([m], cap=500)
 
 
 def test_empty_generators_exceed_cap():
@@ -227,3 +262,8 @@ def test_one_hlt_pass_closes_the_table():
         assert all(scan(0, w) == 0 for w in words), name
         if index is not None:
             assert len(live) == index, name
+
+
+def test_inverse_refuses_a_determinant_other_than_1():
+    with pytest.raises(ValueError, match="only determinant-1 matrices"):
+        Mat2(1, 1, 0, 2).inverse()

@@ -121,8 +121,8 @@ def test_tracer_does_no_fraction_arithmetic():
     funcs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
     banned = {"Fraction", "F0", "F1", "FHALF"}
     found = []
-    for name in ("_on_grid", "_step", "_trace_closed", "_trace_to_singularity",
-                 "_separatrix_starts", "_trace_core", "_label_saddles"):
+    for name in ("_on_grid", "_step", "_trace_closed", "_raw_saddles", "_trace_core",
+                 "_label_saddles"):
         for node in ast.walk(funcs[name]):
             ref = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
             if ref in banned:

@@ -33,7 +33,7 @@ from origamikz import (
     singularity_data,
 )
 from origamikz import census
-from origamikz.geometry import _Corners, _max_steps, _separatrix_starts
+from origamikz.geometry import _max_steps, _vertex_of
 from origamikz.homology import _solve_gram, intersection_number, nontaut_basis
 from origamikz.monodromy import _in_span, twist_multiplicities
 from origamikz.origami import _transitive, act_word
@@ -268,14 +268,14 @@ def reference_step(o, state, a, b):
     return seg, None, (o.h.inverse()(sq), F1, ny)
 
 
-def reference_trace_closed(o, corners, start, direction):
+def reference_trace_closed(o, vertex_of, start, direction):
     """The Fraction segments of the closed geodesic through ``start``."""
     a, b = direction.vector
     first = state = reference_step(o, start, a, b)[2]
     segments = []
     for _ in range(_max_steps(o, a, b)):
         seg, corner, state = reference_step(o, state, a, b)
-        if corner is not None and corners.singular(corner[2]):
+        if corner is not None and len(vertex_of[corner[2]]) > 1:
             raise TracingError("closed trace ran into a cone point")
         segments.append(seg)
         if state == first:
@@ -283,7 +283,7 @@ def reference_trace_closed(o, corners, start, direction):
     raise TracingError("trace failed to close (step budget exhausted)")
 
 
-def reference_trace_to_singularity(o, corners, start, direction):
+def reference_trace_to_cone_point(o, vertex_of, start, direction):
     """``(segments, corner)`` of a separatrix traced to a cone point."""
     a, b = direction.vector
     state = start
@@ -291,7 +291,7 @@ def reference_trace_to_singularity(o, corners, start, direction):
     for _ in range(_max_steps(o, a, b)):
         seg, corner, state = reference_step(o, state, a, b)
         segments.append(seg)
-        if corner is not None and corners.singular(corner[2]):
+        if corner is not None and len(vertex_of[corner[2]]) > 1:
             return segments, corner
     raise TracingError("separatrix failed to terminate (no cone point hit)")
 
@@ -317,22 +317,26 @@ def reference_core(cyl):
     """The core of ``cyl`` traced in Fractions from the package's start point."""
     o, direction, stages = cyl._frame
     start = reference_pull_back(o, stages, (min(cyl.rows[len(cyl.rows) // 2]), F0, FHALF))
-    segments = reference_trace_closed(o, _Corners(o), start, direction)
+    segments = reference_trace_closed(o, _vertex_of(o), start, direction)
     return curve_from_segments(GeodesicLoop, o, direction, segments)
 
 
 def reference_saddles(o, direction):
     """The saddle connections of a direction traced in Fractions, in the
-    package's order."""
-    corners = _Corners(o)
+    package's order: by cone point (vertex cycle, by its smallest square),
+    then by turn t, starting in the corner sector anchored at the t-th
+    square j of the cycle, from the corner (j, 0, 0), or (h^-1(j), 1, 0)
+    when the direction points left."""
+    vertex_of = _vertex_of(o)
     out = []
-    for _, _, (n, start) in _separatrix_starts(o, corners, direction):
-        start = from_denominator(n, start)
-        segments, (exit_sq, (cx, cy), _) = reference_trace_to_singularity(
-            o, corners, start, direction)
-        conn = curve_from_segments(SaddleConnection, o, direction, segments)
-        conn.start, conn.end = start, (exit_sq, cx, cy)
-        out.append(conn)
+    for cyc in sorted({c for c in vertex_of if len(c) > 1}):
+        for j in cyc:
+            start = (o.h.inverse()(j), F1, F0) if direction.p < 0 else (j, F0, F0)
+            segments, (exit_sq, (cx, cy), _) = reference_trace_to_cone_point(
+                o, vertex_of, start, direction)
+            conn = curve_from_segments(SaddleConnection, o, direction, segments)
+            conn.start, conn.end = start, (exit_sq, cx, cy)
+            out.append(conn)
     return out
 
 
@@ -366,7 +370,7 @@ def reference_intersection_number(alpha, beta):
     if det == 0:
         return 0
     sign = 1 if det > 0 else -1
-    corners = _Corners(o)
+    vertex_of = _vertex_of(o)
     by_square = {}
     for seg in beta.segments:
         by_square.setdefault(seg[0], []).append(seg)
@@ -382,18 +386,18 @@ def reference_intersection_number(alpha, beta):
             if not (F0 <= t <= F1 and F0 <= u <= F1):
                 continue
             x, y = ax0 + t * dax, ay0 + t * day
-            crossings.add(_crossing_key(o, corners, sq, x, y))
+            crossings.add(_crossing_key(o, vertex_of, sq, x, y))
     return sign * len(crossings)
 
 
-def _crossing_key(o, corners, sq, x, y):
+def _crossing_key(o, vertex_of, sq, x, y):
     """Canonical surface-point key for deduplicating crossings."""
     if x == F1:
         sq, x = o.h(sq), F0
     if y == F1:
         sq, y = o.v(sq), F0
     if x == F0 and y == F0:
-        cyc = corners.cycle_of[sq]
+        cyc = vertex_of[sq]
         if len(cyc) > 1:
             raise DegenerateConfigurationError(
                 "curves cross at a cone point (square %d)" % (sq + 1)
