@@ -10,25 +10,29 @@ cycles.  The enumeration runs over one canonical h per cycle type, the
 3-cycles of those shapes, listed directly (:func:`_type_keeping_cycles`),
 and the coset v0 Z(h) of conjugators taking h to c h.  Only c of shape
 (ii) with L2 = 1 moves a fixed point of h, so v0 feeds at most one fixed
-point of h from a moved square.  Of the coset only the v transitive with
-h are built: h's fixed points are threaded as one chain from that entry,
-and v is transitive exactly when h's other cycles are joined, which is
-found once per assignment of them (:func:`_centralizer`).  A permutation
-k of h's fixed points commutes with h, so (h, v) and (h, k v k^-1) are
-the same origami.  Each element gets a key that is equal exactly on such
-conjugates (:func:`_fixed_point_key`), and only an element whose key is
-new in its coset is reduced to its canonical form.  Only a form seen for
-the first time is built as an origami and tested for primitivity.
+point of h from a moved square.  Of the coset only the v = v0 z
+transitive with h are built (:func:`_centralizer`): z is a head on h's
+moved squares 0..m-1 and a tail threading h's fixed points as one chain,
+entry, inner points, exit, and v is transitive exactly when h's moved
+cycles are joined.  The key v[:m] = v0(z[:m]) fixes the head one to one.
+Two elements with the same head differ only in the order of the inner
+points; the permutation k of h's fixed points that reorders them
+commutes with h and conjugates one v into the other, so (h, v) and
+(h, k v k^-1) are the same origami and skipping a repeated key in a
+coset loses none.  Conversely, on every census coset of degree 3..9 no
+such k conjugates two different heads (the tests check each coset).
+Only a kept element is reduced to its canonical form, and only a form
+seen for the first time is built as an origami and tested for
+primitivity.
 
 This is exact for every degree, but the centralizer cosets blow up with
 the number of fixed points of h.  On 2 vCPUs with Python 3.11, with
-``bench/calibrate.py`` reading 0.010 s against its 0.016 s reference,
-degrees up to 9 take about a quarter of a second, 10 about 0.75 s and 11
-about 5.5 s, start-up included; 12 takes longer still.
+``bench/calibrate.py`` reading 0.015-0.016 s against its 0.016 s
+reference, degrees up to 9 take 0.2-0.3 s, 10 0.7-0.8 s, 11 about 5.5 s
+and 12 about 50 s, start-up included.
 """
 
 from itertools import chain, combinations, groupby, permutations, product
-from operator import itemgetter
 
 from .errors import OrigamiError
 from .origami import (ORBIT_CAP, Perm, _cycles, _pair_origami, canonical_form, is_primitive,
@@ -136,10 +140,12 @@ def _centralizer(perm, v0):
     block of equal-length cycles) that joins them, every ordering of the
     inner points is expanded over the rotations.  At most 1,440 elements
     at degree 9, 10,080 at 10 and 80,640 at 11, in an order
-    :func:`h2_origamis` does not depend on: a fixed-point key class has
-    one canonical form.
+    :func:`h2_origamis` does not depend on: a head class has one
+    canonical form.  ``perm`` must be laid out as :func:`_canonical_of_type`
+    lays it out (cycles up from their minima, longest first, fixed points
+    last), so the rotated targets laid end to end are z's images.
     """
-    cycles = sorted(_cycles(perm.images), key=len, reverse=True)
+    cycles = _cycles(perm.images)
     cycle_of = {x: k for k, c in enumerate(cycles) for x in c}
     n = sum(len(c) > 1 for c in cycles)  # cycles n, n+1, ... are fixed points
     if not n:
@@ -156,39 +162,15 @@ def _centralizer(perm, v0):
         return []  # every fixed point lies on a closed loop
     inners = [x for x in fixed if x not in entries]
     exits = [j for j in fixed if cycle_of[v0[j]] < n]
-    # z is read off the rotated targets laid end to end in cycle order
-    by_square = itemgetter(*sorted(range(perm.degree), key=list(chain(*cycles)).__getitem__))
     out = []
     for tau in _assignments(blocks):  # moved cycle k goes onto cycle tau[k]
         if not _joined(n, [(k, j) for k in range(n) for j in reach[tau[k]] if j < n]):
             continue
         # lists: freed tuples of the tails' sizes pile up on the tuple free lists
         heads = [list(chain(*parts)) for parts in product(*[rotated[j] for j in tau])]
-        out.extend(by_square(head + tail) for tail in _chains(entries, inners, exits, fed, fixed)
+        out.extend(tuple(head + tail) for tail in _chains(entries, inners, exits, fed, fixed)
                    for head in heads)
     return out
-
-
-def _fixed_point_key(v, m):
-    """A key equal exactly on the conjugates of v by permutations of m, m+1, ...
-
-    Rename the squares >= m in the order v reaches them, walking from each
-    square below m in increasing order until the walk is back below m.
-    For each square below m the key holds the square its walk ends at and
-    how many squares >= m it passes, which fixes the renamed v; a
-    conjugate renames the same walks.  Every v-cycle must meet a square
-    below m, as it does when v is transitive with an h that fixes exactly
-    the squares >= m.
-    """
-    key = []
-    for s in range(m):
-        x = v[s]
-        passed = 0
-        while x >= m:
-            x = v[x]
-            passed += 1
-        key.append(x + m * passed)
-    return tuple(key)
 
 
 def h2_origamis(degree, primitive_only=True):
@@ -211,7 +193,7 @@ def h2_origamis(degree, primitive_only=True):
             keys = set()
             for z in _centralizer(h, v0):
                 v = tuple(v0[x] for x in z)
-                key = _fixed_point_key(v, m)
+                key = v[:m]
                 if key in keys:
                     continue
                 keys.add(key)

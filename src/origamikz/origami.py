@@ -715,14 +715,12 @@ def _parse_int(text, line):
 def _parse_cycles(text, line):
     text = text.strip()
     cycles = []
-    if text in ("", "()"):
+    if not text:
         return cycles
     if not text.startswith("(") or not text.endswith(")"):
         raise ValueError("line %r: cycles must be parenthesised" % line)
     for chunk in text[1:-1].split(")("):
         syms = chunk.replace(",", " ").split()
-        if not syms:
-            continue
         cycles.append(tuple(_parse_int(s, line) for s in syms))
     return cycles
 

@@ -254,13 +254,16 @@ class _CosetTable:
 def _enumerate(subgroup_words, cap):
     """One HLT pass, which closes the table (Holt, Eick and O'Brien, 2005, 5.1).
 
-    The subgroup words are scanned at coset 0; then each coset still live
-    when its turn comes scans every relator and fills its row.  A merge
-    reopens nothing a processed coset closed, so at the end every live row
-    is complete and every relator closes at every live coset.
+    The subgroup words are scanned at coset 0, shortest first, so a long
+    word runs through what the short ones have built instead of spending
+    the cap on cosets of its own; then each coset still live when its turn
+    comes scans every relator and fills its row.  A merge reopens nothing
+    a processed coset closed, so at the end every live row is complete and
+    every relator closes at every live coset.  Coset 0 is the subgroup;
+    the others are numbered in the order this pass defines them.
     """
     t = _CosetTable(cap)
-    for w in subgroup_words:
+    for w in sorted(subgroup_words, key=len):
         if w:
             t.scan_and_fill(t.rep(0), w)
     alpha = 0

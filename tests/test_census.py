@@ -1,3 +1,4 @@
+import json
 import random
 from collections import Counter
 from itertools import permutations
@@ -13,9 +14,11 @@ from origamikz import (
     singularity_data,
 )
 from origamikz import census as census_mod
+from origamikz.cli import main
 from origamikz.origami import Perm, _transitive, holonomy_lattice_index
 
-from util import census_cosets, centralizer, reference_h2_forms, type_keeping_three_cycles
+from util import (census_cosets, centralizer, reference_fixed_point_key, reference_h2_forms,
+                  type_keeping_three_cycles)
 
 
 def test_counts_small_degrees():
@@ -224,8 +227,8 @@ def _sweep_counts(monkeypatch, d):
 def test_sweep_builds_every_element_and_forms_one_per_key(monkeypatch):
     # the sweep still builds every transitive coset element: at degrees 7
     # and 8 the full cosets hold 6,393 and 35,952, of which 1,757 and
-    # 6,716 are transitive; only an element whose fixed-point key is new
-    # in its coset is reduced to a canonical form
+    # 6,716 are transitive; only an element whose key, v on h's moved
+    # squares, is new in its coset is reduced to a canonical form
     for d, built, forms in ((7, 1757, 1021), (8, 6716, 2110)):
         assert _sweep_counts(monkeypatch, d) == {"built": built, "forms": forms}
 
@@ -268,17 +271,25 @@ def test_fixed_point_key_is_invariant_under_relabelling_fixed_points():
             swept = census_mod._centralizer(h, v0)
             for z in rng.sample(swept, min(len(swept), 12)):
                 v = tuple(v0[x] for x in z)
-                key = census_mod._fixed_point_key(v, m)
+                key = reference_fixed_point_key(v, m)
                 for _ in range(3):
                     k = dict(zip(fixed, rng.sample(fixed, len(fixed))))
-                    assert census_mod._fixed_point_key(_conjugate(v, k), m) == key
+                    assert reference_fixed_point_key(_conjugate(v, k), m) == key
                     checked += 1
     assert checked > 1000
 
 
+def _classes(vs, key):
+    by_key = {}
+    for v in vs:
+        by_key.setdefault(key(v), set()).add(v)
+    return {frozenset(c) for c in by_key.values()}
+
+
 def test_fixed_point_key_classes_are_the_conjugacy_classes():
-    # on each coset at degree 7, elements share a key iff a permutation of
-    # h's fixed points conjugates one into the other
+    # on each coset at degree 7, elements share the census key v[:m] iff a
+    # permutation of h's fixed points conjugates one into the other; the
+    # fixed-point key gives the same classes
     cosets = 0
     for h, v0 in census_cosets(7):
         fixed, m = _fixed_points(h)
@@ -288,32 +299,28 @@ def test_fixed_point_key_classes_are_the_conjugacy_classes():
         coset = {tuple(v0[x] for x in z) for z in census_mod._centralizer(h, v0)}
         ks = [dict(zip(fixed, p)) for p in permutations(fixed)]
         classes = {frozenset(_conjugate(v, k) for k in ks) & coset for v in coset}
-        by_key = {}
-        for v in coset:
-            by_key.setdefault(census_mod._fixed_point_key(v, m), set()).add(v)
-        assert {frozenset(c) for c in by_key.values()} == classes
+        assert _classes(coset, lambda v: v[:m]) == classes
+        assert _classes(coset, lambda v: reference_fixed_point_key(v, m)) == classes
     assert cosets > 0
 
 
 def test_fixed_point_key_classes_are_the_parts_on_the_moved_squares():
-    # the lemma a census keyed by z's part on h's moved squares 0..m-1
-    # would rest on: on every census coset of degree 3 to 9, two swept
-    # elements share a fixed-point key exactly when they agree there.  z
-    # permutes the moved squares, so any m - 1 of its values there fix the
-    # part; m - 2 of them need not
+    # the lemma the census key rests on: on every census coset of degree 3
+    # to 9, two swept elements share a fixed-point key exactly when v
+    # agrees on h's moved squares 0..m-1.  z permutes the moved squares, so
+    # any m - 1 of v's values there fix the part; m - 2 of them need not
     cosets = elements = classes = 0
     for d in range(3, 10):
         for h, v0 in census_cosets(d):
             _, m = _fixed_points(h)
             swept = census_mod._centralizer(h, v0)
             assert all(sorted(z[:m]) == list(range(m)) for z in swept)
-            pairs = {(census_mod._fixed_point_key(tuple(v0[x] for x in z), m), z[:m])
-                     for z in swept}
-            assert len({key for key, _ in pairs}) == len(pairs)
-            assert len({part for _, part in pairs}) == len(pairs)
+            vs = [tuple(v0[x] for x in z) for z in swept]
+            parts = _classes(vs, lambda v: v[:m])
+            assert parts == _classes(vs, lambda v: reference_fixed_point_key(v, m))
             cosets += 1
             elements += len(swept)
-            classes += len(pairs)
+            classes += len(parts)
     assert (cosets, elements, classes) == (1731, 45470, 8713)
 
 
@@ -379,3 +386,15 @@ def test_degree10_single_orbit():
     census = h2_origamis(10)
     assert len(census) == 216
     assert len(orbit_partition(census)) == 1
+
+
+@pytest.mark.slow
+def test_degree11_census_command(capsys):
+    # the whole command at the largest degree it runs in seconds: two
+    # orbits, family A holding L(2,10) and family B holding L(3,9)
+    assert main(["census", "--degree", "11"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["count"] == _primitive_count(11) == 405
+    orbits = {(orb["size"], orb["family"], "L(2,10)" in orb["l_shapes"],
+               "L(3,9)" in orb["l_shapes"]) for orb in rep["orbits"]}
+    assert orbits == {(225, "A", True, False), (180, "B", False, True)}

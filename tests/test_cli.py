@@ -171,6 +171,14 @@ def test_index_text_prints_integer(capsys):
     assert out == "1"
 
 
+def test_index_closes_short_words_before_a_long_one(capsys):
+    # S and T generate SL2(Z); T^100000 scanned first would define the
+    # whole coset cap before S and T close coset 0
+    code, rep = run_json(capsys, ["index", "--gens", "1,100000,0,1;0,-1,1,0;1,1,0,1"])
+    assert code == 0
+    assert rep["index"] == 1 and rep["contains_minus_identity"] is True
+
+
 def test_orbit_cap_reports_reached_count(capsys, l24_file):
     code = main(["orbit", l24_file, "--cap", "5"])
     captured = capsys.readouterr()

@@ -643,9 +643,10 @@ def test_text_format_round_trip():
     # an identity is written as the empty cycle
     assert format_origami(TORUS) == "d=1\nh=()\nv=()\n"
     assert parse_origami(format_origami(TORUS)) == TORUS
+    # an empty cycle is skipped, beside a cycle or alone
     assert parse_origami("h=(1 2)()\nv=(1 3)") == parse_origami("h=(1 2)\nv=(1 3)")
-    # from_cycles would ignore an empty cycle too, so read the parsed list
-    assert origami_module._parse_cycles("(1 2)()", "h=(1 2)()") == [(1, 2)]
+    assert parse_origami("h=()\nv=(1 2 3)") == parse_origami("h=\nv=(1 2 3)")
+    assert parse_origami("h=()\nv=(1 2 3)").h == Perm.identity(3)
     assert parse_origami("# comment\nd=6\nh=(1 2 3)\nv=(3 4 5 6)").degree == 6
 
 

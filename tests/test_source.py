@@ -1,7 +1,9 @@
 """Static checks on the package source."""
 
 import ast
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -127,4 +129,81 @@ def test_tracer_does_no_fraction_arithmetic():
             ref = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
             if ref in banned:
                 found.append("%s:%d %s" % (name, node.lineno, ref))
+    assert not found, found
+
+
+_ROLE = re.compile(r":(?:func|class|meth|attr|data|exc):`([^`]*)`")
+
+
+def _src_definitions():
+    # every name a src module or class binds, bare and dotted by module
+    # and class: functions, classes, assignments, and self.X attributes
+    names = set()
+    for path in sorted(SRC.glob("*.py")):
+        module = path.stem
+        for node in ast.parse(path.read_text(), str(path)).body:
+            for scope, name in _bound_names(node):
+                names.update((name, scope + name, module + "." + scope + name))
+    return names
+
+
+def _assigned(node):
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        return node.targets if isinstance(node, ast.Assign) else [node.target]
+    return []
+
+
+def _bound_names(node):
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        yield "", node.name
+    for t in _assigned(node):
+        yield from (("", n.id) for n in ast.walk(t) if isinstance(n, ast.Name))
+    if isinstance(node, ast.ClassDef):
+        scope = node.name + "."
+        for member in node.body:
+            if isinstance(member, ast.FunctionDef):
+                yield scope, member.name
+            yield from ((scope, t.id) for t in _assigned(member) if isinstance(t, ast.Name))
+        for sub in ast.walk(node):
+            yield from ((scope, t.attr) for t in _assigned(sub)
+                        if isinstance(t, ast.Attribute) and getattr(t.value, "id", None) == "self")
+
+
+def _imports(target):
+    # a dotted name outside the package, resolved as an import would
+    parts = target.split(".")
+    for cut in range(len(parts) - 1, 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ImportError:
+            continue
+        try:
+            for part in parts[cut:]:
+                obj = getattr(obj, part)
+        except AttributeError:
+            return False
+        return True
+    return False
+
+
+def test_docstring_references_resolve():
+    # a :func:, :class:, :meth:, :attr:, :data: or :exc: target names
+    # something src defines (optionally as origamikz.<module>...), or,
+    # dotted, something an import finds, as fractions.Fraction
+    defined = _src_definitions()
+    found, checked = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)):
+                continue
+            for target in _ROLE.findall(ast.get_docstring(node) or ""):
+                checked += 1
+                local = target.removeprefix("origamikz.")
+                if local in defined:
+                    continue
+                if local == target and "." in target and _imports(target):
+                    continue
+                found.append("%s: %s" % (path.name, target))
+    assert checked > 0
     assert not found, found

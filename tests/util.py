@@ -638,12 +638,35 @@ def census_cosets(degree):
             yield h, census._conjugator(h.cycles(include_fixed=True), w.cycles(include_fixed=True))
 
 
+def reference_fixed_point_key(v, m):
+    """A key equal exactly on the conjugates of v by permutations of m, m+1, ...
+
+    Rename the squares >= m in the order v reaches them, walking from each
+    square below m in increasing order until the walk is back below m.
+    For each square below m the key holds the square its walk ends at and
+    how many squares >= m it passes, which fixes the renamed v; a
+    conjugate renames the same walks.  Every v-cycle must meet a square
+    below m, as it does when v is transitive with an h that fixes exactly
+    the squares >= m.  The oracle for the census key v[:m] of
+    :func:`origamikz.h2_origamis`.
+    """
+    key = []
+    for s in range(m):
+        x = v[s]
+        passed = 0
+        while x >= m:
+            x = v[x]
+            passed += 1
+        key.append(x + m * passed)
+    return tuple(key)
+
+
 def reference_h2_forms(degree, primitive_only=True):
     """The H(2) census of ``degree`` with no coset element skipped.
 
     Every v0 z over the full centralizer z of h (:func:`centralizer`)
     that is transitive with h is reduced to its canonical form, with no
-    fixed-point key: the oracle for :func:`origamikz.h2_origamis`, in the
+    census key: the oracle for :func:`origamikz.h2_origamis`, in the
     same order.
     """
     forms = set()
