@@ -26,10 +26,8 @@ seen for the first time is built as an origami and tested for
 primitivity.
 
 This is exact for every degree, but the centralizer cosets blow up with
-the number of fixed points of h.  On 2 vCPUs with Python 3.11, with
-``bench/calibrate.py`` reading 0.015-0.016 s against its 0.016 s
-reference, degrees up to 9 take 0.2-0.3 s, 10 0.7-0.8 s, 11 about 5.5 s
-and 12 about 50 s, start-up included.
+the number of fixed points of h, so the time grows steeply from degree
+10 on (the README gives it per degree).
 """
 
 from itertools import chain, combinations, groupby, permutations, product

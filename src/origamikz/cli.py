@@ -78,7 +78,7 @@ def _int_chunks(size, build=None, one=False):
 
 
 def _load_origami(path):
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh:
         return parse_origami(fh.read())
 
 
@@ -202,14 +202,10 @@ def cmd_index(args):
     return EXIT_OK
 
 
-def _l_shapes_in(degree, members):
-    """(n, m) of every L-shape of this degree whose class is in the set."""
-    shapes = []
-    for n in range(2, degree):
-        m = degree + 1 - n
-        if canonical_form(make_l_origami(n, m)) in members:
-            shapes.append((n, m))
-    return shapes
+def _l_shapes(degree):
+    """((n, m), canonical form) of every L-shape of this degree."""
+    shapes = [(n, degree + 1 - n) for n in range(2, degree)]
+    return [(nm, canonical_form(make_l_origami(*nm))) for nm in shapes]
 
 
 def _orbit_cap_exit(what, cap, exc):
@@ -230,7 +226,7 @@ def cmd_orbit(args):
         "orbit",
         degree=o.degree,
         size=len(orb),
-        l_shapes=["L(%d,%d)" % nm for nm in _l_shapes_in(o.degree, orb)],
+        l_shapes=["L(%d,%d)" % nm for nm, form in _l_shapes(o.degree) if form in orb],
     )
     _emit(rep, args, lambda rep: print(
         "orbit size %d, L-shapes: %s" % (rep["size"], rep["l_shapes"])))
@@ -250,9 +246,10 @@ def cmd_census(args):
         parts = orbit_partition(origamis, cap)
     except OrbitCapExceeded as exc:
         return _orbit_cap_exit("an orbit", cap, exc)
+    l_shapes = _l_shapes(d)
     orbits = []
     for part in sorted(parts, key=len):
-        shapes = _l_shapes_in(d, part)
+        shapes = [nm for nm, form in l_shapes if form in part]
         family = None
         if d % 2 == 1 and shapes:
             family = "A" if shapes[0][0] % 2 == 0 else "B"

@@ -39,7 +39,8 @@ F1 = Fraction(1)
 
 
 class Direction:
-    """A primitive rational direction, stored with q > 0 or (q = 0, p > 0)."""
+    """A primitive rational direction, stored with q > 0 or (q = 0, p > 0);
+    immutable, since it is hashed by value."""
 
     __slots__ = ("p", "q")
 
@@ -50,8 +51,17 @@ class Direction:
         p, q = p // g, q // g
         if q < 0 or (q == 0 and p < 0):
             p, q = -p, -q
-        self.p = p
-        self.q = q
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Direction is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Direction is immutable")
+
+    def __reduce__(self):  # pickle and copy through __init__, not setattr
+        return (Direction, self.vector)
 
     @property
     def vector(self):
@@ -471,34 +481,26 @@ def _row_chains(pair):
     """
     h, v = pair
     rows = _cycles(h)
-    row_of = {}
-    for idx, r in enumerate(rows):
-        for sq in r:
-            row_of[sq] = idx
-    succ = []
-    for r in rows:
-        if all(v[h[i]] == h[v[i]] for i in r):
-            succ.append(row_of[v[r[0]]])
-        else:
-            succ.append(None)
-    merged_targets = {s for s in succ if s is not None}
+    row_of = {sq: idx for idx, r in enumerate(rows) for sq in r}
+    # up[i]: the row above row i, for each row i that continues into it
+    up = {idx: row_of[v[r[0]]] for idx, r in enumerate(rows)
+          if all(v[h[i]] == h[v[i]] for i in r)}
     chains = []
     visited = set()
-    # bottom rows (no row merges into them) first; what is left are purely
+    # bottom rows (no row continues into them) first; what is left are purely
     # cyclic bands without singular lines, walked from their first row
-    for start in sorted(range(len(rows)), key=merged_targets.__contains__):
+    for start in sorted(range(len(rows)), key=set(up.values()).__contains__):
         if start in visited:
             continue
         chain = []
         r = start
         while r is not None and r not in visited:
+            if len(rows[r]) != len(rows[start]):
+                raise TracingError("rows of one cylinder differ in length")
             visited.add(r)
             chain.append(rows[r])
-            r = succ[r]
+            r = up.get(r)
         chains.append(chain)
-    for chain in chains:
-        if len({len(r) for r in chain}) != 1:
-            raise TracingError("rows of one cylinder differ in length")
     return chains
 
 
@@ -658,15 +660,9 @@ class SeparatrixDiagram:
         self.edge_out = tuple(edge_out)  # (vertex_index, turn) per edge
         self.edge_in = tuple(edge_in)
         # every (vertex, turn) slot must carry exactly one out and one in
-        for ends in (self.edge_out, self.edge_in):
-            slots = sorted(ends)
-            expect = sorted(
-                (vi, t)
-                for vi, v in enumerate(self.vertices)
-                for t in range(len(v))
-            )
-            if slots != expect:
-                raise ValueError("edge ends do not fill the vertex slots")
+        slots = [(vi, t) for vi, v in enumerate(self.vertices) for t in range(len(v))]
+        if sorted(self.edge_out) != slots or sorted(self.edge_in) != slots:
+            raise ValueError("edge ends do not fill the vertex slots")
 
     @property
     def n_vertices(self):

@@ -79,7 +79,7 @@ class Perm:
 
     @classmethod
     def identity(cls, d):
-        return cls(range(d))
+        return cls._trusted(tuple(range(d)))
 
     @classmethod
     def from_cycles(cls, cycles, degree=None):
@@ -108,7 +108,7 @@ class Perm:
                     raise ValueError("symbol %d repeated across cycles" % s)
                 seen.add(s)
                 images[s - 1] = t - 1
-        return cls(images)
+        return cls._trusted(tuple(images))
 
     @property
     def degree(self):
@@ -298,7 +298,7 @@ def make_l_origami(n, m):
         raise ValueError("degree %d exceeds MAX_DEGREE = %d" % (d, MAX_DEGREE))
     h = Perm.from_cycles([tuple(range(1, n + 1))], degree=d)
     v = Perm.from_cycles([(1,) + tuple(range(n + 1, n + m))], degree=d)
-    return Origami(h, v)
+    return Origami._trusted(h, v)
 
 
 # ---------------------------------------------------------------------------
@@ -756,7 +756,6 @@ def parse_origami(text):
         raise ValueError("need both an h= line and a v= line")
     if d is None:
         d = max((s for c in raw["h"] + raw["v"] for s in c), default=1)
-    return Origami(
-        Perm.from_cycles(raw["h"], degree=d),
-        Perm.from_cycles(raw["v"], degree=d),
-    )
+    # input from outside goes through the checking constructors
+    h, v = (Perm(Perm.from_cycles(raw[k], degree=d).images) for k in "hv")
+    return Origami(h, v)

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -10,6 +12,7 @@ from origamikz import (
     SeparatrixDiagram,
     TracingError,
     act_matrix,
+    canonical_form,
     contains_point,
     decompose,
     dehn_twist_action,
@@ -83,6 +86,22 @@ def test_direction_normalisation():
     assert Direction(0, -5).vector == (0, 1)
 
 
+def test_direction_is_immutable():
+    # directions key dicts by value (kz_generators' held twists, the
+    # decompositions of check_family_case)
+    d = Direction(2, 3)
+    held = {d: "twist"}
+    with pytest.raises(AttributeError):
+        d.p = 5
+    with pytest.raises(AttributeError):
+        del d.q
+    with pytest.raises(AttributeError):
+        d.extra = 1
+    assert d.vector == (2, 3)
+    assert held[d] == held[Direction(2, 3)] == "twist"
+    assert pickle.loads(pickle.dumps(d)) == copy.deepcopy(d) == d
+
+
 def test_horizontal_decomposition_l_shapes():
     hd = decompose(make_l_origami(2, 4), Direction(1, 0))
     assert sorted((c.f, c.height_rows) for c in hd.cylinders) == [
@@ -151,6 +170,31 @@ def test_saddle_connection_count_h2():
 
 def test_saddle_connections_torus_empty():
     assert decompose(TORUS, Direction(1, 0)).saddle_connections == ()
+
+
+def _torus_covers(dmax):
+    # Z^2 modulo each lattice of index d <= dmax, in Hermite normal form
+    # with basis (a, 0), (b, c): a c = d, 0 <= b < a, sigma(d) of them;
+    # square y a + x is (x, y), and h and v translate by (1, 0) and (0, 1)
+    lattices = [(a, b, d // a) for d in range(1, dmax + 1) for a in range(1, d + 1)
+                if d % a == 0 for b in range(a)]
+    for a, b, c in lattices:
+        h = [y * a + (x + 1) % a for y in range(c) for x in range(a)]
+        v = [(y + 1) * a + x if y + 1 < c else (x - b) % a
+             for y in range(c) for x in range(a)]
+        yield Origami(Perm(h), Perm(v))
+
+
+def test_torus_covers_are_one_cylinder_in_every_direction():
+    # no cone point: the rows of every direction form one cyclic band
+    covers = list(_torus_covers(6))
+    assert len({canonical_form(o) for o in covers}) == len(covers) == 1 + 3 + 4 + 7 + 6 + 12
+    for o in covers:
+        for d in primitive_directions(5):
+            dec = decompose(o, d)
+            (cyl,) = dec.cylinders
+            assert (cyl.f * cyl.height_rows, cyl.c) == (o.degree, 1)
+            assert dec.saddle_connections == ()
 
 
 def test_saddle_holonomy_positive_multiple_of_direction():

@@ -753,15 +753,23 @@ def test_compose_rejects_degree_mismatch():
 
 
 def test_unchecked_results_pass_the_checks():
-    # act_letter, canonical_form, inverse and composition skip validation;
-    # the validating constructors must accept everything they return
+    # act_letter, canonical_form, inverse, composition, from_cycles,
+    # identity and make_l_origami skip validation; the validating
+    # constructors must accept everything they return
     rng = random.Random(5)
     for _ in range(20):
         o = random_transitive_pair(rng)
         outs = [act_letter(pair_of(o), g, e) for g, e in GENS + [("U", 1)]]
-        outs += [canonical_form(o), Origami(o.h * o.v, o.v.inverse())]
+        outs += [canonical_form(o), Origami(o.h * o.v, o.v.inverse()),
+                 make_l_origami(rng.randint(2, 6), rng.randint(2, 6))]
         for r in map(pair_of, outs):
             assert pair_of(Origami(Perm(r[0]), Perm(r[1]))) == r
+        for p in (o.h, o.v):
+            one_based = [tuple(s + 1 for s in c) for c in p.cycles()]
+            built = Perm.from_cycles(one_based, degree=o.degree)
+            assert Perm(built.images) == built == p
+        ident = Perm.identity(o.degree)
+        assert Perm(ident.images) == ident == Perm(range(o.degree))
 
 
 @pytest.mark.slow

@@ -113,6 +113,19 @@ def test_no_unread_module_names():
     assert not found, found
 
 
+def test_every_open_names_an_encoding():
+    # a file opened in the locale's encoding reads differently on another
+    # machine; every open( call in src says which encoding it reads
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if (isinstance(node, ast.Call)
+                    and "open" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+                    and not any(kw.arg == "encoding" for kw in node.keywords)):
+                found.append("%s:%d" % (path.name, node.lineno))
+    assert not found, found
+
+
 def test_tracer_does_no_fraction_arithmetic():
     # the square-crossing stepper, the two tracers and the start points
     # and label points they are handed or return run on integers over one
