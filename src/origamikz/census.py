@@ -33,7 +33,7 @@ the number of fixed points of h, so the time grows steeply from degree
 from itertools import chain, combinations, groupby, permutations, product
 
 from .errors import OrigamiError
-from .origami import (ORBIT_CAP, Perm, _cycles, _pair_origami, canonical_form, is_primitive,
+from .origami import (Perm, _cycles, _pair_origami, canonical_form, is_primitive,
                       orbit)
 
 
@@ -205,8 +205,9 @@ def h2_origamis(degree, primitive_only=True):
     return [_pair_origami(form) for form in sorted(found)]
 
 
-def orbit_partition(origamis, cap=ORBIT_CAP):
-    """Partition a set of canonical origamis into SL2(Z) orbits."""
+def orbit_partition(origamis, cap=None):
+    """Partition a set of canonical origamis into SL2(Z) orbits, each
+    capped as :func:`origamikz.origami.orbit` caps it."""
     remaining = set(origamis)
     parts = []
     while remaining:

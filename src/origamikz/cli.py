@@ -18,8 +18,9 @@ from .errors import IndexCapExceeded, OrbitCapExceeded, OrigamiError
 from .geometry import Direction, decompose, primitive_directions
 from .homology import default_basis, nontaut_basis, standard_basis
 from .monodromy import kz_generators
-from .origami import (MAX_DEGREE, MAX_TRACE_LENGTH, ORBIT_CAP, canonical_form,
-                      make_l_origami, orbit, parse_origami)
+from .origami import (MAX_DEGREE, MAX_ORBIT_SQUARES, MAX_TRACE_LENGTH, ORBIT_CAP,
+                      canonical_form, default_orbit_cap, make_l_origami, orbit,
+                      parse_origami)
 from .paper import check_family_case, family_trace_length, matrix_json
 from .sl2 import COSET_CAP, Mat2, _index_and_minus_identity, index_in_sl2
 
@@ -217,7 +218,7 @@ def _orbit_cap_exit(what, cap, exc):
 
 def cmd_orbit(args):
     o = _load_origami(args.file)
-    cap = args.cap
+    cap = args.cap or default_orbit_cap(o.degree)
     try:
         orb = orbit(o, cap)
     except OrbitCapExceeded as exc:
@@ -241,7 +242,7 @@ def cmd_census(args):
               "longer beyond" % d,
               file=sys.stderr)
     origamis = h2_origamis(d)
-    cap = args.cap
+    cap = args.cap or default_orbit_cap(d)
     try:
         parts = orbit_partition(origamis, cap)
     except OrbitCapExceeded as exc:
@@ -402,8 +403,9 @@ def _build_parser():
                       for _ in range(2))
     cosets.add_argument("--cap", type=int, default=COSET_CAP,
                         help="live-coset cap (default %(default)d)")
-    orbits.add_argument("--cap", type=int, default=ORBIT_CAP,
-                        help="orbit-size cap (default %(default)d)")
+    orbits.add_argument("--cap", type=int,
+                        help="orbit-size cap (default min(%d, %d // degree))"
+                        % (ORBIT_CAP, MAX_ORBIT_SQUARES))
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decompose", parents=[common],

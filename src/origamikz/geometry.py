@@ -32,13 +32,13 @@ from math import gcd, lcm
 from .errors import TracingError
 from .origami import (MAX_TRACE_LENGTH, _cycles, _vertex_cycles, act_word, pull_back_chain,
                       pull_back_point, push_forward_chain, push_forward_point)
-from .sl2 import Mat2, matrix_to_word
+from .sl2 import Mat2, _Value, matrix_to_word
 
 F0 = Fraction(0)
 F1 = Fraction(1)
 
 
-class Direction:
+class Direction(_Value):
     """A primitive rational direction, stored with q > 0 or (q = 0, p > 0);
     immutable, since it is hashed by value."""
 
@@ -51,30 +51,11 @@ class Direction:
         p, q = p // g, q // g
         if q < 0 or (q == 0 and p < 0):
             p, q = -p, -q
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Direction is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Direction is immutable")
-
-    def __reduce__(self):  # pickle and copy through __init__, not setattr
-        return (Direction, self.vector)
+        super().__init__(p, q)
 
     @property
     def vector(self):
         return (self.p, self.q)
-
-    def __eq__(self, other):
-        return isinstance(other, Direction) and self.vector == other.vector
-
-    def __hash__(self):
-        return hash(self.vector)
-
-    def __repr__(self):
-        return "Direction(%d, %d)" % (self.p, self.q)
 
 
 def primitive_directions(max_sum):

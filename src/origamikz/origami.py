@@ -33,7 +33,7 @@ from itertools import combinations, islice
 from math import gcd
 
 from .errors import InvalidShapeError, OrbitCapExceeded, OrigamiError
-from .sl2 import matrix_to_word
+from .sl2 import _Value, matrix_to_word
 
 # Largest degree the text format and Perm.from_cycles accept.  Checked
 # before any O(d) allocation, so a hostile ``d=`` line fails cleanly.
@@ -51,6 +51,19 @@ MAX_TRACE_LENGTH = 12 * MAX_DEGREE
 
 # Default cap on the canonical forms an SL2(Z) orbit may reach.
 ORBIT_CAP = 10**6
+
+# Default cap on the squares those forms hold in all.  An orbit keeps
+# every form it reaches, two image tuples of the degree each, so its
+# memory grows with forms * degree: about 53 KB per form of L(2,999) and
+# 0.66 MB per form of L(2,9999) on 2 vCPUs with Python 3.11.  This cap
+# still covers the 12,600 forms (516,600 squares) of the L(2,40) orbit.
+MAX_ORBIT_SQUARES = 10**7
+
+
+def default_orbit_cap(degree):
+    """The orbit cap used when none is given: the fewer of :data:`ORBIT_CAP`
+    forms and :data:`MAX_ORBIT_SQUARES` squares."""
+    return min(ORBIT_CAP, MAX_ORBIT_SQUARES // degree)
 
 
 class Perm:
@@ -242,31 +255,20 @@ def _vertex_cycles(h, v):
     return _cycles(turn)
 
 
-class SingularityData:
+class SingularityData(_Value):
     """Cone orders (order k means angle 2*pi*(k+1)) and the genus."""
 
     __slots__ = ("cone_orders", "genus")
 
     def __init__(self, cone_orders, genus):
-        self.cone_orders = tuple(sorted(cone_orders))
-        self.genus = genus
+        super().__init__(tuple(sorted(cone_orders)), genus)
 
     @property
     def is_h2(self):
         return self.cone_orders == (2,)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SingularityData)
-            and self.cone_orders == other.cone_orders
-            and self.genus == other.genus
-        )
-
     def __repr__(self):
-        return "SingularityData(cone_orders=%r, genus=%d)" % (
-            self.cone_orders,
-            self.genus,
-        )
+        return "SingularityData(cone_orders=%r, genus=%d)" % self._values()
 
 
 def singularity_data(o):
@@ -622,7 +624,7 @@ def _orbit_graph(o, cap):
     return forms, s_table, u_table
 
 
-def orbit(o, cap=ORBIT_CAP):
+def orbit(o, cap=None):
     """The SL2(Z) orbit of ``o`` as a frozenset of canonical forms.
 
     BFS under S and T only.  On a finite set, the set reachable by S and T
@@ -649,11 +651,14 @@ def orbit(o, cap=ORBIT_CAP):
     :func:`act_letter` takes and :func:`canonical_form` takes in place
     of an origami; origamis are built only for the result.
 
-    Raises :class:`OrbitCapExceeded` if more than ``cap`` forms show up,
-    carrying the partial set, the BFS depth of the form being expanded
-    and the frontier: the forms found but not yet fully expanded,
-    counting that one.
+    Raises :class:`OrbitCapExceeded` if more than ``cap`` forms show up
+    (by default :func:`default_orbit_cap` of the degree), carrying the
+    partial set, the BFS depth of the form being expanded and the
+    frontier: the forms found but not yet fully expanded, counting that
+    one.
     """
+    if cap is None:
+        cap = default_orbit_cap(o.degree)
     return frozenset(map(_pair_origami, _orbit_graph(o, cap)[0]))
 
 

@@ -32,30 +32,47 @@ COSET_CAP = 10000
 MAX_WORD_LENGTH = 10**6
 
 
-class Mat2:
+class _Value:
+    """An immutable value whose fields are its ``__slots__``, set once by
+    position; equal (to its own type only), hashed and pickled by them."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError("%s takes %d values, got %d"
+                            % (type(self).__name__, len(self.__slots__), len(values)))
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self):
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __delattr__(self, name):
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):  # pickle and copy through __init__, not setattr
+        return (type(self), self._values())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__name__, ", ".join(map(repr, self._values())))
+
+
+class Mat2(_Value):
     """Row-major integer 2x2 matrix [[a, b], [c, d]]; immutable and hashable."""
 
     __slots__ = ("a", "b", "c", "d")
-
-    def __init__(self, a, b, c, d):
-        object.__setattr__(self, "a", a)
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "c", c)
-        object.__setattr__(self, "d", d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Mat2 is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Mat2 is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, Mat2):
-            return NotImplemented
-        return self.rows() == other.rows()
-
-    def __hash__(self):
-        return hash(self.rows())
 
     def det(self):
         return self.a * self.d - self.b * self.c
@@ -85,9 +102,6 @@ class Mat2:
 
     def rows(self):
         return ((self.a, self.b), (self.c, self.d))
-
-    def __repr__(self):
-        return "Mat2(%d, %d, %d, %d)" % (self.a, self.b, self.c, self.d)
 
 
 IDENTITY = Mat2(1, 0, 0, 1)

@@ -197,6 +197,21 @@ def test_orbit_cap_reports_depth_and_frontier(capsys, l24_file):
                    "frontier 2")
 
 
+@pytest.mark.parametrize("command, what", [("orbit", "orbit"), ("census", "an orbit")])
+def test_default_orbit_cap_shrinks_with_the_degree(monkeypatch, capsys, l24_file,
+                                                   command, what):
+    # 50 squares make a default cap of 10 forms at degree 5, which the
+    # 18-form orbit of L(2,4) passes; an explicit --cap is kept
+    monkeypatch.setattr(origami, "MAX_ORBIT_SQUARES", 50)
+    argv = ["orbit", l24_file] if command == "orbit" else ["census", "--degree", "5"]
+    assert main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("%s exceeds cap of 10; 10 forms reached at BFS depth 3, "
+                            "frontier 3\n" % what)
+    assert main(argv + ["--cap", "18"]) == 0
+
+
 def test_index_cap_exit_code(capsys):
     code = main(["index", "--gens", "1,1,0,1", "--cap", "300"])
     err = capsys.readouterr().err

@@ -1,5 +1,3 @@
-import copy
-import pickle
 import random
 from fractions import Fraction
 
@@ -84,22 +82,6 @@ def test_direction_normalisation():
     assert Direction(-1, -2).vector == (1, 2)
     assert Direction(-3, 0).vector == (1, 0)
     assert Direction(0, -5).vector == (0, 1)
-
-
-def test_direction_is_immutable():
-    # directions key dicts by value (kz_generators' held twists, the
-    # decompositions of check_family_case)
-    d = Direction(2, 3)
-    held = {d: "twist"}
-    with pytest.raises(AttributeError):
-        d.p = 5
-    with pytest.raises(AttributeError):
-        del d.q
-    with pytest.raises(AttributeError):
-        d.extra = 1
-    assert d.vector == (2, 3)
-    assert held[d] == held[Direction(2, 3)] == "twist"
-    assert pickle.loads(pickle.dumps(d)) == copy.deepcopy(d) == d
 
 
 def test_horizontal_decomposition_l_shapes():

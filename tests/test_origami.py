@@ -18,6 +18,7 @@ from origamikz import (
     is_primitive,
     make_l_origami,
     orbit,
+    orbit_partition,
     parse_origami,
     relabel,
     shear_matrix,
@@ -529,6 +530,18 @@ def test_orbit_cap():
     with pytest.raises(OrbitCapExceeded) as err:
         orbit(make_l_origami(2, 4), cap=2)
     assert len(err.value.partial) >= 2
+
+
+def test_default_orbit_cap_shrinks_with_the_degree(monkeypatch):
+    # without a cap, orbit and orbit_partition stop at
+    # MAX_ORBIT_SQUARES // degree forms: 10 at degree 5 here
+    monkeypatch.setattr(origami_module, "MAX_ORBIT_SQUARES", 50)
+    o = make_l_origami(2, 4)
+    for run in (lambda: orbit(o), lambda: orbit_partition([canonical_form(o)])):
+        with pytest.raises(OrbitCapExceeded) as err:
+            run()
+        assert len(err.value.partial) == 10
+    assert len(orbit(o, cap=18)) == 18
 
 
 def _st_distances(o):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 
 import pytest
@@ -8,6 +10,7 @@ from origamikz import (
     IndexCapExceeded,
     Mat2,
     S,
+    SingularityData,
     T,
     contains_minus_identity,
     coset_action,
@@ -185,15 +188,28 @@ def test_mat2_value_semantics():
     assert repr(m) == "Mat2(2, 1, -1, 0)"
 
 
-def test_mat2_is_immutable():
-    m = Mat2(1, 1, 0, 1)
-    with pytest.raises(AttributeError):
-        m.a = 5
-    with pytest.raises(AttributeError):
-        del m.b
-    with pytest.raises(AttributeError):
-        m.extra = 1
-    assert m == Mat2(1, 1, 0, 1)
+@pytest.mark.parametrize("cls, fields", [
+    (Mat2, (1, 1, 0, 1)),
+    (Direction, (2, 3)),
+    (SingularityData, ((2,), 2)),
+], ids=["Mat2", "Direction", "SingularityData"])
+def test_value_is_immutable(cls, fields):
+    # values key dicts by value (kz_generators' held twists, the
+    # decompositions of check_family_case), so they may not change once
+    # hashed; they pickle and copy through __init__
+    value = cls(*fields)
+    held = {value: "held"}
+    twin = pickle.loads(pickle.dumps(value))
+    assert twin == copy.deepcopy(value) == value
+    assert hash(twin) == hash(value)
+    field = cls.__slots__[0]
+    for change in (lambda: setattr(value, field, 5), lambda: delattr(value, field),
+                   lambda: setattr(value, "extra", 1)):
+        with pytest.raises(AttributeError, match="%s is immutable" % cls.__name__):
+            change()
+    assert value == cls(*fields)
+    assert held[twin] == "held"
+    assert value != fields
 
 
 def random_stabilizer(rng, n):
