@@ -18,9 +18,8 @@ from .errors import IndexCapExceeded, OrbitCapExceeded, OrigamiError
 from .geometry import Direction, decompose, primitive_directions
 from .homology import default_basis, nontaut_basis, standard_basis
 from .monodromy import kz_generators
-from .origami import (MAX_DEGREE, MAX_ORBIT_SQUARES, MAX_TRACE_LENGTH, ORBIT_CAP,
-                      canonical_form, default_orbit_cap, make_l_origami, orbit,
-                      parse_origami)
+from .origami import (MAX_DEGREE, MAX_ORBIT_SQUARES, MAX_TRACE_LENGTH, canonical_form,
+                      make_l_origami, orbit, parse_origami)
 from .paper import check_family_case, family_trace_length, matrix_json
 from .sl2 import COSET_CAP, Mat2, _index_and_minus_identity, index_in_sl2
 
@@ -209,20 +208,19 @@ def _l_shapes(degree):
     return [(nm, canonical_form(make_l_origami(*nm))) for nm in shapes]
 
 
-def _orbit_cap_exit(what, cap, exc):
+def _orbit_cap_exit(what, exc):
     print("%s exceeds cap of %d; %d forms reached at BFS depth %d, frontier %d"
-          % (what, cap, len(exc.partial), exc.depth, exc.frontier),
+          % (what, exc.cap, len(exc.partial), exc.depth, exc.frontier),
           file=sys.stderr)
     return EXIT_CAP
 
 
 def cmd_orbit(args):
     o = _load_origami(args.file)
-    cap = args.cap or default_orbit_cap(o.degree)
     try:
-        orb = orbit(o, cap)
+        orb = orbit(o, args.cap)
     except OrbitCapExceeded as exc:
-        return _orbit_cap_exit("orbit", cap, exc)
+        return _orbit_cap_exit("orbit", exc)
     rep = _report(
         "orbit",
         degree=o.degree,
@@ -242,11 +240,10 @@ def cmd_census(args):
               "longer beyond" % d,
               file=sys.stderr)
     origamis = h2_origamis(d)
-    cap = args.cap or default_orbit_cap(d)
     try:
-        parts = orbit_partition(origamis, cap)
+        parts = orbit_partition(origamis, args.cap)
     except OrbitCapExceeded as exc:
-        return _orbit_cap_exit("an orbit", cap, exc)
+        return _orbit_cap_exit("an orbit", exc)
     l_shapes = _l_shapes(d)
     orbits = []
     for part in sorted(parts, key=len):
@@ -404,8 +401,7 @@ def _build_parser():
     cosets.add_argument("--cap", type=int, default=COSET_CAP,
                         help="live-coset cap (default %(default)d)")
     orbits.add_argument("--cap", type=int,
-                        help="orbit-size cap (default min(%d, %d // degree))"
-                        % (ORBIT_CAP, MAX_ORBIT_SQUARES))
+                        help="orbit-size cap (default %d // degree)" % MAX_ORBIT_SQUARES)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("decompose", parents=[common],

@@ -13,15 +13,16 @@ class OrbitCapExceeded(OrigamiError):
     """Orbit enumeration grew past the cap.
 
     Carries the partial orbit, the BFS depth of the form being expanded
-    when the cap was hit, and the frontier: the forms in ``partial`` not
-    yet fully expanded, that one included.
+    when the cap was hit, the frontier (the forms in ``partial`` not yet
+    fully expanded, that one included) and the cap that was applied.
     """
 
-    def __init__(self, message, partial, depth, frontier):
+    def __init__(self, message, partial, depth, frontier, cap):
         super().__init__(message)
         self.partial = frozenset(partial)
         self.depth = depth
         self.frontier = frontier
+        self.cap = cap
 
 
 class BasisUnavailableError(OrigamiError):

@@ -30,8 +30,8 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import TracingError
-from .origami import (MAX_TRACE_LENGTH, _cycles, _vertex_cycles, act_word, pull_back_chain,
-                      pull_back_point, push_forward_chain, push_forward_point)
+from .origami import (MAX_TRACE_LENGTH, _cycles, _inverse, _vertex_cycles, act_word,
+                      pull_back_chain, pull_back_point, push_forward_chain, push_forward_point)
 from .sl2 import Mat2, _Value, matrix_to_word
 
 F0 = Fraction(0)
@@ -225,17 +225,17 @@ def _on_grid(start, a, b):
     return n * k, (sq, x * k, y * k)
 
 
-def _step(o, state, a, b, n):
+def _step(h, v, hi, state, a, b, n):
     """One square crossing along (a, b) from ``(square, X, Y)`` over ``n``.
 
-    Returns ``(step, anchor, next_state)``: ``step`` is ``(square, X0, Y0,
-    X1, Y1)``; ``anchor`` is None at a plain edge crossing, else it anchors
-    the corner sector the exit vertex arrives in; ``next_state`` assumes
-    the vertex is regular.  The exit parameters ``ex / |a|`` and ``ey / b``
-    are compared cross-multiplied, ties going to the side edge.
+    ``h``, ``v`` and ``hi`` are the image lists of h, v and h^-1.  Returns
+    ``(step, anchor, next_state)``: ``step`` is ``(square, X0, Y0, X1,
+    Y1)``; ``anchor`` is None at a plain edge crossing, else it anchors the
+    corner sector the exit vertex arrives in; ``next_state`` assumes the
+    vertex is regular.  The exit parameters ``ex / |a|`` and ``ey / b`` are
+    compared cross-multiplied, ties going to the side edge.
     """
     sq, x, y = state
-    h, v = o.h.images, o.v.images
     ex = n - x if a > 0 else x
     ey = n - y
     if a and (b == 0 or ex * b <= ey * abs(a)):
@@ -252,8 +252,8 @@ def _step(o, state, a, b, n):
             anchor = h[v[sq]]
             nxt = (anchor, 0, 0)
         elif nx == 0 and ny == n:          # direction (-, +) or (0, 1): top-left
-            anchor = h[v[o.h.inverse()(sq)]]
-            nxt = (v[sq], 0, 0) if a == 0 else (o.h.inverse()(v[sq]), n, 0)
+            anchor = h[v[hi[sq]]]
+            nxt = (v[sq], 0, 0) if a == 0 else (hi[v[sq]], n, 0)
         elif nx == n and ny == 0:          # direction (1, 0): bottom-right
             anchor = h[sq]
             nxt = (h[sq], 0, 0)
@@ -265,7 +265,7 @@ def _step(o, state, a, b, n):
     if nx == n:
         return step, None, (h[sq], 0, ny)
     # nx == 0, moving left
-    return step, None, (o.h.inverse()(sq), n, ny)
+    return step, None, (hi[sq], n, ny)
 
 
 def _trace_closed(o, vertex_of, start, direction):
@@ -278,11 +278,12 @@ def _trace_closed(o, vertex_of, start, direction):
     ``(n, steps)`` for :class:`GeodesicLoop`.
     """
     a, b = direction.vector
+    h, v, hi = o.h.images, o.v.images, _inverse(o.h.images)
     n, state = _on_grid(start, a, b)
-    first = state = _step(o, state, a, b, n)[2]
+    first = state = _step(h, v, hi, state, a, b, n)[2]
     steps = []
     for _ in range(_max_steps(o, a, b)):
-        step, anchor, state = _step(o, state, a, b, n)
+        step, anchor, state = _step(h, v, hi, state, a, b, n)
         if anchor is not None and len(vertex_of[anchor]) > 1:
             raise TracingError("closed trace ran into a cone point")
         steps.append(step)
@@ -304,14 +305,15 @@ def _raw_saddles(o, direction):
     (square, X, Y))``.
     """
     a, b = direction.vector
+    h, v, hi = o.h.images, o.v.images, _inverse(o.h.images)
     vertex_of = _vertex_of(o)
     out = []
     for cyc in dict.fromkeys(c for c in vertex_of if len(c) > 1):
         for turn, j in enumerate(cyc):
-            n, state = _on_grid((1, (o.h.inverse()(j), 1, 0) if a < 0 else (j, 0, 0)), a, b)
+            n, state = _on_grid((1, (hi[j], 1, 0) if a < 0 else (j, 0, 0)), a, b)
             steps = []
             for _ in range(_max_steps(o, a, b)):
-                step, anchor, state = _step(o, state, a, b, n)
+                step, anchor, state = _step(h, v, hi, state, a, b, n)
                 steps.append(step)
                 if anchor is not None and len(vertex_of[anchor]) > 1:
                     break
@@ -623,7 +625,7 @@ def lattice_points(o, direction):
 # Separatrix diagrams
 # ---------------------------------------------------------------------------
 
-class SeparatrixDiagram:
+class SeparatrixDiagram(_Value):
     """Ribbon graph of the saddle connections in one direction.
 
     Vertices are the cone points; each vertex of cone angle 2*pi*l has l
@@ -636,14 +638,13 @@ class SeparatrixDiagram:
     __slots__ = ("vertices", "edges", "edge_out", "edge_in")
 
     def __init__(self, vertices, edges, edge_out, edge_in):
-        self.vertices = tuple(tuple(v) for v in vertices)
-        self.edges = tuple(edges)
-        self.edge_out = tuple(edge_out)  # (vertex_index, turn) per edge
-        self.edge_in = tuple(edge_in)
+        vertices = tuple(tuple(v) for v in vertices)
+        edge_out, edge_in = tuple(edge_out), tuple(edge_in)  # (vertex_index, turn) per edge
         # every (vertex, turn) slot must carry exactly one out and one in
-        slots = [(vi, t) for vi, v in enumerate(self.vertices) for t in range(len(v))]
-        if sorted(self.edge_out) != slots or sorted(self.edge_in) != slots:
+        slots = [(vi, t) for vi, v in enumerate(vertices) for t in range(len(v))]
+        if sorted(edge_out) != slots or sorted(edge_in) != slots:
             raise ValueError("edge ends do not fill the vertex slots")
+        super().__init__(vertices, tuple(edges), edge_out, edge_in)
 
     @property
     def n_vertices(self):

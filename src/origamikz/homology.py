@@ -38,6 +38,7 @@ from .geometry import (
     primitive_directions,
 )
 from .origami import singularity_data
+from .sl2 import _Value
 
 
 def intersection_number(alpha, beta):
@@ -240,7 +241,7 @@ def omega_class_loop(basis, coeffs, loop):
     return sum(c * v for c, v in zip(coeffs, vals))
 
 
-class NonTautBasis:
+class NonTautBasis(_Value):
     """The pushforward-kernel basis {X, Y} as coefficient vectors.
 
     X = (f_X1/g) X2 - (f_X2/g) X1 with g = gcd(f_X1, f_X2) kills the
@@ -250,8 +251,7 @@ class NonTautBasis:
     __slots__ = ("x", "y")
 
     def __init__(self, x, y):
-        self.x = tuple(x)
-        self.y = tuple(y)
+        super().__init__(tuple(x), tuple(y))
 
     def __repr__(self):
         return "NonTautBasis(x=%r, y=%r)" % (self.x, self.y)

@@ -49,27 +49,27 @@ MAX_DEGREE = 10000
 # (|p| + |q| <= 12) passes at every degree up to MAX_DEGREE.
 MAX_TRACE_LENGTH = 12 * MAX_DEGREE
 
-# Default cap on the canonical forms an SL2(Z) orbit may reach.
-ORBIT_CAP = 10**6
-
-# Default cap on the squares those forms hold in all.  An orbit keeps
-# every form it reaches, two image tuples of the degree each, so its
-# memory grows with forms * degree: about 53 KB per form of L(2,999) and
-# 0.66 MB per form of L(2,9999) on 2 vCPUs with Python 3.11.  This cap
-# still covers the 12,600 forms (516,600 squares) of the L(2,40) orbit.
+# Default orbit cap, in squares: an orbit of degree d may reach
+# MAX_ORBIT_SQUARES // d classes.  An orbit keeps every form it finds,
+# two image tuples of the degree each, so its memory grows with
+# forms * degree: about 53 KB per form of L(2,999) and 0.66 MB per form
+# of L(2,9999) on 2 vCPUs with Python 3.11.  The cap counts the classes
+# reached, but the forms on their S and U cycles are held too, so a
+# tripped cap holds 1.25-1.41 times the cap in forms.  This cap covers
+# the 12,600 forms (516,600 squares) of the L(2,40) orbit.
 MAX_ORBIT_SQUARES = 10**7
 
 
 def default_orbit_cap(degree):
-    """The orbit cap used when none is given: the fewer of :data:`ORBIT_CAP`
-    forms and :data:`MAX_ORBIT_SQUARES` squares."""
-    return min(ORBIT_CAP, MAX_ORBIT_SQUARES // degree)
+    """The orbit cap used when none is given: :data:`MAX_ORBIT_SQUARES`
+    squares, in forms of the degree."""
+    return MAX_ORBIT_SQUARES // degree
 
 
 class Perm:
     """A permutation of {0, .., d-1}, stored by its image tuple."""
 
-    __slots__ = ("images", "_inv")
+    __slots__ = ("images",)
 
     def __init__(self, images):
         images = tuple(images)
@@ -80,14 +80,12 @@ class Perm:
                 raise ValueError("not a permutation of 0..%d: %r" % (d - 1, images))
             seen[i] = True
         self.images = images
-        self._inv = None
 
     @classmethod
     def _trusted(cls, images):
         """Wrap an image tuple that is a permutation by construction."""
         p = object.__new__(cls)
         p.images = images
-        p._inv = None
         return p
 
     @classmethod
@@ -131,9 +129,7 @@ class Perm:
         return self.images[i]
 
     def inverse(self):
-        if self._inv is None:
-            self._inv = Perm._trusted(tuple(_inverse(self.images)))
-        return self._inv
+        return Perm._trusted(tuple(_inverse(self.images)))
 
     def __mul__(self, other):
         """Composition: (self * other)(x) = self(other(x))."""
@@ -617,7 +613,7 @@ def _orbit_graph(o, cap):
                     raise OrbitCapExceeded(
                         "orbit exceeded cap of %d" % cap,
                         (_pair_origami(forms[i]) for i in order),
-                        dist[cur], len(order) - pos,
+                        dist[cur], len(order) - pos, cap,
                     )
                 dist[img] = dist[cur] + 1
                 order.append(img)
@@ -651,11 +647,13 @@ def orbit(o, cap=None):
     :func:`act_letter` takes and :func:`canonical_form` takes in place
     of an origami; origamis are built only for the result.
 
-    Raises :class:`OrbitCapExceeded` if more than ``cap`` forms show up
-    (by default :func:`default_orbit_cap` of the degree), carrying the
-    partial set, the BFS depth of the form being expanded and the
-    frontier: the forms found but not yet fully expanded, counting that
-    one.
+    Raises :class:`OrbitCapExceeded` if the BFS would reach more than
+    ``cap`` classes (by default :func:`default_orbit_cap` of the degree),
+    carrying the cap, the ``cap`` reached forms, the BFS depth of the form
+    being expanded and the frontier: the forms reached but not yet fully
+    expanded, counting that one.  The cap counts reached classes; the walk
+    also holds the forms on their S and U cycles, 1.25-1.41 times the cap
+    in all when it trips.
     """
     if cap is None:
         cap = default_orbit_cap(o.degree)

@@ -8,7 +8,7 @@ from origamikz import (Direction, IntegralityError, OrigamiError, cli, decompose
                        default_basis, dehn_twist_action, format_origami, geometry,
                        make_l_origami, origami, paper, primitive_directions, sl2)
 from origamikz.cli import main
-from origamikz.origami import MAX_DEGREE, MAX_TRACE_LENGTH
+from origamikz.origami import MAX_DEGREE, MAX_ORBIT_SQUARES, MAX_TRACE_LENGTH
 from util import random_h2_origami
 
 L24 = "d=5\nh=(1 2)\nv=(1 3 4 5)\n"
@@ -297,6 +297,18 @@ def test_census_notes_its_cost_from_degree_10(monkeypatch, capsys, degree, note)
 def test_census_usage_error(capsys):
     assert main(["census", "--degree", "2"]) == 2
     assert main(["census", "--degree", "13"]) == 2
+
+
+@pytest.mark.parametrize("command", [None, "decompose", "homology", "monodromy", "index",
+                                     "orbit", "census", "verify-paper", "conjecture"])
+def test_help_renders(capsys, command):
+    # argparse %-expands a help string only when it prints it, so each page
+    # is rendered here; the orbit cap's default is read from origami
+    assert main(([command] if command else []) + ["--help"]) == 0
+    out = " ".join(capsys.readouterr().out.split())
+    assert out.startswith("usage: origamikz")
+    if command in ("orbit", "census"):
+        assert "(default %d // degree)" % MAX_ORBIT_SQUARES in out
 
 
 def test_verify_paper_command(capsys):

@@ -26,10 +26,12 @@ from origamikz import (
 )
 from origamikz import geometry
 from origamikz.geometry import _trace_closed, _vertex_of
+from origamikz.origami import _inverse
 from origamikz.sl2 import Mat2
 from util import (
     curve_from_segments,
     over_denominator,
+    pair_of,
     random_direction,
     random_h2_origami,
     random_transitive_pair,
@@ -465,8 +467,25 @@ def test_integer_tracer_matches_fraction_tracer_through_regular_vertices():
 def test_step_off_the_grid_raises():
     # from (0, 0) along (1, 2) the top edge is met at x = 1/2, which is not
     # on the grid of step 1/3: the stepper's divisions must be exact
+    h, v = pair_of(make_l_origami(2, 4))
     with pytest.raises(TracingError, match="off the 1/3 grid"):
-        geometry._step(make_l_origami(2, 4), (0, 0, 0), 1, 2, 3)
+        geometry._step(h, v, _inverse(h), (0, 0, 0), 1, 2, 3)
+
+
+def test_tracer_asks_perm_for_no_inverse(monkeypatch):
+    # the tracer reads h^-1 from one list per trace, so neither the cores,
+    # the separatrices nor point membership ask Perm for an inverse
+    def refuse(self):
+        raise AssertionError("Perm.inverse called")
+
+    monkeypatch.setattr(Perm, "inverse", refuse)
+    o, d = make_l_origami(2, 4), Direction(-1, 2)
+    dec = decompose(o, d)
+    cores = [cyl.core for cyl in dec.cylinders]
+    diag = separatrix_diagram(o, d)
+    assert diag.n_edges == len(dec.saddle_connections) == 3
+    sq, (x0, y0), (x1, y1) = cores[0].segments[0]
+    assert contains_point(o, cores[0], (sq, (x0 + x1) / 2, (y0 + y1) / 2))
 
 
 @pytest.mark.slow

@@ -25,9 +25,8 @@ from origamikz import (
     singularity_data,
 )
 from origamikz import origami as origami_module
-from origamikz.origami import (MAX_DEGREE, ORBIT_CAP, _orbit_graph, _pair_origami,
-                               _vertex_cycles, act_letter, act_word, pull_back_point,
-                               push_forward_point)
+from origamikz.origami import (MAX_DEGREE, _orbit_graph, _pair_origami, _vertex_cycles,
+                               act_letter, act_word, pull_back_point, push_forward_point)
 from origamikz.sl2 import matrix_to_word
 from util import (
     GENS,
@@ -544,6 +543,18 @@ def test_default_orbit_cap_shrinks_with_the_degree(monkeypatch):
     assert len(orbit(o, cap=18)) == 18
 
 
+@pytest.mark.parametrize("cap, applied", [(None, 10), (7, 7)], ids=["default", "explicit"])
+@pytest.mark.parametrize("run", [orbit, lambda o, cap: orbit_partition([o], cap)],
+                         ids=["orbit", "orbit_partition"])
+def test_orbit_cap_exceeded_carries_the_cap_applied(monkeypatch, run, cap, applied):
+    # the cap is decided in origami alone; callers read it off the
+    # exception (a default of 10 forms at degree 5 here)
+    monkeypatch.setattr(origami_module, "MAX_ORBIT_SQUARES", 50)
+    with pytest.raises(OrbitCapExceeded) as err:
+        run(canonical_form(make_l_origami(2, 4)), cap)
+    assert err.value.cap == applied == len(err.value.partial)
+
+
 def _st_distances(o):
     # S/T distances from the seed's class, by a BFS of its own, in the
     # order the forms are found, and the form each one is found from
@@ -609,7 +620,7 @@ def test_orbit_graph_tables(o):
     # the forms are distinct canonical classes, those of the reference
     # orbit; each table entry is the class of its letter's image, S and U
     # have the orders orbit reads off -I, and T = S^-1 U permutes the ids
-    forms, s_table, u_table = _orbit_graph(o, ORBIT_CAP)
+    forms, s_table, u_table = _orbit_graph(o, 10**6)
     n = len(forms)
     assert len(set(forms)) == n == len(s_table) == len(u_table)
     assert all(canonical_form(f) == f for f in forms)

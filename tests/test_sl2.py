@@ -9,7 +9,9 @@ from origamikz import (
     Direction,
     IndexCapExceeded,
     Mat2,
+    NonTautBasis,
     S,
+    SeparatrixDiagram,
     SingularityData,
     T,
     contains_minus_identity,
@@ -192,7 +194,9 @@ def test_mat2_value_semantics():
     (Mat2, (1, 1, 0, 1)),
     (Direction, (2, 3)),
     (SingularityData, ((2,), 2)),
-], ids=["Mat2", "Direction", "SingularityData"])
+    (NonTautBasis, ((-2, 1, 0, 0), (0, 0, -4, 1))),
+    (SeparatrixDiagram, (((0, 1),), ("a", "b"), ((0, 0), (0, 1)), ((0, 1), (0, 0)))),
+], ids=["Mat2", "Direction", "SingularityData", "NonTautBasis", "SeparatrixDiagram"])
 def test_value_is_immutable(cls, fields):
     # values key dicts by value (kz_generators' held twists, the
     # decompositions of check_family_case), so they may not change once
